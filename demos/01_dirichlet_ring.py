@@ -18,7 +18,6 @@ d = af.make("d", sieve)       # divisor count
 I = af.make("I", sieve)       # convolution unit
 
 print("n having smallest prime factor table:", sieve.factorize(12), "for 12")
-print("divisors of 30:", sieve.divisors(30))
 print()
 
 # Convolution: u * u counts divisors.

@@ -112,12 +112,11 @@ def _checked_bound(n: int) -> int:
     return n
 
 
-def _evaluate(args, bound: int) -> ArithFn:
+def _evaluate(args, sieve) -> ArithFn:
     backend = get_backend(args.backend)
-    sieve = build_sieve(bound)
     node = parse_expr(args.expr)
     options = EvalOptions(normalize_unit=args.normalize_unit, eps=args.eps)
-    return eval_expr(node, sieve, backend, bound, options)
+    return eval_expr(node, sieve, backend, sieve.bound, options)
 
 
 def _format_witness(res: CheckResult) -> str:
@@ -149,13 +148,13 @@ def _dispatch(args) -> int:
         bound = _checked_bound(args.n if args.n else args.index)
         if not 1 <= args.index <= bound:
             raise ArithfnError(f"index {args.index} outside 1..{bound}")
-        fn = _evaluate(args, bound)
+        fn = _evaluate(args, build_sieve(bound))
         print(fn.backend.format(fn[args.index]))
         return 0
 
     if cmd == "table":
         bound = _checked_bound(args.n)
-        fn = _evaluate(args, bound)
+        fn = _evaluate(args, build_sieve(bound))
         if args.format == "csv":
             sys.stdout.write(fnio.dump_csv(fn))
         elif args.format == "json":
@@ -168,12 +167,13 @@ def _dispatch(args) -> int:
 
     if cmd == "check":
         bound = _checked_bound(args.n)
-        fn = _evaluate(args, bound)
+        sieve = build_sieve(bound)
+        fn = _evaluate(args, sieve)
         predicate = _CHECKS[args.kind]
         if args.kind in ("multiplicative", "additive"):
             res = predicate(fn, tol=args.tol)
         else:
-            res = predicate(fn, sieve=build_sieve(bound), tol=args.tol)
+            res = predicate(fn, sieve=sieve, tol=args.tol)
         if res.ok:
             print(f"{args.kind}: true")
             return 0
@@ -182,7 +182,7 @@ def _dispatch(args) -> int:
 
     if cmd == "transform":
         bound = _checked_bound(args.n)
-        fn = _evaluate(args, bound)
+        fn = _evaluate(args, build_sieve(bound))
         op = _TRANSFORMS[args.op]
         if args.op in ("psi", "log"):
             out = op(fn, normalize_unit=args.normalize_unit)
@@ -197,8 +197,8 @@ def _dispatch(args) -> int:
 
     if cmd == "bell":
         bound = _checked_bound(args.n)
-        fn = _evaluate(args, bound)
         sieve = build_sieve(bound)
+        fn = _evaluate(args, sieve)
         p = args.prime
         if not (2 <= p <= bound and sieve.is_prime(p)):
             raise ArithfnError(f"--prime must be a prime <= {bound}, got {p}")

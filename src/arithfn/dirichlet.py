@@ -15,10 +15,20 @@ Operator conventions:
     a ** k     k-fold convolution power (k = 0 gives the unit I)
     a.inv()    Dirichlet inverse (requires a(1) != 0)
 
-The convolution kernels fix their summation order -- outer divisor d
-ascending, inner multiples ascending -- so each output coefficient is a
-sum over its divisors in ascending order.  In the float backend this
-makes every result bit-reproducible across runs.
+Convolution and inverse run in two numpy kernels, :func:`_conv` and
+:func:`_inv`, shared by every backend.  Values are converted to an array
+on entry and back to a tuple on exit; the array is int64 for int tables
+whose magnitudes pass a provable overflow guard, object for Fractions,
+big ints and tables that fail it, and complex128 for the complex backend.
+The convolution splits the divisor pairs d * m <= N at sqrt(N)
+(Dirichlet's hyperbola method), so it takes about 2 sqrt(N) vector
+operations; the inverse works in dyadic blocks [2**j, 2**(j+1)), each
+final once the earlier blocks are pushed.
+
+Each output coefficient is a sum over its divisors in ascending order,
+of the same products a per-divisor loop forms.  In the float backend
+this makes every result bit-reproducible across runs.  A complex result with a NaN or infinite
+value raises :class:`NonFiniteError`.
 """
 
 from __future__ import annotations
@@ -31,6 +41,7 @@ import numpy as np
 from .errors import (
     BackendMismatchError,
     BoundMismatchError,
+    NonFiniteError,
     NotInvertibleError,
     UnsupportedBackendError,
 )
@@ -191,11 +202,10 @@ class ArithFn:
     def __mul__(self, other):
         if isinstance(other, ArithFn):
             self._check_compatible(other)
-            if self.backend is COMPLEX:
-                out = _convolve_complex(self._v, other._v, self.bound)
-            else:
-                out = _convolve_exact(self._v, other._v, self.bound)
-            return ArithFn._wrap(self.bound, self.backend, out)
+            out = _conv(
+                _array(self._v, self.backend), _array(other._v, self.backend), self.bound
+            )
+            return ArithFn._wrap(self.bound, self.backend, out.tolist())
         if isinstance(other, (int, float, complex, Fraction)):
             return self.scale(other)
         return NotImplemented
@@ -216,12 +226,13 @@ class ArithFn:
                 raise NotInvertibleError(
                     f"a(1) = {a1!r} is within eps={eps} of zero; no Dirichlet inverse"
                 )
-            out = _inverse_complex(self._v, self.bound)
-        else:
-            if a1 == 0:
-                raise NotInvertibleError("a(1) = 0; no Dirichlet inverse")
-            out = _inverse_exact(self._v, self.bound)
-        return ArithFn._wrap(self.bound, self.backend, out)
+        elif a1 == 0:
+            raise NotInvertibleError("a(1) = 0; no Dirichlet inverse")
+        out = _inv(_array(self._v, self.backend), self.bound)
+        vals = out.tolist()
+        if out.dtype == object:
+            vals = [_canonical_exact(x) for x in vals]
+        return ArithFn._wrap(self.bound, self.backend, vals)
 
     def __pow__(self, k: int) -> "ArithFn":
         """k-fold convolution power by binary exponentiation; a**0 = I."""
@@ -269,72 +280,144 @@ class ArithFn:
 # ---------------------------------------------------------------------------
 # kernels
 #
-# Both backends share the same loop structure: outer divisor d ascending,
-# inner multiples of d ascending.  Contributions to any output index thus
-# arrive in ascending divisor order, which pins the float summation order.
+# One convolution kernel and one inverse kernel serve every backend; the
+# storages differ only in dtype:
+#
+#   int64       every value is a Python int and the overflow guard holds;
+#   object      Fractions, big ints, and int tables that fail the guard;
+#   complex128  the complex backend.
+#
+# Guard: an output n sums tau(n) <= 2 sqrt(n) products, so partial sums
+# stay below 2**62 when max|a| * max|b| * (2 floor(sqrt N) + 1) < 2**62.
+# A table that fails it is computed in object storage instead.
+#
+# Every output sums its products a(d) b(n/d) in ascending order of d, and
+# each product is rounded as a per-divisor loop rounds it, so complex
+# results are bit-reproducible and equal to that loop, which
+# tests/conftest.py keeps as the oracle.
 # ---------------------------------------------------------------------------
 
 
-def _convolve_exact(av, bv, n: int) -> list:
-    out = [0] * (n + 1)
-    for d in range(1, n + 1):
-        ad = av[d]
-        if not ad:
-            continue
-        top = n // d
-        out[d :: d] = [x + ad * y for x, y in zip(out[d :: d], bv[1 : top + 1])]
+def _array(vals, backend) -> np.ndarray:
+    """Kernel storage for a padded value sequence (see the notes above)."""
+    if backend is COMPLEX:
+        return np.array(vals, dtype=np.complex128)
+    # Not dtype=np.int64: that silently truncates a Fraction to an int.
+    # numpy's own type discovery gives int64 only when every value is an
+    # int that fits, object for Fractions and for ints beyond uint64, and
+    # uint64 or a lossy float64 for ints in [2**63, 2**64).
+    arr = np.array(vals)
+    if arr.dtype != np.int64 and arr.dtype != object:
+        arr = np.array(vals, dtype=object)
+    return arr
+
+
+def _max_abs(x: np.ndarray) -> int:
+    # Python ints: np.abs wraps at -2**63.
+    return max(-int(x.min()), int(x.max()))
+
+
+def _fits_int64(max_a: int, max_b: int, n: int) -> bool:
+    return max_a * max_b * (2 * math.isqrt(n) + 1) < 2**62
+
+
+def _check_finite(out: np.ndarray, op: str) -> None:
+    if out.dtype == np.complex128 and not np.isfinite(out).all():
+        raise NonFiniteError(f"Dirichlet {op} overflowed to a non-finite value")
+
+
+def _scaled(w, x: np.ndarray) -> np.ndarray:
+    """w * x elementwise, rounded exactly as the scalar product w * x[i].
+
+    numpy's array complex multiply rounds differently from its scalar one,
+    so the complex case spells the scalar formula out in real parts.
+    """
+    if x.dtype != np.complex128:
+        return w * x
+    out = np.empty_like(x)
+    out.real = w.real * x.real - w.imag * x.imag
+    out.imag = w.real * x.imag + w.imag * x.real
     return out
 
 
-def _conv_np(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
-    out = np.zeros(n + 1, dtype=np.complex128)
-    for d in range(1, n + 1):
+@np.errstate(over="ignore", invalid="ignore")  # _check_finite reports it
+def _conv(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
+    """(a * b) on 1..n for padded arrays (slot 0 unused).
+
+    Dirichlet's hyperbola split: every pair d * m <= n has d <= K or
+    m <= n // (K + 1), K = floor(sqrt n).  The d-loop pushes a(d) times a
+    slice of b onto the multiples of d <= K; the m-loop, m descending,
+    pushes a(D) b(m) for the support D of a in (K, n // m].  Descending m
+    keeps each output's contributions in ascending d.  About 2 sqrt(n)
+    vector operations; a zero a(d) is never multiplied.
+    """
+    if a.dtype != b.dtype or (
+        a.dtype == np.int64 and not _fits_int64(_max_abs(a), _max_abs(b), n)
+    ):
+        a, b = a.astype(object), b.astype(object)
+    k = math.isqrt(n)
+    out = np.zeros(n + 1, dtype=a.dtype)
+    for d in range(1, k + 1):
         ad = a[d]
-        if ad == 0:
-            continue
-        top = n // d
-        out[d :: d] += ad * b[1 : top + 1]
+        if ad != 0:
+            out[d::d] += ad * b[1 : n // d + 1]
+    sup = np.flatnonzero(a[k + 1 :]) + (k + 1)
+    a_sup = a[sup]
+    ms = np.arange(n // (k + 1), 0, -1)
+    counts = np.searchsorted(sup, n // ms, side="right")
+    for m, c in zip(ms.tolist(), counts.tolist()):
+        if c:
+            np.add.at(out, sup[:c] * m, a_sup[:c] * b[m])
+    _check_finite(out, "convolution")
     return out
 
 
-def _convolve_complex(av, bv, n: int) -> list:
-    a = np.asarray(av, dtype=np.complex128)
-    b = np.asarray(bv, dtype=np.complex128)
-    return _conv_np(a, b, n).tolist()
+@np.errstate(over="ignore", invalid="ignore")  # _check_finite reports it
+def _inv(a: np.ndarray, n: int) -> np.ndarray:
+    """Dirichlet inverse on 1..n of a padded array with a(1) != 0.
 
-
-def _inverse_exact(av, n: int) -> list:
-    # b(1) = 1/a(1); b(n) = -(1/a(1)) * sum_{d|n, d<n} b(d) a(n/d).
-    # Contributions are pushed forward as soon as b(d) is final, so the
-    # whole inverse costs one sieve-shaped pass: O(N log N) operations.
-    a1 = av[1]
-    inv1 = a1 if a1 == 1 or a1 == -1 else Fraction(1, 1) / a1
-    acc = [0] * (n + 1)
-    b = [0] * (n + 1)
-    for d in range(1, n + 1):
-        bd = inv1 if d == 1 else -inv1 * acc[d]
-        b[d] = bd
-        if not bd:
-            continue
-        top = n // d
-        if top >= 2:
-            acc[2 * d :: d] = [
-                x + bd * y for x, y in zip(acc[2 * d :: d], av[2 : top + 1])
-            ]
-    return [_canonical_exact(x) if isinstance(x, Fraction) else x for x in b]
-
-
-def _inverse_complex(av, n: int) -> list:
-    a = np.asarray(av, dtype=np.complex128)
-    inv1 = 1.0 / a[1]
-    acc = np.zeros(n + 1, dtype=np.complex128)
-    b = np.zeros(n + 1, dtype=np.complex128)
-    for d in range(1, n + 1):
-        bd = inv1 if d == 1 else -inv1 * acc[d]
-        b[d] = bd
-        if bd == 0:
-            continue
-        top = n // d
-        if top >= 2:
-            acc[2 * d :: d] += bd * a[2 : top + 1]
-    return b.tolist()
+    b(1) = 1/a(1) and b(n) = -b(1) acc(n), acc(n) = sum over d | n, d < n
+    of b(d) a(n/d).  The dyadic block [2**j, 2**(j+1)) only has proper
+    divisors in earlier blocks, so once those are pushed its b is one
+    vector op; the block is then pushed to its multiples by a d-loop or
+    a descending m-loop, whichever takes fewer steps.  int64 needs
+    a(1) = +-1 and re-checks the guard per block with the running max|b|.
+    """
+    a1 = a[1]
+    if a.dtype == np.complex128:
+        inv1 = 1.0 / a1
+    elif a.dtype == np.int64 and (a1 == 1 or a1 == -1):
+        inv1 = int(a1)
+    else:
+        a = a.astype(object)
+        a1 = a[1]
+        inv1 = a1 if a1 == 1 or a1 == -1 else Fraction(1, 1) / a1
+    w = -inv1
+    max_a = _max_abs(a) if a.dtype == np.int64 else 0
+    max_b = 1
+    acc = np.zeros(n + 1, dtype=a.dtype)
+    b = np.zeros(n + 1, dtype=a.dtype)
+    b[1] = inv1
+    lo = 1
+    while lo <= n:
+        hi = min(2 * lo, n + 1)
+        if lo > 1:
+            b[lo:hi] = _scaled(w, acc[lo:hi])
+        if b.dtype == np.int64:
+            max_b = max(max_b, _max_abs(b[lo:hi]))
+            if not _fits_int64(max_a, max_b, n):
+                a, b, acc = a.astype(object), b.astype(object), acc.astype(object)
+        sup = np.flatnonzero(b[lo:hi]) + lo
+        top = n // lo
+        if len(sup) < top:
+            for d in sup.tolist():
+                acc[2 * d :: d] += b[d] * a[2 : n // d + 1]
+        else:
+            b_sup = b[sup]
+            ms = np.arange(top, 1, -1)
+            counts = np.searchsorted(sup, n // ms, side="right")
+            for m, c in zip(ms.tolist(), counts.tolist()):
+                np.add.at(acc, sup[:c] * m, b_sup[:c] * a[m])
+        lo = hi
+    _check_finite(b, "inverse")
+    return b

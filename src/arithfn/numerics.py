@@ -79,12 +79,6 @@ class RationalBackend:
     zero: Exact = 0
     one: Exact = 1
 
-    def from_int(self, i: int) -> Exact:
-        return int(i)
-
-    def from_ratio(self, p: int, q: int) -> Exact:
-        return rational(p, q)
-
     def convert(self, x) -> Exact:
         """Accept int/Fraction (exact values only); reject floats."""
         if isinstance(x, bool):
@@ -129,12 +123,6 @@ class ComplexBackend:
     exact = False
     zero: complex = 0j
     one: complex = 1 + 0j
-
-    def from_int(self, i: int) -> complex:
-        return complex(i)
-
-    def from_ratio(self, p: int, q: int) -> complex:
-        return complex(Fraction(p, q))
 
     def convert(self, x) -> complex:
         if isinstance(x, bool):

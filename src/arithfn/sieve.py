@@ -2,8 +2,8 @@
 
 The sieve stores spf[n] = smallest prime factor of n for 2 <= n <= N,
 which makes the factorization of any n <= N an O(number of prime factors)
-walk.  Everything downstream (divisor lists, prime-power tests, the
-omega/nu counts, Bell decompositions) is driven by these factorizations.
+walk.  Everything downstream (prime-power tests, the omega/nu counts,
+Bell decompositions) is driven by these factorizations.
 
 Memory is the only practical limit: the table is a single int64 numpy
 array, so N = 10**7 costs ~80 MB and builds in well under a second.
@@ -24,13 +24,12 @@ class SpfSieve:
         primes: ordered list of all primes <= N (p_1 = 2, p_2 = 3, ...).
     """
 
-    __slots__ = ("bound", "primes", "_spf", "_prime_index")
+    __slots__ = ("bound", "primes", "_spf")
 
     def __init__(self, bound: int, spf: np.ndarray, primes: list[int]):
         self.bound = bound
         self.primes = primes
         self._spf = spf
-        self._prime_index = None  # built lazily
 
     def _check_range(self, n: int, lo: int = 1) -> None:
         if not lo <= n <= self.bound:
@@ -44,15 +43,6 @@ class SpfSieve:
     def is_prime(self, n: int) -> bool:
         self._check_range(n)
         return n >= 2 and int(self._spf[n]) == n
-
-    def prime_index(self, p: int) -> int:
-        """1-based index i with p the i-th prime (2 -> 1, 3 -> 2, ...)."""
-        if self._prime_index is None:
-            self._prime_index = {p: i for i, p in enumerate(self.primes, start=1)}
-        try:
-            return self._prime_index[p]
-        except KeyError:
-            raise ValueError(f"{p} is not a prime <= {self.bound}") from None
 
     def factorize(self, n: int) -> list[tuple[int, int]]:
         """Canonical factorization [(p1, a1), ...] with p1 < p2 < ...
@@ -70,22 +60,6 @@ class SpfSieve:
                 k += 1
             out.append((p, k))
         return out
-
-    def divisors(self, n: int) -> list[int]:
-        """All divisors of n, ascending.  Deterministic order is part of
-        the contract: float convolutions sum contributions in this order.
-        """
-        self._check_range(n)
-        divs = [1]
-        for p, a in self.factorize(n):
-            pk = 1
-            powers = []
-            for _ in range(a):
-                pk *= p
-                powers.append(pk)
-            divs += [d * q for q in powers for d in divs]
-        divs.sort()
-        return divs
 
     def prime_power_part(self, n: int) -> tuple[int, int] | None:
         """(p, k) with n = p^k if n is a prime power, else None.

@@ -27,7 +27,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .dirichlet import ArithFn, _conv_np, _convolve_exact
+from .dirichlet import ArithFn, _array, _conv
 from .errors import DomainError
 from .numerics import COMPLEX, _canonical_exact
 
@@ -66,33 +66,32 @@ def dlog(a: ArithFn, *, normalize_unit: bool = False, extra_terms: int = 0) -> A
     n = a.bound
     terms = _series_length(n, extra_terms)
 
+    b = _array(a._v, a.backend)
+    b[1] = 0
     if a.backend is COMPLEX:
-        b = np.asarray(a._v, dtype=np.complex128)
-        b[1] = 0.0
         acc = np.zeros(n + 1, dtype=np.complex128)
         pw = b
         for k in range(1, terms + 1):
             if k > 1:
-                pw = _conv_np(pw, b, n)
+                pw = _conv(pw, b, n)
             acc += ((-1.0) ** (k - 1) / k) * pw
         return ArithFn._wrap(n, COMPLEX, acc.tolist())
 
-    b = list(a._v)
-    b[1] = 0
     acc = [0] * (n + 1)
     pw = b
     for k in range(1, terms + 1):
         if k > 1:
-            pw = _convolve_exact(pw, b, n)
+            pw = _conv(pw, b, n)
+        pw_vals = pw.tolist()
         if k == 1:
             for i in range(2, n + 1):
-                if pw[i]:
-                    acc[i] = acc[i] + pw[i]
+                if pw_vals[i]:
+                    acc[i] = acc[i] + pw_vals[i]
         else:
             c = Fraction(-1 if k % 2 == 0 else 1, k)
             for i in range(2, n + 1):
-                if pw[i]:
-                    acc[i] = acc[i] + c * pw[i]
+                if pw_vals[i]:
+                    acc[i] = acc[i] + c * pw_vals[i]
     return ArithFn._wrap(n, a.backend, [_canonical_exact(x) for x in acc])
 
 
@@ -102,36 +101,35 @@ def dexp(a: ArithFn, *, extra_terms: int = 0) -> ArithFn:
     n = a.bound
     terms = _series_length(n, extra_terms)
 
+    b = _array(a._v, a.backend)
+    pw = np.zeros(n + 1, dtype=b.dtype)
+    pw[1] = 1
     if a.backend is COMPLEX:
-        b = np.asarray(a._v, dtype=np.complex128)
         acc = np.zeros(n + 1, dtype=np.complex128)
         acc[1] = 1.0
-        pw = np.zeros(n + 1, dtype=np.complex128)
-        pw[1] = 1.0
         fact = 1
         for k in range(1, terms + 1):
-            pw = _conv_np(pw, b, n)
+            pw = _conv(pw, b, n)
             fact *= k
             acc += (1.0 / fact) * pw
         return ArithFn._wrap(n, COMPLEX, acc.tolist())
 
     acc = [0] * (n + 1)
     acc[1] = 1
-    pw = [0] * (n + 1)
-    pw[1] = 1
     fact = 1
     for k in range(1, terms + 1):
-        pw = _convolve_exact(pw, a._v, n)
+        pw = _conv(pw, b, n)
+        pw_vals = pw.tolist()
         fact *= k
         if fact == 1:
             for i in range(2, n + 1):
-                if pw[i]:
-                    acc[i] = acc[i] + pw[i]
+                if pw_vals[i]:
+                    acc[i] = acc[i] + pw_vals[i]
         else:
             c = Fraction(1, fact)
             for i in range(2, n + 1):
-                if pw[i]:
-                    acc[i] = acc[i] + c * pw[i]
+                if pw_vals[i]:
+                    acc[i] = acc[i] + c * pw_vals[i]
     return ArithFn._wrap(n, a.backend, [_canonical_exact(x) for x in acc])
 
 

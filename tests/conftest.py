@@ -2,10 +2,10 @@
 
 Everything here recomputes expected values by a route independent of the
 code under test: trial division instead of the sieve, per-index divisor
-scans instead of the sieve-shaped convolution kernels, and a
-derivation-based recurrence (weighting by the prime-factor count, which
-is fully additive, hence a derivation for the convolution product)
-instead of the alternating/factorial series.
+scans and per-divisor loops instead of the vectorized convolution and
+inverse kernels, and a derivation-based recurrence (weighting by the
+prime-factor count, which is fully additive, hence a derivation for the
+convolution product) instead of the alternating/factorial series.
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 import arithfn as af
@@ -91,6 +92,71 @@ def inverse_brute(a: af.ArithFn) -> list:
         for d in divisors_brute(n)[:-1]:
             s = s + b[d] * a[n // d]
         b[n] = -inv1 * s
+    return b
+
+
+# ---------------------------------------------------------------------------
+# per-divisor loop kernels
+#
+# The loops the vectorized kernels replaced: outer divisor d ascending,
+# inner multiples of d ascending, one step per d.  Each output thus sums
+# over its divisors in ascending order, which the production kernels must
+# reproduce bit for bit in complex128.  Inputs are padded (slot 0 unused).
+# ---------------------------------------------------------------------------
+
+
+def convolve_loop_exact(av, bv, n: int) -> list:
+    out = [0] * (n + 1)
+    for d in range(1, n + 1):
+        ad = av[d]
+        if not ad:
+            continue
+        top = n // d
+        out[d :: d] = [x + ad * y for x, y in zip(out[d :: d], bv[1 : top + 1])]
+    return out
+
+
+def convolve_loop_complex(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
+    out = np.zeros(n + 1, dtype=np.complex128)
+    for d in range(1, n + 1):
+        ad = a[d]
+        if ad == 0:
+            continue
+        top = n // d
+        out[d :: d] += ad * b[1 : top + 1]
+    return out
+
+
+def inverse_loop_exact(av, n: int) -> list:
+    a1 = av[1]
+    inv1 = a1 if a1 == 1 or a1 == -1 else Fraction(1, 1) / a1
+    acc = [0] * (n + 1)
+    b = [0] * (n + 1)
+    for d in range(1, n + 1):
+        bd = inv1 if d == 1 else -inv1 * acc[d]
+        b[d] = bd
+        if not bd:
+            continue
+        top = n // d
+        if top >= 2:
+            acc[2 * d :: d] = [
+                x + bd * y for x, y in zip(acc[2 * d :: d], av[2 : top + 1])
+            ]
+    return [x.numerator if isinstance(x, Fraction) and x.denominator == 1 else x for x in b]
+
+
+def inverse_loop_complex(a: np.ndarray, n: int) -> np.ndarray:
+    inv1 = 1.0 / a[1]
+    acc = np.zeros(n + 1, dtype=np.complex128)
+    b = np.zeros(n + 1, dtype=np.complex128)
+    for d in range(1, n + 1):
+        bd = inv1 if d == 1 else -inv1 * acc[d]
+        b[d] = bd
+        if bd == 0:
+            continue
+        top = n // d
+        if top >= 2:
+            acc[2 * d :: d] += bd * a[2 : top + 1]
     return b
 
 

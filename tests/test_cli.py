@@ -370,3 +370,27 @@ class TestCliBehavior:
     def test_eval_index_defines_bound(self, capsys):
         code, out, _ = run_cli(capsys, "eval", "u * u", "12")
         assert code == 0 and out == "6\n"
+
+    def test_exit_2_on_non_finite_result(self, capsys):
+        code, out, err = run_cli(
+            capsys, "table", "pow(1000 . u + I, 200)", "--backend", "complex", "--n", "8"
+        )
+        assert code == 2 and out == "" and err.startswith("error:")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("check", "completely-multiplicative", "mu", "--n", "100"),
+            ("bell", "phi", "--prime", "2", "--n", "100"),
+        ],
+    )
+    def test_one_sieve_per_call(self, capsys, monkeypatch, argv):
+        calls = []
+
+        def counting_build_sieve(bound):
+            calls.append(bound)
+            return af.build_sieve(bound)
+
+        monkeypatch.setattr("arithfn.cli.build_sieve", counting_build_sieve)
+        run_cli(capsys, *argv)
+        assert calls == [100]

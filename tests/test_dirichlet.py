@@ -4,19 +4,28 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import arithfn as af
+from arithfn.dirichlet import _array, _conv, _inv
 from arithfn.errors import (
     BackendMismatchError,
     BoundMismatchError,
+    NonFiniteError,
     NotInvertibleError,
     UnsupportedBackendError,
 )
 from conftest import (
     convolve_brute,
+    convolve_loop_complex,
+    convolve_loop_exact,
     divisors_brute,
     inverse_brute,
+    inverse_loop_complex,
+    inverse_loop_exact,
     mobius_brute,
     rand_complex_fn,
     rand_exact_fn,
@@ -281,3 +290,100 @@ class TestValuationSupport:
         assert a.support() == [2, 3]
         assert a.support(eps=1e-8) == [2]
         assert a.valuation() == 2
+
+
+# Sizes covering n < 4, the square-root split on both sides of a square
+# (15, 16, 17) and partial last dyadic blocks (1000, 4099).
+KERNEL_SIZES = (1, 2, 3, 4, 15, 16, 17, 1000, 4099)
+
+
+def _rand_padded_complex(rng, n):
+    x = rng.standard_normal(n + 1) + 1j * rng.standard_normal(n + 1)
+    x[rng.random(n + 1) < 0.3] = 0
+    x[0] = 0
+    return x
+
+
+def _guard_edge(n):
+    """Largest M with M * M * (2 floor(sqrt n) + 1) < 2**62."""
+    return math.isqrt((2**62 - 1) // (2 * math.isqrt(n) + 1))
+
+
+class TestKernels:
+    @pytest.mark.parametrize("n", KERNEL_SIZES)
+    def test_complex_conv_matches_loop_bitwise(self, n):
+        rng = np.random.default_rng(n)
+        a, b = _rand_padded_complex(rng, n), _rand_padded_complex(rng, n)
+        got = _conv(a, b, n)
+        want = convolve_loop_complex(a, b, n)
+        assert np.array_equal(got.view(np.float64), want.view(np.float64))
+
+    @pytest.mark.parametrize("n", KERNEL_SIZES)
+    def test_complex_inv_matches_loop_bitwise(self, n):
+        rng = np.random.default_rng(n + 1)
+        a = _rand_padded_complex(rng, n)
+        for a1 in (1.0, 0.75 - 0.5j):
+            a[1] = a1
+            got = _inv(a, n)
+            want = inverse_loop_complex(a, n)
+            assert np.array_equal(got.view(np.float64), want.view(np.float64))
+
+    def test_storage_choice(self):
+        half = _array([0, 1, Fraction(3, 2)], af.RATIONAL)
+        assert half.dtype == object and half[2] == Fraction(3, 2)
+        for big in (2**63, 2**64 - 1, 2**64):
+            wide = _array([0, 1, big], af.RATIONAL)
+            assert wide.dtype == object and wide.tolist() == [0, 1, big]
+        assert _array([0, -(2**63)], af.RATIONAL).dtype == np.int64
+        assert _array([0, 1j], af.COMPLEX).dtype == np.complex128
+
+    @pytest.mark.parametrize("n", (1, 17, 100))
+    def test_int64_guard_edge(self, n):
+        # Tables at the guard's edge stay int64; one step past it falls
+        # back to object storage.  Both equal the exact loop.
+        for m, dtype in ((_guard_edge(n), np.int64), (_guard_edge(n) + 1, object)):
+            av = [0] + [m if k % 3 else -m for k in range(1, n + 1)]
+            got = _conv(_array(av, af.RATIONAL), _array(av, af.RATIONAL), n)
+            assert got.dtype == dtype
+            assert got.tolist() == convolve_loop_exact(av, av, n)
+
+    def test_min_int64_takes_object_storage(self):
+        av = [0, 1, -(2**63), 5]
+        got = _conv(_array(av, af.RATIONAL), _array(av, af.RATIONAL), 3)
+        assert got.dtype == object
+        assert got.tolist() == convolve_loop_exact(av, av, 3)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_int64_and_object_storage_agree(self, data):
+        n = data.draw(st.integers(1, 80), label="n")
+        edge = _guard_edge(n)
+        lim = data.draw(st.sampled_from([3, 2**20, edge, edge + 1, 2**62]), label="lim")
+        values = st.lists(st.integers(-lim, lim), min_size=n, max_size=n)
+        av = [0] + data.draw(values, label="a")
+        bv = [0] + data.draw(values, label="b")
+        if data.draw(st.booleans(), label="fraction"):
+            av[data.draw(st.integers(1, n))] = Fraction(3, 2)
+        if data.draw(st.booleans(), label="big"):
+            bv[data.draw(st.integers(1, n))] = 2**63
+        a, b = _array(av, af.RATIONAL), _array(bv, af.RATIONAL)
+        want = convolve_loop_exact(av, bv, n)
+        assert _conv(a, b, n).tolist() == want
+        assert _conv(a.astype(object), b.astype(object), n).tolist() == want
+        av[1] = data.draw(st.sampled_from([1, -1]), label="a1")
+        a = _array(av, af.RATIONAL)
+        want = inverse_loop_exact(av, n)
+        assert _inv(a, n).tolist() == want
+        assert _inv(a.astype(object), n).tolist() == want
+
+
+class TestNonFinite:
+    def test_convolution_overflow_raises(self):
+        a = af.ArithFn.from_values([1e200, 1e200], af.COMPLEX)
+        with pytest.raises(NonFiniteError):
+            a * a
+
+    def test_inverse_overflow_raises(self):
+        a = af.ArithFn.from_values([1e-200, 1e200], af.COMPLEX)
+        with pytest.raises(NonFiniteError):
+            a.inv(eps=0.0)

@@ -1,11 +1,11 @@
-"""Sieve, factorization and divisor enumeration against trial division."""
+"""Sieve and factorization against trial division."""
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 import arithfn as af
-from conftest import divisors_brute, factorize_brute, nu_brute, omega_brute, primes_brute
+from conftest import factorize_brute, nu_brute, omega_brute, primes_brute
 
 
 class TestBuild:
@@ -62,24 +62,6 @@ class TestFactorize:
         assert s.factorize(n) == factorize_brute(n)
 
 
-class TestDivisors:
-    def test_examples(self, sieve100):
-        assert sieve100.divisors(12) == [1, 2, 3, 4, 6, 12]
-        assert sieve100.divisors(1) == [1]
-        assert sieve100.divisors(49) == [1, 7, 49]
-
-    def test_against_brute_scan(self, sieve1000):
-        for n in range(1, 400):
-            assert sieve1000.divisors(n) == divisors_brute(n)
-
-    def test_count_matches_exponent_product(self, sieve1000):
-        for n in range(1, 1001):
-            expected = 1
-            for _, a in sieve1000.factorize(n):
-                expected *= a + 1
-            assert len(sieve1000.divisors(n)) == expected
-
-
 class TestPrimePowerPart:
     def test_examples(self, sieve1000):
         assert sieve1000.prime_power_part(8) == (2, 3)
@@ -120,14 +102,6 @@ def test_documented_scale_ten_million():
     assert s.factorize(9_999_991) == factorize_brute(9_999_991)
     assert s.factorize(9_999_999) == factorize_brute(9_999_999)
     assert s.smallest_prime_factor(9_999_998) == 2
-
-
-def test_prime_index(sieve100):
-    assert sieve100.prime_index(2) == 1
-    assert sieve100.prime_index(3) == 2
-    assert sieve100.prime_index(97) == 25
-    with pytest.raises(ValueError):
-        sieve100.prime_index(4)
 
 
 def test_prime_power_cap(sieve1000):

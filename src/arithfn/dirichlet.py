@@ -45,7 +45,7 @@ from .errors import (
     NotInvertibleError,
     UnsupportedBackendError,
 )
-from .numerics import COMPLEX, DEFAULT_EPS, RATIONAL, _canonical_exact
+from .numerics import COMPLEX, DEFAULT_EPS, RATIONAL
 
 
 class ArithFn:
@@ -205,7 +205,7 @@ class ArithFn:
             out = _conv(
                 _array(self._v, self.backend), _array(other._v, self.backend), self.bound
             )
-            return ArithFn._wrap(self.bound, self.backend, out.tolist())
+            return ArithFn._wrap(self.bound, self.backend, _values(out))
         if isinstance(other, (int, float, complex, Fraction)):
             return self.scale(other)
         return NotImplemented
@@ -229,10 +229,7 @@ class ArithFn:
         elif a1 == 0:
             raise NotInvertibleError("a(1) = 0; no Dirichlet inverse")
         out = _inv(_array(self._v, self.backend), self.bound)
-        vals = out.tolist()
-        if out.dtype == object:
-            vals = [_canonical_exact(x) for x in vals]
-        return ArithFn._wrap(self.bound, self.backend, vals)
+        return ArithFn._wrap(self.bound, self.backend, _values(out))
 
     def __pow__(self, k: int) -> "ArithFn":
         """k-fold convolution power by binary exponentiation; a**0 = I."""
@@ -312,6 +309,16 @@ def _array(vals, backend) -> np.ndarray:
     return arr
 
 
+def _values(out: np.ndarray) -> list:
+    """Kernel storage back to values; Fractions with denominator 1 become
+    ints, as every exact value is kept."""
+    vals = out.tolist()
+    if out.dtype == object:
+        # type() rather than isinstance(): Fraction's ABC check is slow
+        vals = [x.numerator if type(x) is Fraction and x.denominator == 1 else x for x in vals]
+    return vals
+
+
 def _max_abs(x: np.ndarray) -> int:
     # Python ints: np.abs wraps at -2**63.
     return max(-int(x.min()), int(x.max()))
@@ -327,7 +334,8 @@ def _check_finite(out: np.ndarray, op: str) -> None:
 
 
 def _scaled(w, x: np.ndarray) -> np.ndarray:
-    """w * x elementwise, rounded exactly as the scalar product w * x[i].
+    """w * x elementwise (w a scalar or an array of x's shape), each
+    product rounded exactly as the Python scalar product w * x[i].
 
     numpy's array complex multiply rounds differently from its scalar one,
     so the complex case spells the scalar formula out in real parts.

@@ -2,8 +2,8 @@
 
 The sieve stores spf[n] = smallest prime factor of n for 2 <= n <= N,
 which makes the factorization of any n <= N an O(number of prime factors)
-walk.  Everything downstream (prime-power tests, the omega/nu counts,
-Bell decompositions) is driven by these factorizations.
+walk.  The catalogue's tables (totient, Mobius, the omega/nu counts, ...)
+are built from the table itself, one smallest prime factor at a time.
 
 Memory is the only practical limit: the table is a single int64 numpy
 array, so N = 10**7 costs ~80 MB and builds in well under a second.
@@ -60,43 +60,6 @@ class SpfSieve:
                 k += 1
             out.append((p, k))
         return out
-
-    def prime_power_part(self, n: int) -> tuple[int, int] | None:
-        """(p, k) with n = p^k if n is a prime power, else None.
-
-        n = 1 is deliberately out of range: it has zero prime factors,
-        not one, and the callers that classify additive functions need
-        to treat it separately.
-        """
-        self._check_range(n, lo=2)
-        p = int(self._spf[n])
-        k = 0
-        while n % p == 0:
-            n //= p
-            k += 1
-        return (p, k) if n == 1 else None
-
-    def nu(self, n: int) -> int:
-        """Number of distinct prime divisors; 0 at n = 1."""
-        self._check_range(n)
-        count = 0
-        spf = self._spf
-        while n > 1:
-            p = int(spf[n])
-            while n % p == 0:
-                n //= p
-            count += 1
-        return count
-
-    def omega(self, n: int) -> int:
-        """Total number of prime divisors counted with multiplicity."""
-        self._check_range(n)
-        count = 0
-        spf = self._spf
-        while n > 1:
-            n //= int(spf[n])
-            count += 1
-        return count
 
     def prime_power_cap(self, p: int, bound: int | None = None) -> int:
         """Largest k with p**k <= bound (the per-prime series length cap)."""

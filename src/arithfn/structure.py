@@ -10,21 +10,42 @@ exactly mu * a.  That last identity also yields an alternative additivity
 test: a is additive iff (mu * a)(n) = 0 whenever n is not a prime power
 (including n = 1).
 
-The predicates here scan every coprime pair (m, n), m < n, m*n <= N, in
-lexicographic order, so a failing function always reports its least
-witness deterministically.
+The predicates scan every coprime pair (m, n), m < n, m*n <= N, as one
+numpy vector step per m over the storage the convolution kernel uses
+(int64, object or complex128), and keep the first failing pair of the
+first failing m, so a failing function always reports its
+lexicographically least witness.  Complex values compare within
+tol + 8 eps (|lhs| + |rhs|): the absolute tolerance plus a rounding
+allowance that grows with the magnitudes, as in PEP 485's ``isclose``.
+The reconstructions multiply (or add) each prime's contribution onto
+its multiples with one strided operation per prime p <= sqrt(N), and
+every n <= N has at most one prime factor above sqrt(N), which a single
+gather supplies last; every value is thus formed in the same order as a
+per-index loop over the factorization, so complex results are
+bit-identical to it.
 """
 
 from __future__ import annotations
 
+import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
 
-from .dirichlet import ArithFn
-from .errors import StructureError
-from .numerics import _canonical_exact
+import numpy as np
+
+from .dirichlet import ArithFn, _array, _max_abs, _scaled, _values
+from .errors import NonFiniteError, StructureError
+from .numerics import COMPLEX, DEFAULT_TOL, _canonical_exact
 from .sieve import SpfSieve, build_sieve
+
+#: Rounding allowance of the complex comparisons: values match within
+#: tol + ROUNDING_ALLOWANCE * eps * (|lhs| + |rhs|).  The rounding error of
+#: sigma_c for c in {1/2, 3/2, 5/2, 1/3, -1/2} at N = 2e4 and 1e5 is at
+#: most 3.2 eps (|lhs| + |rhs|).
+ROUNDING_ALLOWANCE = 8
+
+_SLACK = ROUNDING_ALLOWANCE * np.finfo(np.float64).eps
 
 
 @dataclass(frozen=True)
@@ -56,22 +77,140 @@ def _ensure_sieve(sieve: SpfSieve | None, bound: int) -> SpfSieve:
     return sieve
 
 
-def _prime_powers(sieve: SpfSieve, bound: int):
-    """Yield (p, k, p**k) for every prime power <= bound, p then k ascending."""
-    for p in sieve.primes:
-        if p > bound:
-            break
-        pk = p
-        k = 1
+def _primes(sieve: SpfSieve, bound: int) -> list[int]:
+    """The primes <= bound, ascending."""
+    return sieve.primes[: bisect_right(sieve.primes, bound)]
+
+
+def _higher_prime_powers(sieve: SpfSieve, bound: int):
+    """Yield (p, k, p**k) for every prime power <= bound with k >= 2,
+    p then k ascending; only primes p <= sqrt(bound) have one."""
+    for p in _primes(sieve, math.isqrt(bound)):
+        pk, k = p * p, 2
         while pk <= bound:
             yield p, k, pk
             pk *= p
             k += 1
 
 
+def _large_prime_factors(sieve: SpfSieve, bound: int) -> tuple[np.ndarray, np.ndarray]:
+    """(n, p): every n <= bound with a prime factor p > sqrt(bound), and that
+    p, which is unique and the largest prime factor of n.  It is what is
+    left of n once the primes <= sqrt(bound) are divided out."""
+    rest = np.arange(bound + 1)
+    for p in _primes(sieve, math.isqrt(bound)):
+        pk = p
+        while pk <= bound:
+            rest[pk::pk] //= p
+            pk *= p
+    idx = np.flatnonzero(rest > 1)
+    return idx, rest[idx]
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def _first_mismatch(lhs: np.ndarray, rhs: np.ndarray, tol: float | None) -> int | None:
+    """Index of the first position where lhs and rhs differ, else None.
+
+    Exact storage compares with ==.  Complex values match when
+    |lhs - rhs| <= tol + _SLACK (|lhs| + |rhs|), with the checks of
+    :func:`approx_eq`: tol must be positive, and a NaN or infinite value at
+    or before the first mismatch raises NonFiniteError.  Moduli use
+    np.hypot, which rounds as Python's abs(complex) does (np.abs of a
+    complex array does not).
+    """
+    if lhs.dtype != np.complex128:
+        bad = lhs != rhs
+    else:
+        tol = DEFAULT_TOL if tol is None else tol
+        if not tol > 0:
+            raise ValueError(f"tolerance must be positive, got {tol!r}")
+        finite = np.isfinite(lhs) & np.isfinite(rhs)
+        diff = lhs - rhs
+        allowed = tol + _SLACK * (np.hypot(lhs.real, lhs.imag) + np.hypot(rhs.real, rhs.imag))
+        bad = ~(finite & (np.hypot(diff.real, diff.imag) <= allowed))
+    if not bad.any():
+        return None
+    i = int(bad.argmax())
+    if lhs.dtype == np.complex128 and not finite[i]:
+        raise NonFiniteError(
+            f"non-finite value in the comparison of {complex(lhs[i])!r} and {complex(rhs[i])!r}"
+        )
+    return i
+
+
+def _dtype(backend):
+    """Storage of values built here: complex128, or object for exact
+    values, whose products and sums may leave int64."""
+    return np.complex128 if backend is COMPLEX else object
+
+
 # ---------------------------------------------------------------------------
 # predicates
 # ---------------------------------------------------------------------------
+
+
+def _coprime_above(m: int, top: int) -> np.ndarray:
+    """The k in (m, top] with gcd(k, m) = 1, ascending: each prime p | m
+    strikes out k = m + p, m + 2p, ... (cheaper than np.gcd per k)."""
+    keep = np.ones(top - m, dtype=bool)  # keep[i] stands for k = m + 1 + i
+    rest, p = m, 2
+    while rest > 1:
+        if p * p > rest:
+            p = rest
+        if rest % p == 0:
+            keep[p - 1 :: p] = False
+            while rest % p == 0:
+                rest //= p
+        p += 1
+    return np.flatnonzero(keep) + (m + 1)
+
+
+@np.errstate(over="ignore", invalid="ignore")  # _first_mismatch reports it
+def _coprime_pair_scan(a: ArithFn, kind: str, product: bool, tol) -> CheckResult:
+    """a(mk) = a(m) a(k) (``product``) or a(m) + a(k) on every coprime pair
+    2 <= m < k, mk <= N, then a(1) = 1 (or 0).
+
+    One vector step per m ascending over the k in (m, N // m] coprime to
+    m; the first failing k of the first failing m is the least witness.
+    int64 storage needs max|a|**2 < 2**62 and falls back to object.
+    """
+    v = _array(a._v, a.backend)
+    if v.dtype == np.int64 and _max_abs(v) ** 2 >= 2**62:
+        v = v.astype(object)
+    n = a.bound
+    for m in range(2, math.isqrt(n) + 1):
+        top = n // m
+        if top <= m:
+            break
+        k = _coprime_above(m, top)
+        rhs = _scaled(v[m], v[k]) if product else v[m] + v[k]
+        i = _first_mismatch(v[m * k], rhs, tol)
+        if i is not None:
+            return CheckResult(False, kind, (m, int(k[i])), "pair")
+    unit = a.backend.one if product else a.backend.zero
+    if _first_mismatch(v[1:2], np.array([unit], dtype=v.dtype), tol) is not None:
+        return CheckResult(False, kind, (1, 1), "pair")
+    return CheckResult(True, kind)
+
+
+def _prime_power_check(
+    a: ArithFn, sieve: SpfSieve | None, kind: str, product: bool, tol
+) -> CheckResult:
+    """a(p^k) = a(p)**k (``product``) or k a(p) on every prime power p^k <= N
+    with k >= 2; the witness is the least failing (p, k)."""
+    sieve = _ensure_sieve(sieve, a.bound)
+    vals = a._v
+    keys, lhs, rhs = [], [], []
+    for p, k, pk in _higher_prime_powers(sieve, a.bound):
+        keys.append((p, k))
+        lhs.append(vals[pk])
+        rhs.append(vals[p] ** k if product else k * vals[p])
+    dtype = _dtype(a.backend)
+    i = _first_mismatch(np.array(lhs, dtype=dtype), np.array(rhs, dtype=dtype), tol)
+    if i is not None:
+        return CheckResult(False, kind, keys[i], "prime_power")
+    constants = {p: vals[p] for p in _primes(sieve, a.bound)}
+    return CheckResult(True, kind, constants=constants)
 
 
 def is_multiplicative(a: ArithFn, tol: float | None = None) -> CheckResult:
@@ -81,18 +220,7 @@ def is_multiplicative(a: ArithFn, tol: float | None = None) -> CheckResult:
     product law; if the law holds on every pair and only the unit value is
     wrong, the conventional witness (1, 1) flags index 1.
     """
-    eq = a.backend.eq
-    n_max = a.bound
-    for m in range(2, n_max + 1):
-        if m * (m + 1) > n_max:
-            break
-        am = a[m]
-        for k in range(m + 1, n_max // m + 1):
-            if gcd(m, k) == 1 and not eq(a[m * k], am * a[k], tol):
-                return CheckResult(False, "multiplicative", (m, k), "pair")
-    if not eq(a[1], a.backend.one, tol):
-        return CheckResult(False, "multiplicative", (1, 1), "pair")
-    return CheckResult(True, "multiplicative")
+    return _coprime_pair_scan(a, "multiplicative", True, tol)
 
 
 def is_additive(a: ArithFn, tol: float | None = None) -> CheckResult:
@@ -101,18 +229,7 @@ def is_additive(a: ArithFn, tol: float | None = None) -> CheckResult:
     a(1) = 0 is forced by taking m = n = 1.  Witness convention as in
     :func:`is_multiplicative`: least failing sum-law pair, else (1, 1).
     """
-    eq = a.backend.eq
-    n_max = a.bound
-    for m in range(2, n_max + 1):
-        if m * (m + 1) > n_max:
-            break
-        am = a[m]
-        for k in range(m + 1, n_max // m + 1):
-            if gcd(m, k) == 1 and not eq(a[m * k], am + a[k], tol):
-                return CheckResult(False, "additive", (m, k), "pair")
-    if not eq(a[1], a.backend.zero, tol):
-        return CheckResult(False, "additive", (1, 1), "pair")
-    return CheckResult(True, "additive")
+    return _coprime_pair_scan(a, "additive", False, tol)
 
 
 def is_completely_multiplicative(
@@ -127,15 +244,7 @@ def is_completely_multiplicative(
     base = is_multiplicative(a, tol)
     if not base:
         return CheckResult(False, "completely-multiplicative", base.witness, base.witness_kind)
-    sieve = _ensure_sieve(sieve, a.bound)
-    eq = a.backend.eq
-    constants = {}
-    for p, k, pk in _prime_powers(sieve, a.bound):
-        if k == 1:
-            constants[p] = a[p]
-        elif not eq(a[pk], constants[p] ** k, tol):
-            return CheckResult(False, "completely-multiplicative", (p, k), "prime_power")
-    return CheckResult(True, "completely-multiplicative", constants=constants)
+    return _prime_power_check(a, sieve, "completely-multiplicative", True, tol)
 
 
 def is_completely_additive(
@@ -145,15 +254,7 @@ def is_completely_additive(
     base = is_additive(a, tol)
     if not base:
         return CheckResult(False, "completely-additive", base.witness, base.witness_kind)
-    sieve = _ensure_sieve(sieve, a.bound)
-    eq = a.backend.eq
-    constants = {}
-    for p, k, pk in _prime_powers(sieve, a.bound):
-        if k == 1:
-            constants[p] = a[p]
-        elif not eq(a[pk], k * constants[p], tol):
-            return CheckResult(False, "completely-additive", (p, k), "prime_power")
-    return CheckResult(True, "completely-additive", constants=constants)
+    return _prime_power_check(a, sieve, "completely-additive", False, tol)
 
 
 def mobius_additivity_test(
@@ -165,14 +266,15 @@ def mobius_additivity_test(
     index n."""
     sieve = _ensure_sieve(sieve, a.bound)
     mu = ArithFn.ones(a.bound, a.backend).inv()
-    g = mu * a
-    eq = a.backend.eq
-    zero = a.backend.zero
-    if not eq(g[1], zero, tol):
-        return CheckResult(False, "additive-mobius", 1, "index")
-    for n in range(2, a.bound + 1):
-        if sieve.prime_power_part(n) is None and not eq(g[n], zero, tol):
-            return CheckResult(False, "additive-mobius", n, "index")
+    g = _array((mu * a)._v, a.backend)
+    prime_power = np.zeros(a.bound + 1, dtype=bool)
+    prime_power[0] = True  # dead padding slot
+    prime_power[_primes(sieve, a.bound)] = True
+    prime_power[[pk for _, _, pk in _higher_prime_powers(sieve, a.bound)]] = True
+    off = np.flatnonzero(~prime_power)
+    i = _first_mismatch(g[off], np.zeros(len(off), dtype=g.dtype), tol)
+    if i is not None:
+        return CheckResult(False, "additive-mobius", int(off[i]), "index")
     return CheckResult(True, "additive-mobius")
 
 
@@ -249,22 +351,31 @@ def bell_decompose_mult(
         )
     sieve = _ensure_sieve(sieve, a.bound)
     one = a.backend.one
+    vals = a._v
+    root = math.isqrt(a.bound)
+    small = _primes(sieve, root)
     series = []
-    for p in sieve.primes:
-        if p > a.bound:
-            break
+    for p in small:
         coeffs = [one]
         pk = p
         while pk <= a.bound:
-            coeffs.append(a[pk])
+            coeffs.append(vals[pk])
             pk *= p
         series.append(BellSeries(p, tuple(coeffs)))
+    large = _primes(sieve, a.bound)[len(small) :]
+    series += [BellSeries(p, (one, vals[p])) for p in large]
     return BellDecomposition(a.bound, "multiplicative", a.backend, series)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def bell_reconstruct_mult(dec: BellDecomposition, sieve: SpfSieve | None = None) -> ArithFn:
     """Multiply the per-prime series back out: a(p1^a1...pk^ak) is the
-    product of the per-prime coefficients; a(1) = 1 (empty product)."""
+    product of the per-prime coefficients; a(1) = 1 (empty product).
+
+    Each a(n) is the product 1 * c_p1[a1] * c_p2[a2] * ... in ascending
+    primes: one strided multiply per prime p <= sqrt(N), then one gather
+    for the prime factor above sqrt(N) that n may have.
+    """
     backend = dec.backend
     for s in dec.series:
         if s.coeffs[0] != backend.one:
@@ -273,16 +384,28 @@ def bell_reconstruct_mult(dec: BellDecomposition, sieve: SpfSieve | None = None)
                 f"got {backend.format(s.coeffs[0])}",
                 witness=s.prime,
             )
-    sieve = _ensure_sieve(sieve, dec.bound)
-    by_prime = {s.prime: s.coeffs for s in dec.series}
-    out = [backend.zero] * (dec.bound + 1)
-    out[1] = backend.one
-    for n in range(2, dec.bound + 1):
-        acc = backend.one
-        for p, k in sieve.factorize(n):
-            acc = acc * by_prime[p][k]
-        out[n] = acc
-    return ArithFn._wrap(dec.bound, backend, out)
+    n = dec.bound
+    sieve = _ensure_sieve(sieve, n)
+    root = math.isqrt(n)
+    out = np.full(n + 1, backend.one, dtype=_dtype(backend))
+    out[0] = backend.zero
+    small = _primes(sieve, root)
+    for p in small:
+        coeffs = dec.series_for(p).coeffs
+        # factor[j - 1] = c_p[v_p(p j)] = c_p[1 + v_p(j)] for j = 1..N // p
+        factor = np.full(n // p, coeffs[1], dtype=out.dtype)
+        step, k = p, 2
+        while step * p <= n:
+            factor[step - 1 :: step] = coeffs[k]
+            step *= p
+            k += 1
+        out[p::p] = _scaled(out[p::p], factor)
+    large = _primes(sieve, n)[len(small) :]
+    by_large = np.zeros(n + 1, dtype=out.dtype)
+    by_large[large] = np.array([dec.series_for(p).coeffs[1] for p in large], dtype=out.dtype)
+    idx, big = _large_prime_factors(sieve, n)
+    out[idx] = _scaled(out[idx], by_large[big])
+    return ArithFn._wrap(n, backend, _values(out))
 
 
 # ---------------------------------------------------------------------------
@@ -364,32 +487,46 @@ def additive_decompose(
             witness=check.witness,
         )
     sieve = _ensure_sieve(sieve, a.bound)
-    entries = {}
-    for p, k, pk in _prime_powers(sieve, a.bound):
-        prev = a[pk // p] if k > 1 else a[1]
-        entries[(p, k)] = a[pk] - prev
+    vals = a._v
+    entries = {(p, 1): vals[p] - vals[1] for p in _primes(sieve, a.bound)}
+    for p, k, pk in _higher_prime_powers(sieve, a.bound):
+        entries[(p, k)] = vals[pk] - vals[pk // p]
     return PrimeSupport(a.bound, a.backend, entries)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def additive_reconstruct(g: PrimeSupport, sieve: SpfSieve | None = None) -> ArithFn:
     """Sum g over the prime-power divisors of each index: the u-convolution
     of g's zero-extension, evaluated directly.  Keys must be genuine prime
-    powers; a composite base is an invariant violation."""
-    sieve = _ensure_sieve(sieve, g.bound)
-    for (p, k), _ in g.items():
-        if not sieve.is_prime(p):
-            raise StructureError(
-                f"key ({p}, {k}): base {p} is not prime", witness=(p, k)
-            )
+    powers; a composite base is an invariant violation.
+
+    Each a(n) sums its g(p, k) in ascending (p, k): one strided add per
+    entry with p <= sqrt(N), then one gather for the prime factor above
+    sqrt(N) that n may have.
+    """
+    n = g.bound
+    sieve = _ensure_sieve(sieve, n)
+    items = g.items()
+    bases = np.array([p for (p, _), _ in items], dtype=np.int64)
+    composite = np.flatnonzero(sieve._spf[bases] != bases)
+    if len(composite):
+        p, k = items[composite[0]][0]
+        raise StructureError(f"key ({p}, {k}): base {p} is not prime", witness=(p, k))
+    root = math.isqrt(n)
     backend = g.backend
-    out = [backend.zero] * (g.bound + 1)
-    for n in range(2, g.bound + 1):
-        acc = backend.zero
-        for p, alpha in sieve.factorize(n):
-            for k in range(1, alpha + 1):
-                acc = acc + g.get(p, k)
-        out[n] = acc
-    return ArithFn._wrap(g.bound, backend, out)
+    out = np.zeros(n + 1, dtype=_dtype(backend))
+    large, large_vals = [], []
+    for (p, k), v in items:
+        if p <= root:
+            out[p**k :: p**k] += v
+        else:  # k = 1, as p**2 > N
+            large.append(p)
+            large_vals.append(v)
+    by_large = np.zeros(n + 1, dtype=out.dtype)
+    by_large[large] = np.array(large_vals, dtype=out.dtype)
+    idx, big = _large_prime_factors(sieve, n)
+    out[idx] += by_large[big]
+    return ArithFn._wrap(n, backend, _values(out))
 
 
 # ---------------------------------------------------------------------------

@@ -3,15 +3,18 @@
 Everything here recomputes expected values by a route independent of the
 code under test: trial division instead of the sieve, per-index divisor
 scans and per-divisor loops instead of the vectorized convolution and
-inverse kernels, and a derivation-based recurrence (weighting by the
-prime-factor count, which is fully additive, hence a derivation for the
-convolution product) instead of the alternating/factorial series.
+inverse kernels, per-pair and per-index loops instead of the vectorized
+structure scans and reconstructions, and a derivation-based recurrence
+(weighting by the prime-factor count, which is fully additive, hence a
+derivation for the convolution product) instead of the
+alternating/factorial series.
 """
 
 from __future__ import annotations
 
 import math
 import random
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -66,6 +69,10 @@ def omega_brute(n: int) -> int:
 
 def nu_brute(n: int) -> int:
     return len(factorize_brute(n))
+
+
+def is_prime_power_brute(n: int) -> bool:
+    return len(factorize_brute(n)) == 1
 
 
 def convolve_brute(a: af.ArithFn, b: af.ArithFn) -> list:
@@ -158,6 +165,116 @@ def inverse_loop_complex(a: np.ndarray, n: int) -> np.ndarray:
         if top >= 2:
             acc[2 * d :: d] += bd * a[2 : top + 1]
     return b
+
+
+# ---------------------------------------------------------------------------
+# scalar structure loops
+#
+# The loops the vectorized predicates and reconstructions replaced: one
+# comparison per coprime pair, prime power or index, and one factorization
+# per index, with primes and factorizations by trial division.  Complex
+# values compare within tol + 8 eps (|x| + |y|), one scalar at a time;
+# the production scans must give the same verdicts and witnesses, and
+# the reconstructions the same bits.
+# ---------------------------------------------------------------------------
+
+_SLACK = 8 * sys.float_info.epsilon
+
+
+def eq_oracle(backend, x, y, tol) -> bool:
+    if backend is not af.COMPLEX:
+        return x == y
+    tol = af.DEFAULT_TOL if tol is None else tol
+    if not tol > 0:
+        raise ValueError(f"tolerance must be positive, got {tol!r}")
+    for z in (complex(x), complex(y)):
+        if not (math.isfinite(z.real) and math.isfinite(z.imag)):
+            raise af.NonFiniteError(f"non-finite value {z!r}")
+    return abs(x - y) <= tol + _SLACK * (abs(x) + abs(y))
+
+
+def predicate_oracle(a: af.ArithFn, kind: str, tol=None) -> tuple:
+    """(ok, witness, witness_kind, constants) of the structure predicate
+    ``kind`` ("multiplicative", "completely-additive", "additive-mobius", ...)."""
+    eq = lambda x, y: eq_oracle(a.backend, x, y, tol)  # noqa: E731
+    n_max = a.bound
+    if kind == "additive-mobius":
+        mu = af.ArithFn.from_values(
+            [mobius_brute(n) for n in range(1, n_max + 1)], a.backend
+        )
+        g = convolve_brute(mu, a)
+        for n in range(1, n_max + 1):
+            if not is_prime_power_brute(n) and not eq(g[n], a.backend.zero):
+                return False, n, "index", None
+        return True, None, None, None
+    product = kind.endswith("multiplicative")
+    for m in range(2, n_max + 1):
+        if m * (m + 1) > n_max:
+            break
+        am = a[m]
+        for k in range(m + 1, n_max // m + 1):
+            if math.gcd(m, k) == 1 and not eq(a[m * k], am * a[k] if product else am + a[k]):
+                return False, (m, k), "pair", None
+    if not eq(a[1], a.backend.one if product else a.backend.zero):
+        return False, (1, 1), "pair", None
+    if not kind.startswith("completely"):
+        return True, None, None, None
+    constants = {}
+    for p in primes_brute(n_max):
+        constants[p] = c = a[p]
+        pk, k = p * p, 2
+        while pk <= n_max:
+            if not eq(a[pk], c**k if product else k * c):
+                return False, (p, k), "prime_power", None
+            pk *= p
+            k += 1
+    return True, None, None, constants
+
+
+def bell_decompose_oracle(a: af.ArithFn) -> list:
+    """[(p, (1, a(p), a(p^2), ...)), ...] for the primes p <= N."""
+    out = []
+    for p in primes_brute(a.bound):
+        coeffs = [a.backend.one]
+        pk = p
+        while pk <= a.bound:
+            coeffs.append(a[pk])
+            pk *= p
+        out.append((p, tuple(coeffs)))
+    return out
+
+
+def bell_reconstruct_oracle(dec: af.BellDecomposition) -> list:
+    by_prime = {s.prime: s.coeffs for s in dec.series}
+    out = [dec.backend.zero, dec.backend.one]
+    for n in range(2, dec.bound + 1):
+        acc = dec.backend.one
+        for p, k in factorize_brute(n):
+            acc = acc * by_prime[p][k]
+        out.append(acc)
+    return out
+
+
+def additive_decompose_oracle(a: af.ArithFn) -> dict:
+    entries = {}
+    for p in primes_brute(a.bound):
+        pk, k = p, 1
+        while pk <= a.bound:
+            entries[(p, k)] = a[pk] - a[pk // p]
+            pk *= p
+            k += 1
+    return entries
+
+
+def additive_reconstruct_oracle(g: af.PrimeSupport) -> list:
+    out = [g.backend.zero] * (g.bound + 1)
+    for n in range(2, g.bound + 1):
+        acc = g.backend.zero
+        for p, alpha in factorize_brute(n):
+            for k in range(1, alpha + 1):
+                acc = acc + g.get(p, k)
+        out[n] = acc
+    return out
 
 
 # ---------------------------------------------------------------------------

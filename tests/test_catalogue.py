@@ -9,6 +9,7 @@ import arithfn as af
 from arithfn.errors import UnsupportedBackendError
 from conftest import (
     divisors_brute,
+    is_prime_power_brute,
     mobius_brute,
     nu_brute,
     omega_brute,
@@ -142,7 +143,7 @@ class TestClassicalIdentities:
         g_om = mu * af.make("Omega", sieve1000, bound=n)
         for k in range(1, n + 1):
             is_prime = k >= 2 and sieve1000.is_prime(k)
-            is_pp = k >= 2 and sieve1000.prime_power_part(k) is not None
+            is_pp = is_prime_power_brute(k)
             assert g_nu[k] == (1 if is_prime else 0)
             assert g_om[k] == (1 if is_pp else 0)
 

@@ -282,6 +282,13 @@ class TestCliBehavior:
         _, second, _ = run_cli(capsys, "table", "psi(phi)", "--n", "64")
         assert first == second
 
+    def test_check_sigma_five_halves_at_scale(self, capsys):
+        # sigma_c is multiplicative; at N = 20000 its rounding error outgrows
+        # the absolute 1e-9, and only the relative allowance accepts it
+        argv = ["check", "multiplicative", "sigma(5/2)", "--backend", "complex", "--n", "20000"]
+        assert main(argv) == 0
+        assert capsys.readouterr().out == "multiplicative: true\n"
+
     def test_check_paths_agree(self, capsys):
         for expr in ("nu", "Omega", "phi", "psi(u)", "nu + Omega", "2 . nu"):
             a, _, _ = run_cli(capsys, "check", "additive", expr, "--n", "200")

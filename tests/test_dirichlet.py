@@ -93,6 +93,12 @@ class TestPointwise:
 
 
 class TestConvolution:
+    def test_exact_products_are_canonical(self):
+        # 1/2 * 2 = 1 and 2 * 2 = 4 leave object storage as Fractions
+        prod = af.ArithFn.from_values([Fraction(1, 2), 2]) * af.ArithFn.from_values([2, 0])
+        assert prod.values() == (1, 4)
+        assert [type(v) for v in prod.values()] == [int, int]
+
     def test_identity_is_neutral(self):
         rng = random.Random(3)
         a = rand_exact_fn(rng, 100)

@@ -62,37 +62,27 @@ class TestFactorize:
         assert s.factorize(n) == factorize_brute(n)
 
 
-class TestPrimePowerPart:
-    def test_examples(self, sieve1000):
-        assert sieve1000.prime_power_part(8) == (2, 3)
-        assert sieve1000.prime_power_part(12) is None
-        assert sieve1000.prime_power_part(125) == (5, 3)
-
-    def test_one_is_out_of_range(self, sieve1000):
-        with pytest.raises(ValueError):
-            sieve1000.prime_power_part(1)
-
-    def test_nonempty_iff_single_prime(self, sieve1000):
-        for n in range(2, 1001):
-            assert (sieve1000.prime_power_part(n) is not None) == (sieve1000.nu(n) == 1)
-
-
 class TestCounts:
+    """The nu / Omega counts the catalogue builds from the spf table."""
+
     def test_examples(self, sieve100):
-        assert (sieve100.nu(12), sieve100.omega(12)) == (2, 3)
-        assert (sieve100.nu(1), sieve100.omega(1)) == (0, 0)
-        assert (sieve100.nu(64), sieve100.omega(64)) == (1, 6)
+        nu, om = af.make("nu", sieve100), af.make("Omega", sieve100)
+        assert (nu[12], om[12]) == (2, 3)
+        assert (nu[1], om[1]) == (0, 0)
+        assert (nu[64], om[64]) == (1, 6)
 
     def test_against_brute(self, sieve1000):
+        nu, om = af.make("nu", sieve1000), af.make("Omega", sieve1000)
         for n in range(1, 1001):
-            assert sieve1000.nu(n) == nu_brute(n)
-            assert sieve1000.omega(n) == omega_brute(n)
+            assert nu[n] == nu_brute(n)
+            assert om[n] == omega_brute(n)
 
     def test_omega_at_least_nu_equality_iff_squarefree(self, sieve1000):
+        nu, om = af.make("nu", sieve1000), af.make("Omega", sieve1000)
         for n in range(1, 1001):
             squarefree = all(a == 1 for _, a in sieve1000.factorize(n))
-            assert sieve1000.omega(n) >= sieve1000.nu(n)
-            assert (sieve1000.omega(n) == sieve1000.nu(n)) == squarefree
+            assert om[n] >= nu[n]
+            assert (om[n] == nu[n]) == squarefree
 
 
 def test_documented_scale_ten_million():

@@ -3,11 +3,24 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 import arithfn as af
-from arithfn.errors import StructureError
-from conftest import rand_additive, rand_exact_fn, rand_multiplicative
+from arithfn.errors import NonFiniteError, StructureError
+from conftest import (
+    additive_decompose_oracle,
+    additive_reconstruct_oracle,
+    bell_decompose_oracle,
+    bell_reconstruct_oracle,
+    factorize_brute,
+    is_prime_power_brute,
+    predicate_oracle,
+    primes_brute,
+    rand_additive,
+    rand_exact_fn,
+    rand_multiplicative,
+)
 
 
 class TestPredicates:
@@ -57,7 +70,9 @@ class TestPredicates:
 
     def test_float_predicates_use_tolerance(self, sieve1000):
         phi = af.make("phi", sieve1000, af.COMPLEX, bound=200)
-        noisy = phi + af.ArithFn.from_values([0.0] * 199 + [1e-13], af.COMPLEX)
+        # 1e-11 lies under the default tol 1e-9 but above the rounding
+        # allowance 8 eps (|lhs| + |rhs|) = 2.8e-13 at phi(200) = 80
+        noisy = phi + af.ArithFn.from_values([0.0] * 199 + [1e-11], af.COMPLEX)
         assert af.is_multiplicative(noisy).ok
         assert not af.is_multiplicative(noisy, tol=1e-15).ok
 
@@ -77,9 +92,9 @@ class TestMobiusAdditivityTest:
         g_nu = mu * af.make("nu", sieve1000, bound=n)
         g_om = mu * af.make("Omega", sieve1000, bound=n)
         for k in range(1, n + 1):
-            pp = sieve1000.prime_power_part(k) if k >= 2 else None
-            assert g_nu[k] == (1 if pp is not None and pp[1] == 1 else 0)
-            assert g_om[k] == (1 if pp is not None else 0)
+            fac = factorize_brute(k)
+            assert g_nu[k] == (1 if fac and fac[0][1] == 1 and len(fac) == 1 else 0)
+            assert g_om[k] == (1 if is_prime_power_brute(k) else 0)
 
     def test_u_fails_at_one(self, sieve1000):
         res = af.mobius_additivity_test(af.make("u", sieve1000), sieve1000)
@@ -260,6 +275,192 @@ class TestPrimeSupport:
         assert obj[0] == {"p": 2, "k": 1, "value": "1"}
         back = af.PrimeSupport.from_json_obj(obj, 100, af.RATIONAL)
         assert back == g
+
+
+# Sizes covering tables with no coprime pair (N < 6), both sides of a
+# square (15, 16, 17) and a table with large primes (1000).
+STRUCTURE_SIZES = (1, 2, 3, 4, 15, 16, 17, 1000)
+
+PREDICATES = {
+    "multiplicative": lambda a, s, tol: af.is_multiplicative(a, tol),
+    "additive": lambda a, s, tol: af.is_additive(a, tol),
+    "completely-multiplicative": lambda a, s, tol: af.is_completely_multiplicative(a, s, tol),
+    "completely-additive": lambda a, s, tol: af.is_completely_additive(a, s, tol),
+    "additive-mobius": lambda a, s, tol: af.mobius_additivity_test(a, s, tol),
+}
+
+_EXACT_COEFFS = (-3, -2, -1, 0, 1, 2, 3)
+_FRACTION_COEFFS = (Fraction(1, 2), Fraction(-2, 3), 2, -1, 0)
+
+
+def _outcome(res: af.CheckResult) -> tuple:
+    return res.ok, res.witness, res.witness_kind, res.constants
+
+
+def _prime_powers_upto(n):
+    return [(p, k) for p in primes_brute(n) for k in range(1, 64) if p**k <= n]
+
+
+def _mult_dec(rng, n, backend, draw, complete=False):
+    """Random Bell decomposition; ``complete`` makes every series geometric."""
+    series = {}
+    for p, k in _prime_powers_upto(n):
+        coeffs = series.setdefault(p, [backend.one])
+        coeffs.append(coeffs[1] ** k if complete and k > 1 else draw(rng))
+    return af.BellDecomposition(
+        n, "multiplicative", backend, [af.BellSeries(p, tuple(c)) for p, c in series.items()]
+    )
+
+
+def _support(rng, n, backend, draw, complete=False, density=1.0):
+    """Random prime-power table; ``complete`` repeats g(p, 1) at every k."""
+    entries = {}
+    for p, k in _prime_powers_upto(n):
+        entries[(p, k)] = entries[(p, 1)] if complete and k > 1 else (
+            draw(rng) if rng.random() < density else 0
+        )
+    return af.PrimeSupport(n, backend, entries)
+
+
+def _draws():
+    """(backend, coefficient draw) per storage: int64, object, complex128."""
+    return [
+        (af.RATIONAL, lambda r: r.choice(_EXACT_COEFFS)),
+        (af.RATIONAL, lambda r: r.choice(_FRACTION_COEFFS)),
+        (af.COMPLEX, lambda r: complex(r.uniform(-1.5, 1.5), r.uniform(-1.5, 1.5))),
+    ]
+
+
+def _structured_tables(rng, n):
+    """Multiplicative, completely multiplicative, additive and completely
+    additive tables in every storage, built by the scalar loops."""
+    tables = []
+    for backend, draw in _draws():
+        for complete in (False, True):
+            dec = _mult_dec(rng, n, backend, draw, complete)
+            tables.append(af.ArithFn.from_values(bell_reconstruct_oracle(dec)[1:], backend))
+            g = _support(rng, n, backend, draw, complete)
+            tables.append(af.ArithFn.from_values(additive_reconstruct_oracle(g)[1:], backend))
+    # one entry one past the int64 product guard max|a|**2 < 2**62
+    big = list(tables[0].values())
+    big[-1] = 2**31
+    tables.append(af.ArithFn.from_values(big))
+    return tables
+
+
+def _perturbed(rng, a):
+    """Copies of a with one entry changed: at a random index, and at a
+    prime power p**k, k >= 2, which most pairs never read."""
+    n = a.bound
+    spots = [rng.randint(1, n), rng.randint(1, n)]
+    higher = [p**k for p, k in _prime_powers_upto(n) if k > 1]
+    if higher:
+        spots.append(rng.choice(higher))
+    out = []
+    for i in spots:
+        vals = list(a.values())
+        if a.backend is af.COMPLEX:
+            # steps far above, near and under the default tolerance 1e-9
+            vals[i - 1] += rng.choice((1.0, 1.2e-9, 8e-10, 1e-12)) * complex(
+                rng.choice((1, -1)), rng.choice((0, 1))
+            )
+        else:
+            vals[i - 1] += rng.choice((1, Fraction(1, 3)))
+        out.append(af.ArithFn.from_values(vals, a.backend))
+    return out
+
+
+def _bits(vals) -> np.ndarray:
+    return np.array(vals, dtype=np.complex128).view(np.uint64)
+
+
+class TestAgainstScalarLoops:
+    """The vector scans and reconstructions against the per-pair and
+    per-index loops they replaced (tests/conftest.py)."""
+
+    @pytest.mark.parametrize("n", STRUCTURE_SIZES)
+    def test_predicates_match_scalar_loops(self, n):
+        rng = random.Random(n)
+        sieve = af.build_sieve(n)
+        for base in _structured_tables(rng, n):
+            for a in [base] + _perturbed(rng, base):
+                tols = (None, 1e-6) if a.backend is af.COMPLEX else (None,)
+                for kind, predicate in PREDICATES.items():
+                    for tol in tols:
+                        got = _outcome(predicate(a, sieve, tol))
+                        assert got == predicate_oracle(a, kind, tol), (kind, tol, a)
+
+    def test_catalogue_predicates_match_scalar_loops(self, sieve1000):
+        for name in ("u", "mobius", "phi", "liouville", "d", "N", "nu", "Omega"):
+            for backend in (af.RATIONAL, af.COMPLEX):
+                a = af.make(name, sieve1000, backend)
+                for kind, predicate in PREDICATES.items():
+                    got = _outcome(predicate(a, sieve1000, None))
+                    assert got == predicate_oracle(a, kind), (name, backend, kind)
+
+    @pytest.mark.parametrize("n", STRUCTURE_SIZES)
+    def test_reconstructions_match_scalar_loops(self, n):
+        rng = random.Random(100 + n)
+        sieve = af.build_sieve(n)
+        for backend, draw in _draws():
+            for complete in (False, True):
+                dec = _mult_dec(rng, n, backend, draw, complete)
+                got = af.bell_reconstruct_mult(dec, sieve)
+                want = bell_reconstruct_oracle(dec)
+                g = _support(rng, n, backend, draw, complete, density=0.6)
+                got_add = af.additive_reconstruct(g, sieve)
+                want_add = additive_reconstruct_oracle(g)
+                if backend is af.COMPLEX:
+                    assert np.array_equal(_bits(got._v), _bits(want))
+                    assert np.array_equal(_bits(got_add._v), _bits(want_add))
+                else:
+                    assert list(got._v) == want and list(got_add._v) == want_add
+                assert af.bell_decompose_mult(got, sieve).series == tuple(
+                    af.BellSeries(p, c) for p, c in bell_decompose_oracle(got)
+                )
+                assert af.additive_decompose(got_add, sieve) == af.PrimeSupport(
+                    n, backend, additive_decompose_oracle(got_add)
+                )
+
+    def test_reconstructed_values_are_canonical(self, sieve100):
+        # 1/2 * 2 at n = 6 and 1/2 + 1/2 at n = 6: Fraction(1, 1) must be 1
+        dec = af.BellDecomposition(
+            100,
+            "multiplicative",
+            af.RATIONAL,
+            [
+                af.BellSeries(p, (1, Fraction(1, 2) if p == 2 else 2 if p == 3 else 1)
+                              + (1,) * (sieve100.prime_power_cap(p) - 1))
+                for p in sieve100.primes
+            ],
+        )
+        g = af.PrimeSupport(100, af.RATIONAL, {(2, 1): Fraction(1, 2), (3, 1): Fraction(1, 2)})
+        for fn in (af.bell_reconstruct_mult(dec, sieve100), af.additive_reconstruct(g, sieve100)):
+            assert fn[6] == 1 and type(fn[6]) is int
+            assert all(type(v) is int or v.denominator != 1 for v in fn.values())
+
+    def test_errors_match_approx_eq(self, sieve100):
+        phi = af.make("phi", sieve100, af.COMPLEX)
+        for tol in (0, -1.0):
+            for kind, predicate in PREDICATES.items():
+                with pytest.raises(ValueError):
+                    predicate(phi, sieve100, tol)
+                with pytest.raises(ValueError):
+                    predicate_oracle(phi, kind, tol)
+        # exact tables ignore the tolerance
+        assert af.is_multiplicative(af.make("phi", sieve100), tol=-1.0).ok
+        # a(2) a(3) overflows to inf: the comparison at (2, 3) raises
+        huge = af.ArithFn.from_values([1, 1e200, 1e200] + [1.0] * 97, af.COMPLEX)
+        with pytest.raises(NonFiniteError):
+            af.is_multiplicative(huge)
+        with pytest.raises(NonFiniteError):
+            predicate_oracle(huge, "multiplicative")
+        # ... unless an earlier pair already fails
+        vals = list(phi.values())
+        vals[2] = vals[4] = 1e200  # a(3), a(5): (3, 5) overflows, (2, 3) fails first
+        early = af.ArithFn.from_values(vals, af.COMPLEX)
+        assert _outcome(af.is_multiplicative(early)) == predicate_oracle(early, "multiplicative")
+        assert af.is_multiplicative(early).witness == (2, 3)
 
 
 class TestSeriesHelpers:

@@ -13,8 +13,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .dirichlet import ArithFn
-from .errors import UnsupportedBackendError
+import numpy as np
+
+from .dirichlet import ArithFn, _conv
+from .errors import NonFiniteError, UnsupportedBackendError
 from .numerics import COMPLEX, DEFAULT_TOL, RATIONAL
 from .sieve import SpfSieve
 from .structure import (
@@ -144,13 +146,14 @@ def _make_sigma(sieve: SpfSieve, n: int, backend, c) -> ArithFn:
     if backend is COMPLEX:
         if not isinstance(c, (int, float, complex)):
             c = complex(c)  # e.g. a Fraction exponent from the expression DSL
-        powers = [complex(d) ** c for d in range(1, n + 1)]
-        out = [0j] * (n + 1)
-        for d in range(1, n + 1):
-            pd = powers[d - 1]
-            for m in range(d, n + 1, d):
-                out[m] += pd
-        return ArithFn._wrap(n, COMPLEX, out)
+        # sigma_c = N^c * u; the kernel sums each output in ascending d,
+        # and a product with 1 + 0j is exact, as in a plain divisor sum
+        try:
+            powers = np.array([0j] + [complex(d) ** c for d in range(1, n + 1)])
+        except OverflowError:
+            raise NonFiniteError(f"sigma with c = {c!r} overflows below n = {n}") from None
+        ones = np.ones(n + 1, dtype=np.complex128)
+        return ArithFn._wrap(n, COMPLEX, _conv(powers, ones, n).tolist())
     if not isinstance(c, int) or isinstance(c, bool) or c < 0:
         raise UnsupportedBackendError(
             f"sigma with c = {c!r} is not exact; integer c >= 0 requires the rational "

@@ -19,17 +19,32 @@ transform
 
 which carries multiplicative functions (a group under convolution) onto
 additive functions (a group under pointwise sum) and back.
+
+Exact series run on integers.  The input is split into integer
+numerators b over one common denominator L (``dirichlet._split``); the
+powers b**k are integer convolutions over the implied L**k, and the terms
+add up as Python ints over one common denominator D,
+
+    dlog:  D = lcm(1..K) L**K,  term k adds (-1)**(k-1) D / (k L**k) * b**k
+    dexp:  D = K! L**K,         term k adds D / (k! L**k) * b**k
+
+each coefficient an integer, so the only division is the one per value at
+the end.  A table in object storage with L = 1 (ints beyond int64, or
+Fractions kept because L reached the split cap) takes the coefficients
+(-1)**(k-1) / k and 1 / k! as they are, with D = 1.
+The complex backend uses the same loop with float coefficients and D = 1.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import numpy as np
 
-from .dirichlet import ArithFn, _array, _conv
+from .dirichlet import ArithFn, _conv, _split, _values
 from .errors import DomainError
-from .numerics import COMPLEX, _canonical_exact
+from .numerics import COMPLEX, rational
 
 
 def _series_length(bound: int, extra_terms: int) -> int:
@@ -65,34 +80,21 @@ def dlog(a: ArithFn, *, normalize_unit: bool = False, extra_terms: int = 0) -> A
     _require_unit_value(a, a.backend.one, "dlog")
     n = a.bound
     terms = _series_length(n, extra_terms)
-
-    b = _array(a._v, a.backend)
+    exact = a.backend is not COMPLEX
+    b, den = _split(a._v, a.backend)
     b[1] = 0
-    if a.backend is COMPLEX:
-        acc = np.zeros(n + 1, dtype=np.complex128)
-        pw = b
-        for k in range(1, terms + 1):
-            if k > 1:
-                pw = _conv(pw, b, n)
-            acc += ((-1.0) ** (k - 1) / k) * pw
-        return ArithFn._wrap(n, COMPLEX, acc.tolist())
-
-    acc = [0] * (n + 1)
+    # exact: term k is +-(b / den)**k / k = +-(big_d / (k den**k)) b**k / big_d
+    big_d = math.lcm(*range(1, terms + 1)) * den**terms if _integral(b, den) else 1
+    acc = np.zeros(n + 1, dtype=object if exact else np.complex128)
     pw = b
     for k in range(1, terms + 1):
         if k > 1:
             pw = _conv(pw, b, n)
-        pw_vals = pw.tolist()
-        if k == 1:
-            for i in range(2, n + 1):
-                if pw_vals[i]:
-                    acc[i] = acc[i] + pw_vals[i]
+        if exact:
+            _accumulate(acc, rational((-1) ** (k - 1) * big_d, k * den**k), pw)
         else:
-            c = Fraction(-1 if k % 2 == 0 else 1, k)
-            for i in range(2, n + 1):
-                if pw_vals[i]:
-                    acc[i] = acc[i] + c * pw_vals[i]
-    return ArithFn._wrap(n, a.backend, [_canonical_exact(x) for x in acc])
+            acc += ((-1.0) ** (k - 1) / k) * pw
+    return ArithFn._wrap(n, a.backend, _values(acc, big_d))
 
 
 def dexp(a: ArithFn, *, extra_terms: int = 0) -> ArithFn:
@@ -100,37 +102,37 @@ def dexp(a: ArithFn, *, extra_terms: int = 0) -> ArithFn:
     _require_unit_value(a, a.backend.zero, "dexp")
     n = a.bound
     terms = _series_length(n, extra_terms)
-
-    b = _array(a._v, a.backend)
+    exact = a.backend is not COMPLEX
+    b, den = _split(a._v, a.backend)
+    # exact: term k is (b / den)**k / k! = (big_d / (k! den**k)) b**k / big_d
+    big_d = math.factorial(terms) * den**terms if _integral(b, den) else 1
+    acc = np.zeros(n + 1, dtype=object if exact else np.complex128)
+    acc[1] = big_d
     pw = np.zeros(n + 1, dtype=b.dtype)
     pw[1] = 1
-    if a.backend is COMPLEX:
-        acc = np.zeros(n + 1, dtype=np.complex128)
-        acc[1] = 1.0
-        fact = 1
-        for k in range(1, terms + 1):
-            pw = _conv(pw, b, n)
-            fact *= k
-            acc += (1.0 / fact) * pw
-        return ArithFn._wrap(n, COMPLEX, acc.tolist())
-
-    acc = [0] * (n + 1)
-    acc[1] = 1
     fact = 1
     for k in range(1, terms + 1):
         pw = _conv(pw, b, n)
-        pw_vals = pw.tolist()
         fact *= k
-        if fact == 1:
-            for i in range(2, n + 1):
-                if pw_vals[i]:
-                    acc[i] = acc[i] + pw_vals[i]
+        if exact:
+            _accumulate(acc, rational(big_d, fact * den**k), pw)
         else:
-            c = Fraction(1, fact)
-            for i in range(2, n + 1):
-                if pw_vals[i]:
-                    acc[i] = acc[i] + c * pw_vals[i]
-    return ArithFn._wrap(n, a.backend, [_canonical_exact(x) for x in acc])
+            acc += (1.0 / fact) * pw
+    return ArithFn._wrap(n, a.backend, _values(acc, big_d))
+
+
+def _integral(b: np.ndarray, den: int) -> bool:
+    """Whether b surely holds ints: int64, or numerators over den > 1.
+    Object storage with den = 1 may keep Fractions (above the split cap),
+    so its series runs over big_d = 1."""
+    return b.dtype == np.int64 or den > 1
+
+
+def _accumulate(acc: np.ndarray, c, pw: np.ndarray) -> None:
+    """acc += c * pw in Python ints or Fractions, skipping the zeros of pw."""
+    nz = np.flatnonzero(pw)
+    terms = pw[nz].astype(object)
+    acc[nz] += terms if c == 1 else c * terms
 
 
 def psi(a: ArithFn, *, normalize_unit: bool = False) -> ArithFn:

@@ -167,6 +167,18 @@ def inverse_loop_complex(a: np.ndarray, n: int) -> np.ndarray:
     return b
 
 
+def sigma_loop_complex(c, n: int) -> list:
+    """sigma_c on 1..n by the divisor-sum loop the complex constructor
+    replaced: every d adds d**c to its multiples, d ascending."""
+    powers = [complex(d) ** c for d in range(1, n + 1)]
+    out = [0j] * (n + 1)
+    for d in range(1, n + 1):
+        pd = powers[d - 1]
+        for m in range(d, n + 1, d):
+            out[m] += pd
+    return out
+
+
 # ---------------------------------------------------------------------------
 # scalar structure loops
 #
@@ -330,6 +342,33 @@ def series_partial_sum_log(a: af.ArithFn, terms: int) -> af.ArithFn:
     return acc
 
 
+def series_loop_complex(a: af.ArithFn, kind: str) -> np.ndarray:
+    """dlog ("log") or dexp ("exp") of a complex table by the truncated
+    series, each power by the per-divisor loop, accumulated with the
+    coefficients (-1)**(k-1) / k and 1 / k! as floats.  Padded."""
+    n = a.bound
+    b = np.array(a._v, dtype=np.complex128)
+    acc = np.zeros(n + 1, dtype=np.complex128)
+    if kind == "log":
+        b[1] = 0
+        pw = b
+    else:
+        acc[1] = 1.0
+        pw = np.zeros(n + 1, dtype=np.complex128)
+        pw[1] = 1
+    fact = 1
+    for k in range(1, n.bit_length()):
+        if kind == "log":
+            if k > 1:
+                pw = convolve_loop_complex(pw, b, n)
+            acc += ((-1.0) ** (k - 1) / k) * pw
+        else:
+            pw = convolve_loop_complex(pw, b, n)
+            fact *= k
+            acc += (1.0 / fact) * pw
+    return acc
+
+
 # ---------------------------------------------------------------------------
 # random function generators
 # ---------------------------------------------------------------------------
@@ -343,6 +382,12 @@ def rand_exact_fn(rng: random.Random, bound: int, unit=None) -> af.ArithFn:
     if unit is not None:
         vals[0] = unit
     return af.ArithFn.from_values(vals, af.RATIONAL)
+
+
+def recip_fn(bound: int, first) -> af.ArithFn:
+    """[first, 1/2, ..., 1/bound]: its denominators' lcm reaches 2**64,
+    the common-denominator cap, from bound = 47 on."""
+    return af.ArithFn.from_values([first] + [Fraction(1, k) for k in range(2, bound + 1)])
 
 
 def rand_complex_fn(rng: random.Random, bound: int, unit=None) -> af.ArithFn:

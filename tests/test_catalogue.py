@@ -3,10 +3,11 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 import arithfn as af
-from arithfn.errors import UnsupportedBackendError
+from arithfn.errors import NonFiniteError, UnsupportedBackendError
 from conftest import (
     divisors_brute,
     is_prime_power_brute,
@@ -14,6 +15,7 @@ from conftest import (
     nu_brute,
     omega_brute,
     phi_brute,
+    sigma_loop_complex,
 )
 
 
@@ -90,7 +92,21 @@ class TestDefinitionalValues:
         assert abs(neg[4] - 1.75) < 1e-12
 
 
+    @pytest.mark.parametrize("n", (1, 2, 3, 16, 17, 1000))
+    def test_complex_sigma_matches_divisor_loop_bitwise(self, sieve1000, n):
+        for c in (0.5, 1.5, 2.5, 1 / 3, Fraction(5, 2), -0.5, 2, 1j, 0.5 + 1j):
+            got = np.array(af.make("sigma", sieve1000, af.COMPLEX, c=c, bound=n)._v)
+            exponent = complex(c) if isinstance(c, Fraction) else c
+            want = np.array(sigma_loop_complex(exponent, n))
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), c
+
+
 class TestErrors:
+    def test_complex_sigma_never_returns_non_finite(self, sieve100):
+        for c in (float("nan"), 1000):
+            with pytest.raises(NonFiniteError):
+                af.make("sigma", sieve100, af.COMPLEX, c=c)
+
     def test_mangoldt_requires_complex(self, sieve100):
         with pytest.raises(UnsupportedBackendError):
             af.make("mangoldt", sieve100)

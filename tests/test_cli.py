@@ -384,6 +384,10 @@ class TestCliBehavior:
         )
         assert code == 2 and out == "" and err.startswith("error:")
 
+    def test_exit_2_on_sigma_overflow(self, capsys):
+        code, out, err = run_cli(capsys, "table", "sigma(1000)", "--backend", "complex", "--n", "8")
+        assert code == 2 and out == "" and err.startswith("error:")
+
     @pytest.mark.parametrize(
         "argv",
         [

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import arithfn as af
-from arithfn.dirichlet import _array, _conv, _inv
+from arithfn.dirichlet import _array, _conv, _inv, _split, _values
 from arithfn.errors import (
     BackendMismatchError,
     BoundMismatchError,
@@ -29,6 +29,7 @@ from conftest import (
     mobius_brute,
     rand_complex_fn,
     rand_exact_fn,
+    recip_fn,
 )
 
 
@@ -381,6 +382,69 @@ class TestKernels:
         want = inverse_loop_exact(av, n)
         assert _inv(a, n).tolist() == want
         assert _inv(a.astype(object), n).tolist() == want
+
+
+def _is_canonical(vals) -> bool:
+    return all(type(v) is int or (type(v) is Fraction and v.denominator > 1) for v in vals)
+
+
+class TestCommonDenominator:
+    def _rand_table(self, rng, n):
+        vals = [rng.choice([0, 1, -1, 5, -7]) for _ in range(n)]
+        for i in rng.sample(range(n), max(1, n // 2)):
+            vals[i] = af.rational(rng.randint(-9, 9), rng.choice([2, 3, 4]))
+        return [0] + vals
+
+    # (padded values, expected L, expected storage of the numerators)
+    CASES = [
+        ([0, 0, 0, 0], 1, np.int64),
+        ([0, -3], 1, np.int64),
+        ([0, 1, Fraction(-1, 2), 3, Fraction(5, 3)], 6, np.int64),
+        ([0, 0, Fraction(-1, 6), 0], 6, np.int64),
+        ([0, 2**63, Fraction(1, 2)], 2, object),
+        ([0, -(2**70), 7], 1, object),
+        # a denominator beyond int64, and L just under the cap
+        ([0, 1, Fraction(-1, 2**64 - 1)], 2**64 - 1, object),
+    ]
+    # L at or past the cap: the Fractions stay, with L = 1
+    KEPT = [
+        [0, 1, Fraction(1, 2**64)],
+        [0, Fraction(1, 2**63), Fraction(-1, 3)],
+        list(recip_fn(60, 1)._v),
+    ]
+
+    def test_split_values_round_trip(self):
+        for vals, want_l, dtype in self.CASES:
+            arr, l = _split(vals, af.RATIONAL)
+            assert l == want_l and arr.dtype == dtype
+            assert _values(arr, l) == vals and _is_canonical(_values(arr, l)[1:])
+        for vals in self.KEPT:
+            arr, l = _split(vals, af.RATIONAL)
+            assert l == 1 and arr.dtype == object and arr.tolist() == vals
+            assert _values(arr, l) == vals
+
+    @pytest.mark.parametrize("n", (1, 2, 3, 17))
+    def test_split_random_tables(self, n):
+        rng = random.Random(n)
+        for _ in range(5):
+            vals = self._rand_table(rng, n)
+            arr, l = _split(vals, af.RATIONAL)
+            assert l == math.lcm(*(Fraction(v).denominator for v in vals))
+            assert arr.dtype == np.int64
+            assert _values(arr, l) == vals and _is_canonical(_values(arr, l)[1:])
+
+    def test_products_match_exact_loop(self):
+        # under the cap, over it (1/n, L = lcm(2..60)), and one of each
+        rng = random.Random(40)
+        n = 60
+        under = [af.ArithFn.from_values(self._rand_table(rng, n)[1:]) for _ in range(2)]
+        crossing = af.ArithFn.from_values(self.KEPT[1][1:] + [5] * (n - 2))
+        over = [recip_fn(n, 1), recip_fn(n, 0), crossing]
+        for a in under + over:
+            for b in under + over:
+                got = (a * b).values()
+                assert list(got) == convolve_loop_exact(a._v, b._v, n)[1:]
+                assert _is_canonical(got)
 
 
 class TestNonFinite:

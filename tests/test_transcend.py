@@ -9,6 +9,7 @@ conftest (prime-factor-count weighting), which never touches the series.
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 import arithfn as af
@@ -20,6 +21,8 @@ from conftest import (
     rand_complex_fn,
     rand_exact_fn,
     rand_multiplicative,
+    recip_fn,
+    series_loop_complex,
     series_partial_sum_log,
 )
 
@@ -258,3 +261,87 @@ class TestRandomStructured:
         for _ in range(3):
             a = rand_additive(rng, sieve1000, n)
             assert af.psi(af.psi_inv(a)) == a
+
+
+def _is_canonical(fn) -> bool:
+    return all(
+        type(v) is int or (type(v) is Fraction and v.denominator > 1) for v in fn.values()
+    )
+
+
+class TestCommonDenominator:
+    """Exact series on integer numerators over one common denominator,
+    and on plain Fractions once that denominator reaches the cap."""
+
+    def _tables(self, first):
+        rng = random.Random(50 + first)
+        n = 128
+        crossing = [first, Fraction(1, 2**63), Fraction(-1, 3)] + [
+            rng.choice([0, 1, -2]) for _ in range(n - 3)
+        ]
+        big = [first, 2**70, -3] + [rng.choice([0, 1, 2**40]) for _ in range(n - 3)]
+        return [
+            rand_exact_fn(rng, n, unit=first),  # L = 6, under the cap
+            recip_fn(n, first),  # L = lcm(2..128), over it
+            af.ArithFn.from_values(crossing),  # L = 3 * 2**63, over it
+            af.ArithFn.from_values(big),  # ints beyond int64, L = 1
+        ]
+
+    def test_dlog_matches_oracle(self):
+        for a in self._tables(1):
+            got = af.dlog(a)
+            assert got == dlog_oracle(a) and _is_canonical(got)
+
+    def test_dexp_matches_oracle(self):
+        for a in self._tables(0):
+            got = af.dexp(a)
+            assert got == dexp_oracle(a) and _is_canonical(got)
+
+    def test_psi_round_trip(self):
+        for a in self._tables(1):
+            p = af.psi(a)
+            assert _is_canonical(p)
+            back = af.psi_inv(p)
+            assert back == a and _is_canonical(back)
+
+    @pytest.mark.parametrize("n", (1, 2, 3, 16, 17, 1000))
+    def test_complex_series_match_loop_bitwise(self, n):
+        rng = random.Random(n)
+        for kind, unit, op in (("log", 1.0, af.dlog), ("exp", 0.0, af.dexp)):
+            a = rand_complex_fn(rng, n, unit=unit)
+            got = np.array(op(a)._v, dtype=np.complex128)
+            want = series_loop_complex(a, kind)
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+def _close(exact: af.ArithFn, cplx: af.ArithFn) -> bool:
+    # each value sums at most tau(n) log2(n) rounded terms: 1e-9 of the
+    # table's largest modulus is far above that rounding
+    scale = max([1.0] + [abs(complex(v)) for v in exact.values()])
+    return exact.to_backend(af.COMPLEX).approx_eq(cplx, tol=1e-9 * scale)
+
+
+class TestExactAgainstComplex:
+    """Differential: the exact result, widened to complex, equals the
+    complex backend's result on the same small int and Fraction tables."""
+
+    def _pairs(self, rng, n, unit):
+        ints = af.ArithFn.from_values(
+            [unit] + [rng.randint(-3, 3) for _ in range(n - 1)]
+        )
+        fracs = rand_exact_fn(rng, n, unit=unit)
+        return [(t, t.to_backend(af.COMPLEX)) for t in (ints, fracs)]
+
+    @pytest.mark.parametrize("n", (1, 2, 16, 100, 256))
+    def test_backends_agree(self, n):
+        rng = random.Random(60 + n)
+        for (a, ac), (b, bc) in zip(self._pairs(rng, n, 1), self._pairs(rng, n, 1)):
+            assert _close(a * b, ac * bc)
+            assert _close(af.dlog(a), af.dlog(ac))
+            assert _close(af.psi(a), af.psi(ac))
+        for unit in (-1, 2, Fraction(1, 2)):
+            for a, ac in self._pairs(rng, n, unit):
+                assert _close(a.inv(), ac.inv())
+        for a, ac in self._pairs(rng, n, 0):
+            assert _close(af.dexp(a), af.dexp(ac))
+            assert _close(af.psi_inv(a), af.psi_inv(ac))

@@ -34,9 +34,12 @@ assert af.dlog(a * b) == af.dlog(a) + af.dlog(b)
 assert af.dexp(af.dlog(a) + af.dlog(b)) == a * b
 print("log(a * b) == log(a) + log(b): the group isomorphism in action")
 
-# Adding terms past the exact truncation length changes nothing at all.
-assert af.dlog(a, extra_terms=5) == af.dlog(a)
-print("5 extra series terms contribute exact zeros (truncation is lossless)")
+# Terms past the exact truncation length K = floor(log2 N) are zero: the
+# power (a - I)**(K+1) vanishes on 1..N, and every later term is a
+# convolution multiple of it.
+K = N.bit_length() - 1
+assert (a - af.ArithFn.identity(N)) ** (K + 1) == af.ArithFn.zeros(N)
+print(f"(a - I)**{K + 1} == 0 on 1..{N}: the {K}-term series is exact")
 
 # Float backend: here the derivative identities become checkable.
 N2 = 2000

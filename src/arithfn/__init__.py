@@ -4,8 +4,7 @@ The building blocks:
 
 * :mod:`arithfn.numerics` -- exact rational and complex-float coefficient
   backends behind one arithmetic contract.
-* :mod:`arithfn.sieve` -- smallest-prime-factor sieve, factorization,
-  divisor enumeration.
+* :mod:`arithfn.sieve` -- smallest-prime-factor sieve and factorization.
 * :mod:`arithfn.dirichlet` -- :class:`ArithFn` tables with pointwise sum,
   Dirichlet convolution, inverse, convolution powers, the log-weighted
   derivative, valuation and support.

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dirichlet import ArithFn, _conv
+from .dirichlet import ArithFn
 from .errors import NonFiniteError, UnsupportedBackendError
 from .numerics import COMPLEX, DEFAULT_TOL, RATIONAL
 from .sieve import SpfSieve
@@ -63,10 +63,7 @@ def make(name: str, sieve: SpfSieve, backend=RATIONAL, c=None, bound: int | None
     if name == "u":
         return ArithFn.ones(n, backend)
     if name == "N":
-        vals = range(1, n + 1)
-        if backend is COMPLEX:
-            return ArithFn._wrap(n, backend, [0j] + [complex(k) for k in vals])
-        return ArithFn._wrap(n, backend, [0] + list(vals))
+        return ArithFn._wrap(n, RATIONAL, np.arange(n + 1)).to_backend(backend)
     if name == "sigma":
         return _make_sigma(sieve, n, backend, c)
     if name == "mangoldt":
@@ -78,7 +75,7 @@ def make(name: str, sieve: SpfSieve, backend=RATIONAL, c=None, bound: int | None
         for p in sieve.primes:
             if p > n:
                 break
-            logp = complex(math.log(p))
+            logp = math.log(p)
             pk = p
             while pk <= n:
                 out[pk] = logp
@@ -88,31 +85,27 @@ def make(name: str, sieve: SpfSieve, backend=RATIONAL, c=None, bound: int | None
     spf = sieve._spf[: n + 1].tolist()  # one bulk copy; per-index reads stay cheap
     if name == "mobius":
         out = [0] * (n + 1)
-        if n >= 1:
-            out[1] = 1
+        out[1] = 1
         for k in range(2, n + 1):
             p = spf[k]
             m = k // p
             out[k] = 0 if m % p == 0 else -out[m]
     elif name == "phi":
         out = [0] * (n + 1)
-        if n >= 1:
-            out[1] = 1
+        out[1] = 1
         for k in range(2, n + 1):
             p = spf[k]
             m = k // p
             out[k] = out[m] * p if m % p == 0 else out[m] * (p - 1)
     elif name == "liouville":
         out = [0] * (n + 1)
-        if n >= 1:
-            out[1] = 1
+        out[1] = 1
         for k in range(2, n + 1):
             out[k] = -out[k // spf[k]]
     elif name == "d":
         out = [0] * (n + 1)
         exp = [0] * (n + 1)  # exponent of spf(k) in k
-        if n >= 1:
-            out[1] = 1
+        out[1] = 1
         for k in range(2, n + 1):
             p = spf[k]
             m = k // p
@@ -135,9 +128,7 @@ def make(name: str, sieve: SpfSieve, backend=RATIONAL, c=None, bound: int | None
     else:  # pragma: no cover
         raise AssertionError(name)
 
-    if backend is COMPLEX:
-        return ArithFn._wrap(n, COMPLEX, [complex(v) for v in out])
-    return ArithFn._wrap(n, RATIONAL, out)
+    return ArithFn._wrap(n, RATIONAL, out).to_backend(backend)
 
 
 def _make_sigma(sieve: SpfSieve, n: int, backend, c) -> ArithFn:
@@ -146,24 +137,21 @@ def _make_sigma(sieve: SpfSieve, n: int, backend, c) -> ArithFn:
     if backend is COMPLEX:
         if not isinstance(c, (int, float, complex)):
             c = complex(c)  # e.g. a Fraction exponent from the expression DSL
-        # sigma_c = N^c * u; the kernel sums each output in ascending d,
-        # and a product with 1 + 0j is exact, as in a plain divisor sum
         try:
-            powers = np.array([0j] + [complex(d) ** c for d in range(1, n + 1)])
+            powers = [0j] + [complex(d) ** c for d in range(1, n + 1)]
         except OverflowError:
             raise NonFiniteError(f"sigma with c = {c!r} overflows below n = {n}") from None
-        ones = np.ones(n + 1, dtype=np.complex128)
-        return ArithFn._wrap(n, COMPLEX, _conv(powers, ones, n).tolist())
-    if not isinstance(c, int) or isinstance(c, bool) or c < 0:
+    elif not isinstance(c, int) or isinstance(c, bool) or c < 0:
         raise UnsupportedBackendError(
             f"sigma with c = {c!r} is not exact; integer c >= 0 requires the rational "
             "backend, anything else the complex backend"
         )
-    out = [0] * (n + 1)
-    for d in range(1, n + 1):
-        pd = d**c
-        out[d::d] = [x + pd for x in out[d::d]]
-    return ArithFn._wrap(n, RATIONAL, out)
+    else:
+        powers = [0] + [d**c for d in range(1, n + 1)]
+    # sigma_c = N^c * u, the sum of d^c over the divisors d of n: the
+    # kernel sums each output in ascending d, and a product with 1 is
+    # exact, as in a plain divisor sum
+    return ArithFn._wrap(n, backend, powers) * ArithFn.ones(n, backend)
 
 
 # ---------------------------------------------------------------------------
@@ -201,9 +189,9 @@ class IdentityReport:
 
 
 def _compare_exact(name: str, bound: int, lhs: ArithFn, rhs: ArithFn) -> IdentityCheck:
-    for n in range(1, bound + 1):
-        if lhs[n] != rhs[n]:
-            return IdentityCheck(name, bound, "rational", False, first_fail=n)
+    bad = np.flatnonzero(lhs._v != rhs._v)
+    if len(bad):
+        return IdentityCheck(name, bound, "rational", False, first_fail=int(bad[0]))
     return IdentityCheck(name, bound, "rational", True)
 
 
@@ -258,23 +246,14 @@ def verify_identities(sieve: SpfSieve, bound: int | None = None, tol: float = DE
         rhs = bell_reconstruct_mult(_mult_closed_form(name, sieve, n, closed_forms[name]), sieve)
         entries.append(_compare_exact(name, n, definitional[name], rhs))
 
-    nu_support = PrimeSupport(
-        n, RATIONAL, {(p, 1): 1 for p in sieve.primes if p <= n}
-    )
+    primes = [p for p in sieve.primes if p <= n]
+    nu_support = PrimeSupport(n, RATIONAL, {(p, 1): 1 for p in primes})
     entries.append(
         _compare_exact("nu", n, make("nu", sieve, bound=n), additive_reconstruct(nu_support, sieve))
     )
-    omega_entries = {}
-    for p in sieve.primes:
-        if p > n:
-            break
-        pk = p
-        k = 1
-        while pk <= n:
-            omega_entries[(p, k)] = 1
-            pk *= p
-            k += 1
-    omega_support = PrimeSupport(n, RATIONAL, omega_entries)
+    omega_support = PrimeSupport(
+        n, RATIONAL, {(p, k): 1 for p in primes for k in range(1, sieve.prime_power_cap(p, n) + 1)}
+    )
     entries.append(
         _compare_exact(
             "Omega", n, make("Omega", sieve, bound=n), additive_reconstruct(omega_support, sieve)
@@ -288,15 +267,12 @@ def _lambda_entry(sieve: SpfSieve, n: int, tol: float) -> IdentityCheck:
     # divisors of n reassembles the full log.  Lambda = mu * u' recovers
     # the prime-power weights from the log-weighted derivative.
     u = ArithFn.ones(n, COMPLEX)
+    logs = u.deriv()  # ln n on 1..N
     lam = make("mangoldt", sieve, COMPLEX, bound=n)
-    conv = u * lam
-    from_deriv = make("mobius", sieve, COMPLEX, bound=n) * u.deriv()
-    max_dev = 0.0
-    first_fail = None
-    for k in range(1, n + 1):
-        dev = max(abs(conv[k] - math.log(k)), abs(from_deriv[k] - lam[k]))
-        if dev > max_dev:
-            max_dev = dev
-        if dev > tol and first_fail is None:
-            first_fail = k
-    return IdentityCheck("Lambda", n, "complex", first_fail is None, first_fail, max_dev)
+    d1 = (u * lam)._v - logs._v
+    d2 = (make("mobius", sieve, COMPLEX, bound=n) * logs)._v - lam._v
+    # np.hypot rounds as Python's abs(complex) does; np.abs does not
+    dev = np.maximum(np.hypot(d1.real, d1.imag), np.hypot(d2.real, d2.imag))[1:]
+    fails = np.flatnonzero(dev > tol)
+    first_fail = int(fails[0]) + 1 if len(fails) else None
+    return IdentityCheck("Lambda", n, "complex", first_fail is None, first_fail, float(dev.max()))

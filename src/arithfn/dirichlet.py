@@ -15,19 +15,21 @@ Operator conventions:
     a ** k     k-fold convolution power (k = 0 gives the unit I)
     a.inv()    Dirichlet inverse (requires a(1) != 0)
 
+Every table is stored as one read-only numpy array, int64, object or
+complex128, which the kernels run on as it is (see :func:`_store`).
+``fn[n]``, ``values()`` and ``items()`` give Python scalars.
+
 Convolution and inverse run in two numpy kernels, :func:`_conv` and
-:func:`_inv`, shared by every backend.  Values are converted to an array
-on entry and back to a tuple on exit; the array is int64 for int tables
-whose magnitudes pass a provable overflow guard, object for big ints and
-tables that fail it, and complex128 for the complex backend.  A product
-of exact tables with Fractions convolves integer numerators over one
-common denominator L per table, the lcm of its denominators, and divides
-by the two Ls once on exit; a table with L >= 2**64 keeps its Fractions
-in object storage instead (see the kernel notes below).  The inverse
-takes Fraction tables as they are.  The convolution splits the divisor pairs d * m <= N at sqrt(N)
-(Dirichlet's hyperbola method), so it takes about 2 sqrt(N) vector
-operations; the inverse works in dyadic blocks [2**j, 2**(j+1)), each
-final once the earlier blocks are pushed.
+:func:`_inv`, shared by every backend.  An int64 table whose magnitudes
+fail a provable overflow guard runs in object storage.  A product of
+exact tables with Fractions convolves integer numerators over one common
+denominator L per table, the lcm of its denominators, and divides by the
+two Ls once at the end; a table with L >= 2**64 keeps its Fractions
+instead (see the kernel notes below).  The inverse takes Fraction tables
+as they are.  The convolution splits the divisor pairs d * m <= N at
+sqrt(N) (Dirichlet's hyperbola method), so it takes about 2 sqrt(N)
+vector operations; the inverse works in dyadic blocks [2**j, 2**(j+1)),
+each final once the earlier blocks are pushed.
 
 Each output coefficient is a sum over its divisors in ascending order,
 of the same products a per-divisor loop forms.  In the float backend
@@ -62,19 +64,20 @@ class ArithFn:
 
     __slots__ = ("bound", "backend", "_v")
 
-    def __init__(self, bound, backend, _values=None):
-        if _values is None:
+    def __init__(self, bound, backend, _storage=None):
+        if _storage is None:
             raise TypeError("use ArithFn.from_values / zeros / ones / identity")
         self.bound = bound
         self.backend = backend
-        self._v = _values  # tuple of length bound+1; slot 0 is dead padding
+        self._v = _storage  # read-only array of length bound+1 (see _store); slot 0 is dead padding
 
     # -- construction -------------------------------------------------
 
     @classmethod
-    def _wrap(cls, bound, backend, padded):
-        """Trusted constructor: ``padded`` is a list/tuple of length bound+1."""
-        return cls(bound, backend, _values=tuple(padded))
+    def _wrap(cls, bound, backend, padded, den=1):
+        """Trusted constructor: ``padded`` is a sequence or array of length
+        bound+1, each value to be divided by ``den`` (see :func:`_store`)."""
+        return cls(bound, backend, _storage=_store(padded, backend, den))
 
     @classmethod
     def from_values(cls, values, backend=RATIONAL):
@@ -85,42 +88,44 @@ class ArithFn:
         return cls._wrap(len(vals), backend, [backend.zero] + vals)
 
     @classmethod
-    def zeros(cls, bound, backend=RATIONAL):
+    def _constant(cls, bound, backend, first, rest):
+        """The table (first, rest, rest, ...); numpy reads the backend's
+        zero and one as int64 or complex128, which is their storage."""
         if bound < 1:
             raise ValueError(f"bound must be >= 1, got {bound}")
-        return cls._wrap(bound, backend, [backend.zero] * (bound + 1))
+        padded = np.full(bound + 1, rest)
+        padded[0] = backend.zero
+        padded[1] = first
+        return cls._wrap(bound, backend, padded)
+
+    @classmethod
+    def zeros(cls, bound, backend=RATIONAL):
+        return cls._constant(bound, backend, backend.zero, backend.zero)
 
     @classmethod
     def ones(cls, bound, backend=RATIONAL):
         """The constant-1 function u."""
-        if bound < 1:
-            raise ValueError(f"bound must be >= 1, got {bound}")
-        return cls._wrap(bound, backend, [backend.zero] + [backend.one] * bound)
+        return cls._constant(bound, backend, backend.one, backend.one)
 
     @classmethod
     def identity(cls, bound, backend=RATIONAL):
         """The convolution unit I: I(1) = 1, I(n) = 0 for n > 1."""
-        if bound < 1:
-            raise ValueError(f"bound must be >= 1, got {bound}")
-        padded = [backend.zero] * (bound + 1)
-        padded[1] = backend.one
-        return cls._wrap(bound, backend, padded)
+        return cls._constant(bound, backend, backend.one, backend.zero)
 
     # -- access --------------------------------------------------------
 
     def __getitem__(self, n: int):
         if not 1 <= n <= self.bound:
             raise IndexError(f"index {n} outside 1..{self.bound}")
-        return self._v[n]
+        return self._v.item(n)
 
     def values(self) -> tuple:
         """The tuple (a(1), ..., a(N))."""
-        return self._v[1:]
+        return tuple(self._v[1:].tolist())
 
     def items(self):
         """Iterate (n, a(n)) for n = 1..N."""
-        for n in range(1, self.bound + 1):
-            yield n, self._v[n]
+        return zip(range(1, self.bound + 1), self._v[1:].tolist())
 
     def __len__(self) -> int:
         return self.bound
@@ -128,24 +133,29 @@ class ArithFn:
     def __eq__(self, other) -> bool:
         if not isinstance(other, ArithFn):
             return NotImplemented
-        return (
-            self.bound == other.bound
-            and self.backend is other.backend
-            and self._v == other._v
-        )
+        if self.bound != other.bound or self.backend is not other.backend:
+            return False
+        a, b = self._v, other._v
+        # a list compares Python objects far faster than numpy does
+        return a.tolist() == b.tolist() if a.dtype == object else np.array_equal(a, b)
 
     def __hash__(self):
-        return hash((self.bound, self.backend.name, self._v))
+        return hash((self.bound, self.backend.name, self.values()))
 
     def approx_eq(self, other: "ArithFn", tol: float) -> bool:
         """Per-index comparison within ``tol`` (exact backend: tol ignored)."""
         if self.bound != other.bound or self.backend is not other.backend:
             return False
-        eq = self.backend.eq
-        return all(eq(x, y, tol) for x, y in zip(self._v[1:], other._v[1:]))
+        if self.backend is not COMPLEX:
+            return self == other
+        if not tol > 0:
+            raise ValueError(f"tolerance must be positive, got {tol!r}")
+        diff = self._v - other._v
+        # np.hypot rounds as Python's abs(complex) does; np.abs does not
+        return bool((np.hypot(diff.real, diff.imag) <= tol).all())
 
     def __repr__(self) -> str:
-        head = ", ".join(self.backend.format(v) for v in self._v[1 : min(self.bound, 8) + 1])
+        head = ", ".join(map(self.backend.format, self._v[1 : min(self.bound, 8) + 1].tolist()))
         tail = ", ..." if self.bound > 8 else ""
         return f"ArithFn(bound={self.bound}, backend={self.backend.name}, [{head}{tail}])"
 
@@ -167,49 +177,61 @@ class ArithFn:
             raise BoundMismatchError(
                 f"cannot truncate bound {self.bound} to {bound}"
             )
-        return ArithFn._wrap(bound, self.backend, self._v[: bound + 1])
+        # a copy, so that the result does not keep the whole table alive
+        return ArithFn._wrap(bound, self.backend, self._v[: bound + 1].copy())
 
     def to_backend(self, backend) -> "ArithFn":
         """Convert values; only exact -> complex widening is allowed."""
         if backend is self.backend:
             return self
         if self.backend is RATIONAL and backend is COMPLEX:
-            return ArithFn._wrap(
-                self.bound, COMPLEX, [complex(v) for v in self._v]
-            )
+            return ArithFn._wrap(self.bound, COMPLEX, self._v)
         raise UnsupportedBackendError(
             f"cannot convert {self.backend.name} values to {backend.name}"
         )
 
     # -- pointwise ring of the codomain -----------------------------------
+    #
+    # int64 tables stay int64 while no result can leave it (numpy wraps
+    # silently), else they run in object storage; _store stores the result.
 
     def __add__(self, other: "ArithFn") -> "ArithFn":
-        self._check_compatible(other)
-        a, b = self._v, other._v
-        return ArithFn._wrap(self.bound, self.backend, [x + y for x, y in zip(a, b)])
+        return self._pointwise(other, np.add)
 
     def __sub__(self, other: "ArithFn") -> "ArithFn":
+        return self._pointwise(other, np.subtract)
+
+    @np.errstate(over="ignore", invalid="ignore")  # _store reports it
+    def _pointwise(self, other: "ArithFn", op) -> "ArithFn":
         self._check_compatible(other)
         a, b = self._v, other._v
-        return ArithFn._wrap(self.bound, self.backend, [x - y for x, y in zip(a, b)])
+        if a.dtype == b.dtype == np.int64 and not _max_abs(a) + _max_abs(b) < 2**63:
+            a = a.astype(object)
+        return ArithFn._wrap(self.bound, self.backend, op(a, b))
 
     def __neg__(self) -> "ArithFn":
-        return ArithFn._wrap(self.bound, self.backend, [-x for x in self._v])
+        v = self._v
+        if v.dtype == np.int64 and not _max_abs(v) < 2**63:
+            v = v.astype(object)
+        return ArithFn._wrap(self.bound, self.backend, -v)
 
+    @np.errstate(over="ignore", invalid="ignore")  # _store reports it
     def scale(self, r) -> "ArithFn":
         """Pointwise scalar multiple r*a; r must fit the backend."""
         r = self.backend.convert(r)
-        return ArithFn._wrap(self.bound, self.backend, [r * x for x in self._v])
+        v = self._v
+        if v.dtype == np.int64 and not (type(r) is int and abs(r) * (_max_abs(v) + 1) < 2**63):
+            v = v.astype(object)
+        return ArithFn._wrap(self.bound, self.backend, _scaled(r, v))
 
     # -- Dirichlet ring ----------------------------------------------------
 
     def __mul__(self, other):
         if isinstance(other, ArithFn):
             self._check_compatible(other)
-            a, la = _split(self._v, self.backend)
-            b, lb = _split(other._v, self.backend)
-            out = _conv(a, b, self.bound)
-            return ArithFn._wrap(self.bound, self.backend, _values(out, la * lb))
+            a, la = _split(self._v)
+            b, lb = _split(other._v)
+            return ArithFn._wrap(self.bound, self.backend, _conv(a, b, self.bound), la * lb)
         if isinstance(other, (int, float, complex, Fraction)):
             return self.scale(other)
         return NotImplemented
@@ -224,7 +246,7 @@ class ArithFn:
 
         Requires a(1) != 0 (float backend: |a(1)| > eps).
         """
-        a1 = self._v[1]
+        a1 = self[1]
         if self.backend is COMPLEX:
             if abs(a1) <= eps:
                 raise NotInvertibleError(
@@ -232,8 +254,7 @@ class ArithFn:
                 )
         elif a1 == 0:
             raise NotInvertibleError("a(1) = 0; no Dirichlet inverse")
-        out = _inv(_array(self._v, self.backend), self.bound)
-        return ArithFn._wrap(self.bound, self.backend, _values(out))
+        return ArithFn._wrap(self.bound, self.backend, _inv(self._v, self.bound))
 
     def __pow__(self, k: int) -> "ArithFn":
         """k-fold convolution power by binary exponentiation; a**0 = I."""
@@ -251,6 +272,7 @@ class ArithFn:
 
     # -- analytic-flavoured extras ---------------------------------------
 
+    @np.errstate(over="ignore", invalid="ignore")  # _store reports it
     def deriv(self) -> "ArithFn":
         """Log-weighted derivative a'(n) = a(n) ln n (float backend only)."""
         if self.backend is not COMPLEX:
@@ -258,36 +280,39 @@ class ArithFn:
                 "derivative multiplies by ln n, which is irrational for n >= 2; "
                 "use the complex backend"
             )
-        v = self._v
-        out = [0j] * (self.bound + 1)
-        for n in range(2, self.bound + 1):
-            out[n] = v[n] * math.log(n)
-        return ArithFn._wrap(self.bound, COMPLEX, out)
+        n = self.bound
+        logs = np.zeros(n + 1, dtype=np.complex128)
+        # math.log: np.log differs from it in the last bit on some n
+        logs.real[2:] = [math.log(k) for k in range(2, n + 1)]
+        out = _scaled(logs, self._v)  # rounds as a(n) * math.log(n) does
+        out[1] = 0
+        return ArithFn._wrap(n, COMPLEX, out)
 
     def valuation(self, eps: float = DEFAULT_EPS) -> int | None:
         """Least n with a(n) != 0, or None for the zero function."""
-        is_zero = self.backend.is_zero
-        for n in range(1, self.bound + 1):
-            if not is_zero(self._v[n], eps):
-                return n
-        return None
+        support = self.support(eps)
+        return support[0] if support else None
 
     def support(self, eps: float = DEFAULT_EPS) -> list[int]:
-        """Ascending list of all n <= N with a(n) != 0."""
-        is_zero = self.backend.is_zero
-        return [n for n in range(1, self.bound + 1) if not is_zero(self._v[n], eps)]
+        """Ascending list of all n <= N with a(n) != 0 (float backend: |a(n)| > eps)."""
+        v = self._v[1:]
+        nonzero = np.hypot(v.real, v.imag) > eps if self.backend is COMPLEX else v != 0
+        return (np.flatnonzero(nonzero) + 1).tolist()
 
 
 # ---------------------------------------------------------------------------
-# kernels
+# storage and kernels
 #
-# One convolution kernel and one inverse kernel serve every backend; the
-# storages differ only in dtype:
+# Every table is one read-only array, and the kernels run on it as it is:
 #
-#   int64       every value is a Python int and the overflow guard holds;
-#   object      big ints, int tables that fail the guard, and Fractions
-#               of tables above the common-denominator cap;
-#   complex128  the complex backend.
+#   int64       exact tables whose values are all ints that fit;
+#   object      every other exact table: big ints, and Fractions with
+#               denominator > 1 (a Fraction with denominator 1 is stored
+#               as its int);
+#   complex128  the complex backend; it never holds NaN or Inf.
+#
+# _store makes that choice once for every table built anywhere, so equal
+# tables have equal storage.
 #
 # Guard: an output n sums tau(n) <= 2 sqrt(n) products, so partial sums
 # stay below 2**62 when max|a| * max|b| * (2 floor(sqrt N) + 1) < 2**62.
@@ -295,8 +320,8 @@ class ArithFn:
 #
 # Exact tables with Fractions enter the kernels as integer numerators
 # over L, the lcm of their denominators (_split), and results are divided
-# by the product of the Ls once on exit (_values), so the kernels see
-# only ints.  Numerators grow with L, so there is a cap: at N = 2048 the
+# by the product of the Ls once, when _store stores them, so the kernels
+# see only ints.  Numerators grow with L, so there is a cap: at N = 2048 the
 # table 1/n has L = lcm(1..2048) of 2955 bits, and on numerators a * a
 # took 263 ms and dlog 2202 ms, against 70 and 218 ms on Fractions; on
 # random tables with denominators in 1..m, dlog on numerators stopped
@@ -313,31 +338,57 @@ class ArithFn:
 _SPLIT_CAP = 2**64
 
 
-def _array(vals, backend) -> np.ndarray:
-    """Kernel storage for a padded value sequence (see the notes above)."""
+def _store(vals, backend, den: int = 1) -> np.ndarray:
+    """The read-only storage (see the notes above) of a padded table with
+    each value divided by ``den``: a kernel result, or a sequence of
+    values already in canonical form."""
     if backend is COMPLEX:
-        return np.array(vals, dtype=np.complex128)
-    # Not dtype=np.int64: that silently truncates a Fraction to an int.
-    # numpy's own type discovery gives int64 only when every value is an
-    # int that fits, object for Fractions and for ints beyond uint64, and
-    # uint64 or a lossy float64 for ints in [2**63, 2**64).
-    arr = np.array(vals)
-    if arr.dtype != np.int64 and arr.dtype != object:
-        arr = np.array(vals, dtype=object)
+        try:
+            arr = np.asarray(vals, dtype=np.complex128)  # an exact v as complex(v)
+        except OverflowError:
+            raise NonFiniteError("a value is too large for the complex backend") from None
+        _check_finite(arr)
+    elif isinstance(vals, np.ndarray) and vals.dtype == np.int64 and den == 1:
+        arr = vals
+    else:
+        if den != 1:
+            # x is an int, or a Fraction from a table above _SPLIT_CAP
+            vals = [Fraction(x, den) if x % den else x // den for x in vals.tolist()]
+        elif isinstance(vals, np.ndarray):
+            # type() rather than isinstance(): Fraction's ABC check is slow
+            vals = [x.numerator if type(x) is Fraction and x.denominator == 1 else x
+                    for x in vals.tolist()]
+        # np.array(vals, dtype=np.int64) would truncate a Fraction silently;
+        # np.fromiter builds an object array far faster than np.array does.
+        fits = Fraction not in set(map(type, vals))
+        if fits:
+            try:
+                arr = np.array(vals, dtype=np.int64)
+            except OverflowError:  # an int beyond int64
+                fits = False
+        if not fits:
+            arr = np.fromiter(vals, dtype=object, count=len(vals))
+    arr.flags.writeable = False
     return arr
 
 
-def _split(vals, backend) -> tuple[np.ndarray, int]:
-    """Kernel storage of a padded value sequence over one common
-    denominator: (arr, L) with vals[i] == arr[i] / L.
+def _scratch(length: int, backend) -> np.ndarray:
+    """Writable zeros for a table built up in place, then stored by _store:
+    complex128, or object for exact values, whose sums may leave int64."""
+    return np.zeros(length, dtype=np.complex128 if backend is COMPLEX else object)
 
-    For exact values L is the lcm of the denominators and arr holds
-    integer numerators, unless L reaches _SPLIT_CAP: then arr keeps the
-    Fractions and L = 1.  Int and complex tables have L = 1.
+
+def _split(arr: np.ndarray) -> tuple[np.ndarray, int]:
+    """A stored table over one common denominator: (nums, L) with
+    arr[i] == nums[i] / L, nums in storage form.
+
+    For exact values L is the lcm of the denominators and nums holds
+    integer numerators, unless L reaches _SPLIT_CAP: then nums is arr,
+    Fractions and all, and L = 1.  int64 and complex tables have L = 1.
     """
-    arr = _array(vals, backend)
     if arr.dtype != object:
         return arr, 1
+    vals = arr.tolist()
     den = 1
     for x in vals:
         if type(x) is Fraction and den % x.denominator:
@@ -347,20 +398,7 @@ def _split(vals, backend) -> tuple[np.ndarray, int]:
     if den == 1:
         return arr, 1
     ints = [x.numerator * (den // x.denominator) if type(x) is Fraction else x * den for x in vals]
-    return _array(ints, RATIONAL), den
-
-
-def _values(out: np.ndarray, den: int = 1) -> list:
-    """Kernel storage back to values, each divided by ``den``; exact
-    values come out as ints where the denominator is 1, else as Fractions."""
-    vals = out.tolist()
-    if den != 1:
-        # x is an int, or a Fraction from a table above _SPLIT_CAP
-        vals = [Fraction(x, den) if x % den else x // den for x in vals]
-    elif out.dtype == object:
-        # type() rather than isinstance(): Fraction's ABC check is slow
-        vals = [x.numerator if type(x) is Fraction and x.denominator == 1 else x for x in vals]
-    return vals
+    return _store(ints, RATIONAL), den
 
 
 def _max_abs(x: np.ndarray) -> int:
@@ -372,9 +410,10 @@ def _fits_int64(max_a: int, max_b: int, n: int) -> bool:
     return max_a * max_b * (2 * math.isqrt(n) + 1) < 2**62
 
 
-def _check_finite(out: np.ndarray, op: str) -> None:
-    if out.dtype == np.complex128 and not np.isfinite(out).all():
-        raise NonFiniteError(f"Dirichlet {op} overflowed to a non-finite value")
+def _check_finite(arr: np.ndarray) -> None:
+    if arr.dtype == np.complex128 and not np.isfinite(arr).all():
+        n = int(np.flatnonzero(~np.isfinite(arr))[0])
+        raise NonFiniteError(f"non-finite complex value {complex(arr[n])!r} at n = {n}")
 
 
 def _scaled(w, x: np.ndarray) -> np.ndarray:
@@ -420,11 +459,11 @@ def _conv(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
     for m, c in zip(ms.tolist(), counts.tolist()):
         if c:
             np.add.at(out, sup[:c] * m, a_sup[:c] * b[m])
-    _check_finite(out, "convolution")
+    _check_finite(out)  # here too, as dlog and dexp chain _conv calls
     return out
 
 
-@np.errstate(over="ignore", invalid="ignore")  # _check_finite reports it
+@np.errstate(over="ignore", invalid="ignore")  # _store reports it
 def _inv(a: np.ndarray, n: int) -> np.ndarray:
     """Dirichlet inverse on 1..n of a padded array with a(1) != 0.
 
@@ -471,5 +510,4 @@ def _inv(a: np.ndarray, n: int) -> np.ndarray:
             for m, c in zip(ms.tolist(), counts.tolist()):
                 np.add.at(acc, sup[:c] * m, b_sup[:c] * a[m])
         lo = hi
-    _check_finite(b, "inverse")
     return b

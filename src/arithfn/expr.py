@@ -350,7 +350,6 @@ class EvalOptions:
 
     normalize_unit: bool = False  # let log/psi rescale inputs with a(1) != 1
     eps: float = DEFAULT_EPS  # float-backend "is zero" threshold
-    file_loader: Optional[object] = None  # override for file(...) resolution
 
 
 def _load_file(path: str, backend, bound: int) -> ArithFn:
@@ -395,8 +394,7 @@ def _eval(node: Expr, sieve, backend, bound: int, options: EvalOptions) -> Arith
         if isinstance(node, Named):
             return make(node.name, sieve, backend, c=node.arg, bound=bound)
         if isinstance(node, FileRef):
-            loader = options.file_loader or _load_file
-            return loader(node.path, backend, bound)
+            return _load_file(node.path, backend, bound)
         if isinstance(node, Scale):
             return _eval(node.expr, sieve, backend, bound, options).scale(node.coeff)
         if isinstance(node, Add):

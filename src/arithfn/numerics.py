@@ -1,8 +1,8 @@
 """Coefficient backends: exact rationals and complex floats.
 
-Every other module stores coefficient values as plain Python scalars and
-combines them with the ordinary arithmetic operators; the backend objects
-only decide construction, equality, zero testing and serialization.
+Tables store their values in numpy arrays (see :mod:`arithfn.dirichlet`)
+and hand them out as the Python scalars below; the backend objects decide
+how single values are converted, compared, tested for zero and serialized.
 
 Two backends exist:
 

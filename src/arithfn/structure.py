@@ -34,9 +34,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from .dirichlet import ArithFn, _array, _max_abs, _scaled, _values
+from .dirichlet import ArithFn, _max_abs, _scaled, _scratch
 from .errors import NonFiniteError, StructureError
-from .numerics import COMPLEX, DEFAULT_TOL, _canonical_exact
+from .numerics import DEFAULT_TOL, _canonical_exact
 from .sieve import SpfSieve, build_sieve
 
 #: Rounding allowance of the complex comparisons: values match within
@@ -138,12 +138,6 @@ def _first_mismatch(lhs: np.ndarray, rhs: np.ndarray, tol: float | None) -> int 
     return i
 
 
-def _dtype(backend):
-    """Storage of values built here: complex128, or object for exact
-    values, whose products and sums may leave int64."""
-    return np.complex128 if backend is COMPLEX else object
-
-
 # ---------------------------------------------------------------------------
 # predicates
 # ---------------------------------------------------------------------------
@@ -174,7 +168,7 @@ def _coprime_pair_scan(a: ArithFn, kind: str, product: bool, tol) -> CheckResult
     m; the first failing k of the first failing m is the least witness.
     int64 storage needs max|a|**2 < 2**62 and falls back to object.
     """
-    v = _array(a._v, a.backend)
+    v = a._v
     if v.dtype == np.int64 and _max_abs(v) ** 2 >= 2**62:
         v = v.astype(object)
     n = a.bound
@@ -199,18 +193,15 @@ def _prime_power_check(
     """a(p^k) = a(p)**k (``product``) or k a(p) on every prime power p^k <= N
     with k >= 2; the witness is the least failing (p, k)."""
     sieve = _ensure_sieve(sieve, a.bound)
-    vals = a._v
-    keys, lhs, rhs = [], [], []
-    for p, k, pk in _higher_prime_powers(sieve, a.bound):
-        keys.append((p, k))
-        lhs.append(vals[pk])
-        rhs.append(vals[p] ** k if product else k * vals[p])
-    dtype = _dtype(a.backend)
-    i = _first_mismatch(np.array(lhs, dtype=dtype), np.array(rhs, dtype=dtype), tol)
+    powers = list(_higher_prime_powers(sieve, a.bound))
+    rhs = _scratch(len(powers), a.backend)
+    for i, (p, k, _) in enumerate(powers):
+        rhs[i] = a[p] ** k if product else k * a[p]
+    i = _first_mismatch(a._v[[pk for _, _, pk in powers]], rhs, tol)
     if i is not None:
-        return CheckResult(False, kind, keys[i], "prime_power")
-    constants = {p: vals[p] for p in _primes(sieve, a.bound)}
-    return CheckResult(True, kind, constants=constants)
+        return CheckResult(False, kind, powers[i][:2], "prime_power")
+    primes = _primes(sieve, a.bound)
+    return CheckResult(True, kind, constants=dict(zip(primes, a._v[primes].tolist())))
 
 
 def is_multiplicative(a: ArithFn, tol: float | None = None) -> CheckResult:
@@ -266,7 +257,7 @@ def mobius_additivity_test(
     index n."""
     sieve = _ensure_sieve(sieve, a.bound)
     mu = ArithFn.ones(a.bound, a.backend).inv()
-    g = _array((mu * a)._v, a.backend)
+    g = (mu * a)._v
     prime_power = np.zeros(a.bound + 1, dtype=bool)
     prime_power[0] = True  # dead padding slot
     prime_power[_primes(sieve, a.bound)] = True
@@ -351,7 +342,6 @@ def bell_decompose_mult(
         )
     sieve = _ensure_sieve(sieve, a.bound)
     one = a.backend.one
-    vals = a._v
     root = math.isqrt(a.bound)
     small = _primes(sieve, root)
     series = []
@@ -359,11 +349,11 @@ def bell_decompose_mult(
         coeffs = [one]
         pk = p
         while pk <= a.bound:
-            coeffs.append(vals[pk])
+            coeffs.append(a[pk])
             pk *= p
         series.append(BellSeries(p, tuple(coeffs)))
     large = _primes(sieve, a.bound)[len(small) :]
-    series += [BellSeries(p, (one, vals[p])) for p in large]
+    series += [BellSeries(p, (one, v)) for p, v in zip(large, a._v[large].tolist())]
     return BellDecomposition(a.bound, "multiplicative", a.backend, series)
 
 
@@ -387,8 +377,8 @@ def bell_reconstruct_mult(dec: BellDecomposition, sieve: SpfSieve | None = None)
     n = dec.bound
     sieve = _ensure_sieve(sieve, n)
     root = math.isqrt(n)
-    out = np.full(n + 1, backend.one, dtype=_dtype(backend))
-    out[0] = backend.zero
+    out = _scratch(n + 1, backend)
+    out[1:] = backend.one
     small = _primes(sieve, root)
     for p in small:
         coeffs = dec.series_for(p).coeffs
@@ -405,7 +395,7 @@ def bell_reconstruct_mult(dec: BellDecomposition, sieve: SpfSieve | None = None)
     by_large[large] = np.array([dec.series_for(p).coeffs[1] for p in large], dtype=out.dtype)
     idx, big = _large_prime_factors(sieve, n)
     out[idx] = _scaled(out[idx], by_large[big])
-    return ArithFn._wrap(n, backend, _values(out))
+    return ArithFn._wrap(n, backend, out)
 
 
 # ---------------------------------------------------------------------------
@@ -487,10 +477,11 @@ def additive_decompose(
             witness=check.witness,
         )
     sieve = _ensure_sieve(sieve, a.bound)
-    vals = a._v
-    entries = {(p, 1): vals[p] - vals[1] for p in _primes(sieve, a.bound)}
+    primes = _primes(sieve, a.bound)
+    a1 = a[1]
+    entries = {(p, 1): v - a1 for p, v in zip(primes, a._v[primes].tolist())}
     for p, k, pk in _higher_prime_powers(sieve, a.bound):
-        entries[(p, k)] = vals[pk] - vals[pk // p]
+        entries[(p, k)] = a[pk] - a[pk // p]
     return PrimeSupport(a.bound, a.backend, entries)
 
 
@@ -514,7 +505,7 @@ def additive_reconstruct(g: PrimeSupport, sieve: SpfSieve | None = None) -> Arit
         raise StructureError(f"key ({p}, {k}): base {p} is not prime", witness=(p, k))
     root = math.isqrt(n)
     backend = g.backend
-    out = np.zeros(n + 1, dtype=_dtype(backend))
+    out = _scratch(n + 1, backend)
     large, large_vals = [], []
     for (p, k), v in items:
         if p <= root:
@@ -526,7 +517,7 @@ def additive_reconstruct(g: PrimeSupport, sieve: SpfSieve | None = None) -> Arit
     by_large[large] = np.array(large_vals, dtype=out.dtype)
     idx, big = _large_prime_factors(sieve, n)
     out[idx] += by_large[big]
-    return ArithFn._wrap(n, backend, _values(out))
+    return ArithFn._wrap(n, backend, out)
 
 
 # ---------------------------------------------------------------------------

@@ -42,14 +42,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from .dirichlet import ArithFn, _conv, _split, _values
+from .dirichlet import ArithFn, _conv, _scratch, _split
 from .errors import DomainError
 from .numerics import COMPLEX, rational
-
-
-def _series_length(bound: int, extra_terms: int) -> int:
-    # floor(log2 bound): terms beyond it are identically zero on 1..bound.
-    return max(bound.bit_length() - 1, 0) + extra_terms
 
 
 def _require_unit_value(a: ArithFn, want, op: str) -> None:
@@ -61,31 +56,29 @@ def _require_unit_value(a: ArithFn, want, op: str) -> None:
         )
 
 
-def dlog(a: ArithFn, *, normalize_unit: bool = False, extra_terms: int = 0) -> ArithFn:
+def dlog(a: ArithFn, *, normalize_unit: bool = False) -> ArithFn:
     """Formal logarithm; domain a(1) = 1, image has value 0 at index 1.
 
     ``normalize_unit`` divides the input pointwise by a(1) first instead
     of rejecting a(1) != 1 (off by default: silently normalizing would
-    mask data errors).  ``extra_terms`` appends terms beyond the exact
-    truncation length; they are provably zero and exist so tests can
-    check exactly that.
+    mask data errors).
     """
     if normalize_unit and a[1] != a.backend.one:
         if a.backend.is_zero(a[1]):
             raise DomainError("cannot normalize: a(1) = 0", value=a[1])
-        w = (1.0 if a.backend is COMPLEX else Fraction(1, 1)) / a[1]
-        vals = [w * x for x in a._v]
-        vals[1] = a.backend.one  # a(1)/a(1) can miss 1.0 by an ulp in floats
-        a = ArithFn._wrap(a.bound, a.backend, vals)
-    _require_unit_value(a, a.backend.one, "dlog")
+        # a(1)/a(1) can miss 1.0 by an ulp in floats; b(1) = 0 below anyway
+        a = a.scale((1.0 if a.backend is COMPLEX else Fraction(1, 1)) / a[1])
+    else:
+        _require_unit_value(a, a.backend.one, "dlog")
     n = a.bound
-    terms = _series_length(n, extra_terms)
+    terms = n.bit_length() - 1  # floor(log2 n): later terms vanish on 1..n
     exact = a.backend is not COMPLEX
-    b, den = _split(a._v, a.backend)
+    b, den = _split(a._v)
+    b = b.copy()  # stored tables are read-only
     b[1] = 0
     # exact: term k is +-(b / den)**k / k = +-(big_d / (k den**k)) b**k / big_d
     big_d = math.lcm(*range(1, terms + 1)) * den**terms if _integral(b, den) else 1
-    acc = np.zeros(n + 1, dtype=object if exact else np.complex128)
+    acc = _scratch(n + 1, a.backend)
     pw = b
     for k in range(1, terms + 1):
         if k > 1:
@@ -94,19 +87,19 @@ def dlog(a: ArithFn, *, normalize_unit: bool = False, extra_terms: int = 0) -> A
             _accumulate(acc, rational((-1) ** (k - 1) * big_d, k * den**k), pw)
         else:
             acc += ((-1.0) ** (k - 1) / k) * pw
-    return ArithFn._wrap(n, a.backend, _values(acc, big_d))
+    return ArithFn._wrap(n, a.backend, acc, big_d)
 
 
-def dexp(a: ArithFn, *, extra_terms: int = 0) -> ArithFn:
+def dexp(a: ArithFn) -> ArithFn:
     """Formal exponential; domain a(1) = 0, image has value 1 at index 1."""
     _require_unit_value(a, a.backend.zero, "dexp")
     n = a.bound
-    terms = _series_length(n, extra_terms)
+    terms = n.bit_length() - 1  # floor(log2 n): later terms vanish on 1..n
     exact = a.backend is not COMPLEX
-    b, den = _split(a._v, a.backend)
+    b, den = _split(a._v)
     # exact: term k is (b / den)**k / k! = (big_d / (k! den**k)) b**k / big_d
     big_d = math.factorial(terms) * den**terms if _integral(b, den) else 1
-    acc = np.zeros(n + 1, dtype=object if exact else np.complex128)
+    acc = _scratch(n + 1, a.backend)
     acc[1] = big_d
     pw = np.zeros(n + 1, dtype=b.dtype)
     pw[1] = 1
@@ -118,7 +111,7 @@ def dexp(a: ArithFn, *, extra_terms: int = 0) -> ArithFn:
             _accumulate(acc, rational(big_d, fact * den**k), pw)
         else:
             acc += (1.0 / fact) * pw
-    return ArithFn._wrap(n, a.backend, _values(acc, big_d))
+    return ArithFn._wrap(n, a.backend, acc, big_d)
 
 
 def _integral(b: np.ndarray, den: int) -> bool:

@@ -179,6 +179,20 @@ def sigma_loop_complex(c, n: int) -> list:
     return out
 
 
+def pointwise_loop(f, *padded) -> np.ndarray:
+    """f applied index by index to Python scalars, as the per-index loops
+    of the pointwise ops and the widening to complex did; complex128."""
+    return np.array([f(*xs) for xs in zip(*padded)], dtype=np.complex128)
+
+
+def deriv_loop_complex(av) -> np.ndarray:
+    """a(n) ln n by the per-index loop the array derivative replaced."""
+    out = [0j] * len(av)
+    for n in range(2, len(av)):
+        out[n] = av[n] * math.log(n)
+    return np.array(out, dtype=np.complex128)
+
+
 # ---------------------------------------------------------------------------
 # scalar structure loops
 #

@@ -388,6 +388,22 @@ class TestCliBehavior:
         code, out, err = run_cli(capsys, "table", "sigma(1000)", "--backend", "complex", "--n", "8")
         assert code == 2 and out == "" and err.startswith("error:")
 
+    # sigma(341)(8) is about 0.9e308, so doubling it or more overflows
+    @pytest.mark.parametrize(
+        "expr", ["sigma(341) + sigma(341)", "1000000 . sigma(341)", "deriv(sigma(341))"]
+    )
+    def test_exit_2_on_pointwise_overflow(self, capsys, expr):
+        code, out, err = run_cli(capsys, "table", expr, "--backend", "complex", "--n", "8")
+        assert code == 2 and out == "" and err.startswith("error:")
+
+    def test_exit_2_on_widening_overflow(self, capsys, tmp_path):
+        big = tmp_path / "big.json"
+        table = {"bound": 2, "backend": "rational", "values": [str(10**400), "1"]}
+        big.write_text(json.dumps(table))
+        expr = f'file("{big}")'
+        code, out, err = run_cli(capsys, "table", expr, "--backend", "complex", "--n", "2")
+        assert code == 2 and out == "" and err.startswith("error:")
+
     @pytest.mark.parametrize(
         "argv",
         [

@@ -1,7 +1,9 @@
 """Ring operations: convolution, inverse, powers, derivative, truncation."""
 
 import math
+import operator
 import random
+import json
 from fractions import Fraction
 
 import numpy as np
@@ -10,7 +12,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import arithfn as af
-from arithfn.dirichlet import _array, _conv, _inv, _split, _values
+from arithfn import io as fnio
+from arithfn.dirichlet import _conv, _inv, _split, _store
 from arithfn.errors import (
     BackendMismatchError,
     BoundMismatchError,
@@ -22,11 +25,13 @@ from conftest import (
     convolve_brute,
     convolve_loop_complex,
     convolve_loop_exact,
+    deriv_loop_complex,
     divisors_brute,
     inverse_brute,
     inverse_loop_complex,
     inverse_loop_exact,
     mobius_brute,
+    pointwise_loop,
     rand_complex_fn,
     rand_exact_fn,
     recip_fn,
@@ -336,13 +341,13 @@ class TestKernels:
             assert np.array_equal(got.view(np.float64), want.view(np.float64))
 
     def test_storage_choice(self):
-        half = _array([0, 1, Fraction(3, 2)], af.RATIONAL)
+        half = _store([0, 1, Fraction(3, 2)], af.RATIONAL)
         assert half.dtype == object and half[2] == Fraction(3, 2)
         for big in (2**63, 2**64 - 1, 2**64):
-            wide = _array([0, 1, big], af.RATIONAL)
+            wide = _store([0, 1, big], af.RATIONAL)
             assert wide.dtype == object and wide.tolist() == [0, 1, big]
-        assert _array([0, -(2**63)], af.RATIONAL).dtype == np.int64
-        assert _array([0, 1j], af.COMPLEX).dtype == np.complex128
+        assert _store([0, -(2**63)], af.RATIONAL).dtype == np.int64
+        assert _store([0, 1j], af.COMPLEX).dtype == np.complex128
 
     @pytest.mark.parametrize("n", (1, 17, 100))
     def test_int64_guard_edge(self, n):
@@ -350,13 +355,13 @@ class TestKernels:
         # back to object storage.  Both equal the exact loop.
         for m, dtype in ((_guard_edge(n), np.int64), (_guard_edge(n) + 1, object)):
             av = [0] + [m if k % 3 else -m for k in range(1, n + 1)]
-            got = _conv(_array(av, af.RATIONAL), _array(av, af.RATIONAL), n)
+            got = _conv(_store(av, af.RATIONAL), _store(av, af.RATIONAL), n)
             assert got.dtype == dtype
             assert got.tolist() == convolve_loop_exact(av, av, n)
 
     def test_min_int64_takes_object_storage(self):
         av = [0, 1, -(2**63), 5]
-        got = _conv(_array(av, af.RATIONAL), _array(av, af.RATIONAL), 3)
+        got = _conv(_store(av, af.RATIONAL), _store(av, af.RATIONAL), 3)
         assert got.dtype == object
         assert got.tolist() == convolve_loop_exact(av, av, 3)
 
@@ -373,12 +378,12 @@ class TestKernels:
             av[data.draw(st.integers(1, n))] = Fraction(3, 2)
         if data.draw(st.booleans(), label="big"):
             bv[data.draw(st.integers(1, n))] = 2**63
-        a, b = _array(av, af.RATIONAL), _array(bv, af.RATIONAL)
+        a, b = _store(av, af.RATIONAL), _store(bv, af.RATIONAL)
         want = convolve_loop_exact(av, bv, n)
         assert _conv(a, b, n).tolist() == want
         assert _conv(a.astype(object), b.astype(object), n).tolist() == want
         av[1] = data.draw(st.sampled_from([1, -1]), label="a1")
-        a = _array(av, af.RATIONAL)
+        a = _store(av, af.RATIONAL)
         want = inverse_loop_exact(av, n)
         assert _inv(a, n).tolist() == want
         assert _inv(a.astype(object), n).tolist() == want
@@ -410,28 +415,30 @@ class TestCommonDenominator:
     KEPT = [
         [0, 1, Fraction(1, 2**64)],
         [0, Fraction(1, 2**63), Fraction(-1, 3)],
-        list(recip_fn(60, 1)._v),
+        [0, *recip_fn(60, 1).values()],
     ]
 
     def test_split_values_round_trip(self):
         for vals, want_l, dtype in self.CASES:
-            arr, l = _split(vals, af.RATIONAL)
+            arr, l = _split(_store(vals, af.RATIONAL))
             assert l == want_l and arr.dtype == dtype
-            assert _values(arr, l) == vals and _is_canonical(_values(arr, l)[1:])
+            back = _store(arr, af.RATIONAL, l).tolist()
+            assert back == vals and _is_canonical(back[1:])
         for vals in self.KEPT:
-            arr, l = _split(vals, af.RATIONAL)
+            arr, l = _split(_store(vals, af.RATIONAL))
             assert l == 1 and arr.dtype == object and arr.tolist() == vals
-            assert _values(arr, l) == vals
+            assert _store(arr, af.RATIONAL, l).tolist() == vals
 
     @pytest.mark.parametrize("n", (1, 2, 3, 17))
     def test_split_random_tables(self, n):
         rng = random.Random(n)
         for _ in range(5):
             vals = self._rand_table(rng, n)
-            arr, l = _split(vals, af.RATIONAL)
+            arr, l = _split(_store(vals, af.RATIONAL))
             assert l == math.lcm(*(Fraction(v).denominator for v in vals))
             assert arr.dtype == np.int64
-            assert _values(arr, l) == vals and _is_canonical(_values(arr, l)[1:])
+            back = _store(arr, af.RATIONAL, l).tolist()
+            assert back == vals and _is_canonical(back[1:])
 
     def test_products_match_exact_loop(self):
         # under the cap, over it (1/n, L = lcm(2..60)), and one of each
@@ -443,8 +450,164 @@ class TestCommonDenominator:
         for a in under + over:
             for b in under + over:
                 got = (a * b).values()
-                assert list(got) == convolve_loop_exact(a._v, b._v, n)[1:]
+                assert list(got) == convolve_loop_exact([0, *a.values()], [0, *b.values()], n)[1:]
                 assert _is_canonical(got)
+
+
+def _stores_canonically(fn, want) -> bool:
+    """fn holds want, as ints where the denominator is 1, in int64
+    storage exactly when every value is an int that fits."""
+    fits = all(Fraction(v).denominator == 1 and -(2**63) <= v < 2**63 for v in want)
+    return (
+        fn.values() == tuple(want)
+        and all(type(v) is int or v.denominator > 1 for v in fn.values())
+        and (fn._v.dtype == np.int64) == fits
+    )
+
+
+# Signed zeros and zero parts, where a complex product formula can differ
+# from the scalar one in the sign of a zero.
+_SPECIALS = [complex(-1.5, -0.0), 0j, complex(-0.0, 0.0), complex(0.0, -0.0),
+             complex(-0.0, -0.0), complex(-0.0, 2.0), complex(3.0, 0.0), -2.5j]
+
+
+def _rand_values_complex(rng, n):
+    vals = [complex(x) for x in _rand_padded_complex(rng, n)][1:]
+    for i in range(0, n, 3):
+        vals[i] = _SPECIALS[(i // 3) % len(_SPECIALS)]
+    return vals
+
+
+class TestStorage:
+    def test_storage_is_read_only(self, sieve100):
+        u, uc = af.ArithFn.ones(50), af.ArithFn.ones(50, af.COMPLEX)
+        half = u.scale(Fraction(1, 2))
+        tables = [
+            u, uc, half, af.ArithFn.from_values([2**70, 1]), u * u, half * u, u.inv(), uc.inv(),
+            u + u, u - half, -u, u.truncate(7), u.to_backend(af.COMPLEX), uc.deriv(),
+            af.dlog(u), af.dexp(u - af.ArithFn.identity(50)), af.make("phi", sieve100),
+            af.bell_reconstruct_mult(af.bell_decompose_mult(af.make("phi", sieve100))),
+            af.additive_reconstruct(af.additive_decompose(af.make("nu", sieve100))),
+            fnio.parse_csv(fnio.dump_csv(half)),
+        ]
+        for fn in tables:
+            assert isinstance(fn._v, np.ndarray) and len(fn._v) == fn.bound + 1
+            assert fn._v.dtype in (np.int64, object, np.complex128)
+            with pytest.raises(ValueError, match="read-only"):
+                fn._v[1] = 0
+
+    @pytest.mark.parametrize(
+        "vals",
+        [
+            [1, 2**63 - 1, -(2**63)],
+            [Fraction(4, 2), Fraction(-6, 3), 0],
+            [1, 2**63],
+            [-(2**63) - 1, 0],
+            [1, Fraction(1, 2)],
+            [2**64, Fraction(-5, 3)],
+        ],
+    )
+    def test_int64_iff_every_value_fits(self, vals):
+        assert _stores_canonically(af.ArithFn.from_values(vals), vals)
+
+    def test_overflow_promotes_to_object_and_stays_exact(self):
+        top = af.ArithFn.from_values([2**62, -(2**62), 3])
+        flip = af.ArithFn.from_values([-(2**62), 2**62, 3])
+        cases = [
+            (top + top, [2**63, -(2**63), 6]),
+            (top - flip, [2**63, -(2**63), 0]),
+            (top + flip, [0, 0, 6]),  # the guard fails, the sums fit
+            (flip - top, [-(2**63), 2**63, 0]),
+            (af.ArithFn.from_values([-(2**62)]) - af.ArithFn.from_values([2**62]), [-(2**63)]),
+            (-af.ArithFn.from_values([-(2**63), 5]), [2**63, -5]),
+            (-af.ArithFn.from_values([-(2**63) + 1, 5]), [2**63 - 1, -5]),
+            (af.ArithFn.from_values([2**30, -7]).scale(2**40), [2**70, -7 * 2**40]),
+            (af.ArithFn.from_values([1, -7]).scale(2**40), [2**40, -7 * 2**40]),
+            (af.ArithFn.zeros(2).scale(2**100), [0, 0]),
+            (af.ArithFn.from_values([3, 3 * 2**70, 1]).scale(Fraction(1, 3)),
+             [1, 2**70, Fraction(1, 3)]),
+            (af.ArithFn.from_values([3, -6]).scale(Fraction(1, 3)), [1, -2]),
+        ]
+        for fn, want in cases:
+            assert _stores_canonically(fn, want), (fn, want)
+
+    def test_half_plus_half_stores_int64(self):
+        h = af.ArithFn.from_values([Fraction(1, 2)] * 3)
+        assert _stores_canonically(h + h, [1, 1, 1])
+        assert _stores_canonically((h + h) * af.ArithFn.ones(3), [1, 2, 2])
+
+    def test_values_leave_as_python_scalars(self, sieve100):
+        for backend in (af.RATIONAL, af.COMPLEX):
+            allowed = (complex,) if backend is af.COMPLEX else (int, Fraction)
+            phi = af.make("phi", sieve100, backend)
+            tables = [phi, phi.scale(Fraction(1, 2)), phi.scale(2**70), phi * phi.inv()]
+            for fn in tables:
+                vals = [fn[n] for n in range(1, fn.bound + 1)] + list(fn.values())
+                vals += [v for _, v in fn.items()]
+                assert all(type(v) in allowed for v in vals)
+            dec = af.bell_decompose_mult(phi, sieve100)
+            assert all(type(c) in allowed for s in dec.series for c in s.coeffs)
+            for check, name in ((af.is_completely_multiplicative, "N"),
+                                (af.is_completely_additive, "Omega")):
+                res = check(af.make(name, sieve100, backend), sieve100)
+                assert res.ok and all(type(v) in allowed for v in res.constants.values())
+            g = af.additive_decompose(af.make("nu", sieve100, backend).scale(2**70), sieve100)
+            assert len(g) and all(type(v) in allowed for _, v in g.items())
+
+    def test_truncate_restores_int64(self):
+        fn = af.ArithFn.from_values([1, 2, 2**70, Fraction(1, 3)])
+        assert fn._v.dtype == object
+        cut = fn.truncate(2)
+        assert _stores_canonically(cut, [1, 2])
+        same = af.ArithFn.from_values([1, 2])
+        assert cut == same and hash(cut) == hash(same)
+
+    def test_equal_tables_hash_alike(self):
+        n = 30
+        u, uc = af.ArithFn.ones(n), af.ArithFn.ones(n, af.COMPLEX)
+        third = u.scale(Fraction(1, 3))
+        big = af.ArithFn.from_values([2**70] + [1] * (n - 1))
+        by_kernel = [
+            (u * u.inv(), af.ArithFn.identity(n)),
+            (third * u, None),
+            (big * af.ArithFn.identity(n), big),
+            (uc.deriv() * uc, None),
+            (-af.ArithFn.zeros(n, af.COMPLEX), af.ArithFn.zeros(n, af.COMPLEX)),  # -0.0 == 0.0
+        ]
+        for fn, other in by_kernel:
+            same = [fn, af.ArithFn.from_values(fn.values(), fn.backend)]
+            same.append(fnio.from_json_obj(json.loads(fnio.dump_json(fn))))
+            same.append(fnio.parse_csv(fnio.dump_csv(fn), fn.backend))
+            if other is not None:
+                same.append(other)
+            for x in same:
+                assert x == fn and hash(x) == hash(fn)
+
+    @pytest.mark.parametrize("n", (1, 2, 17, 1000))
+    def test_complex_pointwise_matches_scalar_loops_bitwise(self, n):
+        rng = np.random.default_rng(n)
+        va, vb = _rand_values_complex(rng, n), _rand_values_complex(rng, n)
+        a = af.ArithFn.from_values(va, af.COMPLEX)
+        b = af.ArithFn.from_values(vb, af.COMPLEX)
+        pa, pb = [0j] + va, [0j] + vb
+
+        def same(fn, want):
+            return np.array_equal(fn._v.view(np.uint64), want.view(np.uint64))
+
+        assert same(a + b, pointwise_loop(operator.add, pa, pb))
+        assert same(a - b, pointwise_loop(operator.sub, pa, pb))
+        assert same(-a, pointwise_loop(operator.neg, pa))
+        for r in (0.3 - 1.7j, -1.0, complex(-0.0, 1.0), 2, Fraction(1, 3)):
+            w = complex(r)
+            assert same(a.scale(r), pointwise_loop(lambda x: w * x, pa))
+        assert same(a.deriv(), deriv_loop_complex(pa))
+        exact = [2**53 + 1, -(2**60) - 1, -(2**63), 2**70 + 1, Fraction(1, 3),
+                 Fraction(-(10**30) - 1, 7), 0, 5][: n]
+        ve = [0] + exact + [rng.integers(-9, 9).item() for _ in range(n - len(exact))]
+        wide = af.ArithFn.from_values(ve[1:]).to_backend(af.COMPLEX)
+        assert same(wide, pointwise_loop(complex, ve))
+        assert same(af.ArithFn.from_values(ve[1:]).truncate(1).to_backend(af.COMPLEX),
+                    pointwise_loop(complex, ve[:2]))
 
 
 class TestNonFinite:
@@ -457,3 +620,16 @@ class TestNonFinite:
         a = af.ArithFn.from_values([1e-200, 1e200], af.COMPLEX)
         with pytest.raises(NonFiniteError):
             a.inv(eps=0.0)
+
+    def test_pointwise_overflow_raises(self):
+        big = af.ArithFn.from_values([1.0, 1e308, 1.7e308], af.COMPLEX)
+        ops = (lambda: big + big, lambda: big - (-big), lambda: big.scale(10),
+               lambda: 1j * big * 2, lambda: big.deriv())
+        for op in ops:
+            with pytest.raises(NonFiniteError):
+                op()
+
+    def test_widening_overflow_raises(self):
+        for huge in (10**400, Fraction(10**400, 3)):
+            with pytest.raises(NonFiniteError):
+                af.ArithFn.from_values([1, huge]).to_backend(af.COMPLEX)

@@ -3,7 +3,7 @@
 The building blocks:
 
 * :mod:`arithfn.numerics` -- exact rational and complex-float coefficient
-  backends behind one arithmetic contract.
+  backends: how one value is converted, tested for zero and serialized.
 * :mod:`arithfn.sieve` -- smallest-prime-factor sieve and factorization.
 * :mod:`arithfn.dirichlet` -- :class:`ArithFn` tables with pointwise sum,
   Dirichlet convolution, inverse, convolution powers, the log-weighted

@@ -202,7 +202,7 @@ def _mult_closed_form(name: str, sieve: SpfSieve, bound: int, coeff_fn) -> BellD
             break
         cap = sieve.prime_power_cap(p, bound)
         series.append(BellSeries(p, tuple(coeff_fn(p, k) for k in range(cap + 1))))
-    return BellDecomposition(bound, "multiplicative", RATIONAL, series)
+    return BellDecomposition(bound, RATIONAL, series)
 
 
 def verify_identities(sieve: SpfSieve, bound: int | None = None, tol: float = DEFAULT_TOL) -> IdentityReport:

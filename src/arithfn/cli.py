@@ -133,10 +133,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return _dispatch(args)
-    except ArithfnError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except ValueError as e:
+    except (ArithfnError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

@@ -26,9 +26,11 @@ exact tables with Fractions convolves integer numerators over one common
 denominator L per table, the lcm of its denominators, and divides by the
 two Ls once at the end; a table with L >= 2**64 keeps its Fractions
 instead (see the kernel notes below).  The inverse takes Fraction tables
-as they are.  The convolution splits the divisor pairs d * m <= N at
-sqrt(N) (Dirichlet's hyperbola method), so it takes about 2 sqrt(N)
-vector operations; the inverse works in dyadic blocks [2**j, 2**(j+1)),
+as they are.  Both kernels are calls to one push, :func:`_push`, which
+adds x(d) y(m) into out[d m] for a support of d by a d-loop or an m-loop,
+whichever is shorter.  The convolution pushes the support of a below and
+above sqrt(N) (Dirichlet's hyperbola method), so it takes about 2 sqrt(N)
+vector operations; the inverse pushes dyadic blocks [2**j, 2**(j+1)),
 each final once the earlier blocks are pushed.
 
 Each output coefficient is a sum over its divisors in ascending order,
@@ -431,16 +433,39 @@ def _scaled(w, x: np.ndarray) -> np.ndarray:
     return out
 
 
+def _push(out: np.ndarray, x: np.ndarray, sup: np.ndarray, y: np.ndarray, n: int, m0: int) -> None:
+    """out[d m] += x(d) y(m) for every d in the ascending support ``sup``
+    and every m >= m0 with d m <= n.
+
+    The d-loop pushes x(d) times a slice of y onto the multiples of each
+    d; the m-loop, m descending, pushes x(D) y(m) for the D in sup up to
+    n // m.  It runs whichever takes fewer steps.  Either way each output
+    receives its terms in ascending d (in the m-loop, a later and smaller
+    m pairs with a larger d).
+    """
+    if not len(sup):
+        return
+    top = n // int(sup[0])
+    if len(sup) <= top - m0 + 1:
+        for d in sup.tolist():
+            out[m0 * d :: d] += x[d] * y[m0 : n // d + 1]
+    else:
+        x_sup = x[sup]
+        ms = np.arange(top, m0 - 1, -1)
+        counts = np.searchsorted(sup, n // ms, side="right")  # >= 1, as m <= top
+        for m, c in zip(ms.tolist(), counts.tolist()):
+            np.add.at(out, sup[:c] * m, x_sup[:c] * y[m])
+
+
 @np.errstate(over="ignore", invalid="ignore")  # _check_finite reports it
 def _conv(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
     """(a * b) on 1..n for padded arrays (slot 0 unused).
 
     Dirichlet's hyperbola split: every pair d * m <= n has d <= K or
-    m <= n // (K + 1), K = floor(sqrt n).  The d-loop pushes a(d) times a
-    slice of b onto the multiples of d <= K; the m-loop, m descending,
-    pushes a(D) b(m) for the support D of a in (K, n // m].  Descending m
-    keeps each output's contributions in ascending d.  About 2 sqrt(n)
-    vector operations; a zero a(d) is never multiplied.
+    m <= n // (K + 1), K = floor(sqrt n).  One push takes the support of
+    a in 1..K (a d-loop), one the support in (K, n] (an m-loop, unless
+    that support is sparse): about 2 sqrt(n) vector operations, and a
+    zero a(d) is never multiplied.
     """
     if a.dtype != b.dtype or (
         a.dtype == np.int64 and not _fits_int64(_max_abs(a), _max_abs(b), n)
@@ -448,17 +473,8 @@ def _conv(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
         a, b = a.astype(object), b.astype(object)
     k = math.isqrt(n)
     out = np.zeros(n + 1, dtype=a.dtype)
-    for d in range(1, k + 1):
-        ad = a[d]
-        if ad != 0:
-            out[d::d] += ad * b[1 : n // d + 1]
-    sup = np.flatnonzero(a[k + 1 :]) + (k + 1)
-    a_sup = a[sup]
-    ms = np.arange(n // (k + 1), 0, -1)
-    counts = np.searchsorted(sup, n // ms, side="right")
-    for m, c in zip(ms.tolist(), counts.tolist()):
-        if c:
-            np.add.at(out, sup[:c] * m, a_sup[:c] * b[m])
+    for lo, hi in ((1, k + 1), (k + 1, n + 1)):
+        _push(out, a, np.flatnonzero(a[lo:hi]) + lo, b, n, 1)
     _check_finite(out)  # here too, as dlog and dexp chain _conv calls
     return out
 
@@ -470,8 +486,7 @@ def _inv(a: np.ndarray, n: int) -> np.ndarray:
     b(1) = 1/a(1) and b(n) = -b(1) acc(n), acc(n) = sum over d | n, d < n
     of b(d) a(n/d).  The dyadic block [2**j, 2**(j+1)) only has proper
     divisors in earlier blocks, so once those are pushed its b is one
-    vector op; the block is then pushed to its multiples by a d-loop or
-    a descending m-loop, whichever takes fewer steps.  int64 needs
+    vector op; the block is then pushed onto its multiples.  int64 needs
     a(1) = +-1 and re-checks the guard per block with the running max|b|.
     """
     a1 = a[1]
@@ -498,16 +513,6 @@ def _inv(a: np.ndarray, n: int) -> np.ndarray:
             max_b = max(max_b, _max_abs(b[lo:hi]))
             if not _fits_int64(max_a, max_b, n):
                 a, b, acc = a.astype(object), b.astype(object), acc.astype(object)
-        sup = np.flatnonzero(b[lo:hi]) + lo
-        top = n // lo
-        if len(sup) < top:
-            for d in sup.tolist():
-                acc[2 * d :: d] += b[d] * a[2 : n // d + 1]
-        else:
-            b_sup = b[sup]
-            ms = np.arange(top, 1, -1)
-            counts = np.searchsorted(sup, n // ms, side="right")
-            for m, c in zip(ms.tolist(), counts.tolist()):
-                np.add.at(acc, sup[:c] * m, b_sup[:c] * a[m])
+        _push(acc, b, np.flatnonzero(b[lo:hi]) + lo, a, n, 2)
         lo = hi
     return b

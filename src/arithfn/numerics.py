@@ -2,7 +2,7 @@
 
 Tables store their values in numpy arrays (see :mod:`arithfn.dirichlet`)
 and hand them out as the Python scalars below; the backend objects decide
-how single values are converted, compared, tested for zero and serialized.
+how single values are converted, tested for zero and serialized.
 
 Two backends exist:
 
@@ -91,10 +91,6 @@ class RationalBackend:
             f"rational backend cannot hold {type(x).__name__} value {x!r}"
         )
 
-    def eq(self, a, b, tol: float | None = None) -> bool:
-        # Exact backend ignores tolerances by design.
-        return a == b
-
     def is_zero(self, v, eps: float = DEFAULT_EPS) -> bool:
         return v == 0
 
@@ -117,7 +113,7 @@ class RationalBackend:
 
 
 class ComplexBackend:
-    """Complex-double coefficients; all comparisons are toleranced."""
+    """Complex-double coefficients with finite real and imaginary parts."""
 
     name = "complex"
     exact = False
@@ -132,9 +128,6 @@ class ComplexBackend:
         raise UnsupportedBackendError(
             f"complex backend cannot hold {type(x).__name__} value {x!r}"
         )
-
-    def eq(self, a, b, tol: float | None = None) -> bool:
-        return approx_eq(a, b, DEFAULT_TOL if tol is None else tol)
 
     def is_zero(self, v, eps: float = DEFAULT_EPS) -> bool:
         return abs(v) <= eps

@@ -287,17 +287,13 @@ class BellSeries:
 
 
 class BellDecomposition:
-    """One BellSeries per prime <= bound, plus which kind of function it
-    reassembles into: "multiplicative" (constant terms 1, values multiply
-    across primes) or "additive" (constant terms 0, values add)."""
+    """One BellSeries per prime <= bound of a multiplicative function:
+    constant terms 1, values multiply across primes."""
 
-    __slots__ = ("bound", "kind", "backend", "series", "_by_prime")
+    __slots__ = ("bound", "backend", "series", "_by_prime")
 
-    def __init__(self, bound: int, kind: str, backend, series):
-        if kind not in ("multiplicative", "additive"):
-            raise ValueError(f"unknown decomposition kind {kind!r}")
+    def __init__(self, bound: int, backend, series):
         self.bound = bound
-        self.kind = kind
         self.backend = backend
         self.series = tuple(series)
         self._by_prime = {s.prime: s for s in self.series}
@@ -313,16 +309,12 @@ class BellDecomposition:
             return NotImplemented
         return (
             self.bound == other.bound
-            and self.kind == other.kind
             and self.backend is other.backend
             and self.series == other.series
         )
 
     def __repr__(self) -> str:
-        return (
-            f"BellDecomposition(bound={self.bound}, kind={self.kind!r}, "
-            f"primes={len(self.series)})"
-        )
+        return f"BellDecomposition(bound={self.bound}, primes={len(self.series)})"
 
 
 def bell_decompose_mult(
@@ -354,7 +346,7 @@ def bell_decompose_mult(
         series.append(BellSeries(p, tuple(coeffs)))
     large = _primes(sieve, a.bound)[len(small) :]
     series += [BellSeries(p, (one, v)) for p, v in zip(large, a._v[large].tolist())]
-    return BellDecomposition(a.bound, "multiplicative", a.backend, series)
+    return BellDecomposition(a.bound, a.backend, series)
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -546,30 +538,24 @@ def series_log(f, length: int) -> list:
     """log of a power series with constant term 1, truncated."""
     if not f or f[0] != 1:
         raise ValueError("series_log needs constant term 1")
-    u = [0] + list(f[1:length])
-    acc = [0] * length
-    pw = [1] + [0] * (length - 1)
-    for k in range(1, length):
-        pw = series_mul(pw, u, length)
-        c = Fraction(-1 if k % 2 == 0 else 1, k)
-        for i in range(length):
-            if pw[i]:
-                acc[i] = acc[i] + c * pw[i]
-    return [_canonical_exact(x) if isinstance(x, Fraction) else x for x in acc]
+    coeffs = [Fraction(-1 if k % 2 == 0 else 1, k) for k in range(1, length)]
+    return _series_sum(f, length, [0] * length, coeffs)
 
 
 def series_exp(f, length: int) -> list:
     """exp of a power series with constant term 0, truncated."""
     if not f or f[0] != 0:
         raise ValueError("series_exp needs constant term 0")
+    coeffs = [Fraction(1, math.factorial(k)) for k in range(1, length)]
+    return _series_sum(f, length, [1] + [0] * (length - 1), coeffs)
+
+
+def _series_sum(f, length: int, acc: list, coeffs) -> list:
+    """acc + sum over k >= 1 of coeffs[k-1] (f - f[0])**k, truncated."""
     u = [0] + list(f[1:length])
-    acc = [1] + [0] * (length - 1)
     pw = [1] + [0] * (length - 1)
-    fact = 1
-    for k in range(1, length):
+    for c in coeffs:
         pw = series_mul(pw, u, length)
-        fact *= k
-        c = Fraction(1, fact)
         for i in range(length):
             if pw[i]:
                 acc[i] = acc[i] + c * pw[i]

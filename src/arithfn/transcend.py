@@ -20,10 +20,12 @@ transform
 which carries multiplicative functions (a group under convolution) onto
 additive functions (a group under pointwise sum) and back.
 
-Exact series run on integers.  The input is split into integer
-numerators b over one common denominator L (``dirichlet._split``); the
-powers b**k are integer convolutions over the implied L**k, and the terms
-add up as Python ints over one common denominator D,
+Both maps are one series loop, :func:`_series`, given the coefficients
+p/q of term k: ((-1)**(k-1), k) for dlog and (1, k!) for dexp.  Exact
+series run on integers.  The input is split into integer numerators b
+over one common denominator L (``dirichlet._split``); the powers b**k are
+integer convolutions over the implied L**k, and the terms add up as
+Python ints over one common denominator D = lcm(q) L**K,
 
     dlog:  D = lcm(1..K) L**K,  term k adds (-1)**(k-1) D / (k L**k) * b**k
     dexp:  D = K! L**K,         term k adds D / (k! L**k) * b**k
@@ -32,7 +34,7 @@ each coefficient an integer, so the only division is the one per value at
 the end.  A table in object storage with L = 1 (ints beyond int64, or
 Fractions kept because L reached the split cap) takes the coefficients
 (-1)**(k-1) / k and 1 / k! as they are, with D = 1.
-The complex backend uses the same loop with float coefficients and D = 1.
+The complex backend runs the same loop with the float coefficients p / q.
 """
 
 from __future__ import annotations
@@ -70,62 +72,47 @@ def dlog(a: ArithFn, *, normalize_unit: bool = False) -> ArithFn:
         a = a.scale((1.0 if a.backend is COMPLEX else Fraction(1, 1)) / a[1])
     else:
         _require_unit_value(a, a.backend.one, "dlog")
-    n = a.bound
-    terms = n.bit_length() - 1  # floor(log2 n): later terms vanish on 1..n
-    exact = a.backend is not COMPLEX
     b, den = _split(a._v)
     b = b.copy()  # stored tables are read-only
     b[1] = 0
-    # exact: term k is +-(b / den)**k / k = +-(big_d / (k den**k)) b**k / big_d
-    big_d = math.lcm(*range(1, terms + 1)) * den**terms if _integral(b, den) else 1
-    acc = _scratch(n + 1, a.backend)
-    pw = b
-    for k in range(1, terms + 1):
-        if k > 1:
-            pw = _conv(pw, b, n)
-        if exact:
-            _accumulate(acc, rational((-1) ** (k - 1) * big_d, k * den**k), pw)
-        else:
-            acc += ((-1.0) ** (k - 1) / k) * pw
-    return ArithFn._wrap(n, a.backend, acc, big_d)
+    return _series(a, b, den, 0, [((-1) ** (k - 1), k) for k in range(1, a.bound.bit_length())])
 
 
 def dexp(a: ArithFn) -> ArithFn:
     """Formal exponential; domain a(1) = 0, image has value 1 at index 1."""
     _require_unit_value(a, a.backend.zero, "dexp")
-    n = a.bound
-    terms = n.bit_length() - 1  # floor(log2 n): later terms vanish on 1..n
-    exact = a.backend is not COMPLEX
     b, den = _split(a._v)
-    # exact: term k is (b / den)**k / k! = (big_d / (k! den**k)) b**k / big_d
-    big_d = math.factorial(terms) * den**terms if _integral(b, den) else 1
+    return _series(a, b, den, 1, [(1, math.factorial(k)) for k in range(1, a.bound.bit_length())])
+
+
+def _series(a: ArithFn, b: np.ndarray, den: int, unit: int, coeffs) -> ArithFn:
+    """unit I + sum over k >= 1 of (p/q) (b / den)**k on 1..N, for numerators
+    b over den with b(1) = 0 and coeffs the (p, q) of k = 1..floor(log2 N).
+
+    Exact: over big_d = lcm(q) den**K, term k adds the integer multiple
+    (p big_d / (q den**k)) b**k in Python ints.  Object storage with
+    den = 1 may keep Fractions (above the split cap), so it runs over
+    big_d = 1 with Fraction coefficients.  Complex: p / q as a float.
+    """
+    n = a.bound
+    exact = a.backend is not COMPLEX
+    big_d = 1
+    if b.dtype == np.int64 or den > 1:
+        big_d = math.lcm(*(q for _, q in coeffs)) * den ** len(coeffs)
     acc = _scratch(n + 1, a.backend)
-    acc[1] = big_d
-    pw = np.zeros(n + 1, dtype=b.dtype)
-    pw[1] = 1
-    fact = 1
-    for k in range(1, terms + 1):
-        pw = _conv(pw, b, n)
-        fact *= k
+    acc[1] = unit * big_d
+    pw = b
+    for k, (p, q) in enumerate(coeffs, 1):
+        if k > 1:
+            pw = _conv(pw, b, n)
         if exact:
-            _accumulate(acc, rational(big_d, fact * den**k), pw)
+            c = rational(p * big_d, q * den**k)
+            nz = np.flatnonzero(pw)  # zeros of pw add nothing
+            terms = pw[nz].astype(object)
+            acc[nz] += terms if c == 1 else c * terms
         else:
-            acc += (1.0 / fact) * pw
+            acc += (float(p) / q) * pw
     return ArithFn._wrap(n, a.backend, acc, big_d)
-
-
-def _integral(b: np.ndarray, den: int) -> bool:
-    """Whether b surely holds ints: int64, or numerators over den > 1.
-    Object storage with den = 1 may keep Fractions (above the split cap),
-    so its series runs over big_d = 1."""
-    return b.dtype == np.int64 or den > 1
-
-
-def _accumulate(acc: np.ndarray, c, pw: np.ndarray) -> None:
-    """acc += c * pw in Python ints or Fractions, skipping the zeros of pw."""
-    nz = np.flatnonzero(pw)
-    terms = pw[nz].astype(object)
-    acc[nz] += terms if c == 1 else c * terms
 
 
 def psi(a: ArithFn, *, normalize_unit: bool = False) -> ArithFn:

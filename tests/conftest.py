@@ -422,7 +422,7 @@ def rand_multiplicative(rng: random.Random, sieve: af.SpfSieve, bound: int) -> a
         series.append(
             af.BellSeries(p, tuple([1] + [rng.randint(-3, 3) for _ in range(cap)]))
         )
-    dec = af.BellDecomposition(bound, "multiplicative", af.RATIONAL, series)
+    dec = af.BellDecomposition(bound, af.RATIONAL, series)
     return af.bell_reconstruct_mult(dec, sieve)
 
 

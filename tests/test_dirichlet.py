@@ -32,6 +32,7 @@ from conftest import (
     inverse_loop_exact,
     mobius_brute,
     pointwise_loop,
+    primes_brute,
     rand_complex_fn,
     rand_exact_fn,
     recip_fn,
@@ -307,6 +308,8 @@ class TestValuationSupport:
 # Sizes covering n < 4, the square-root split on both sides of a square
 # (15, 16, 17) and partial last dyadic blocks (1000, 4099).
 KERNEL_SIZES = (1, 2, 3, 4, 15, 16, 17, 1000, 4099)
+# Sizes at which the kernels also run on sparse supports.
+SPARSE_SIZES = (17, 1000, 4099)
 
 
 def _rand_padded_complex(rng, n):
@@ -316,19 +319,65 @@ def _rand_padded_complex(rng, n):
     return x
 
 
+def _rand_padded_int(rng, n):
+    x = rng.integers(-9, 10, n + 1)
+    x[0] = 0
+    return x
+
+
+def _sparse_tables(rng, n, dtype):
+    """Padded tables whose supports send a push down either loop: I, one
+    point at n // 2, sparse primes above sqrt(n), zero below sqrt(n), and
+    a(1) = 0 (last, so that the inverse can leave it out)."""
+    k = math.isqrt(n)
+    primes = [p for p in primes_brute(n) if p > k][::16]
+    if dtype == np.complex128:
+        dense, point = _rand_padded_complex(rng, n), -0.0 + 2j
+        few = rng.standard_normal(len(primes)) + 1j * rng.standard_normal(len(primes))
+    else:
+        dense, point = _rand_padded_int(rng, n), -2
+        few = rng.integers(1, 10, len(primes))
+    unit, single, sparse = (np.zeros(n + 1, dtype=dtype) for _ in range(3))
+    unit[1] = 1
+    single[n // 2] = point
+    sparse[primes] = few
+    high, no_one = dense.copy(), dense.copy()
+    high[: k + 1] = 0
+    no_one[1] = 0
+    return [unit, single, sparse, high, no_one]
+
+
 def _guard_edge(n):
     """Largest M with M * M * (2 floor(sqrt n) + 1) < 2**62."""
     return math.isqrt((2**62 - 1) // (2 * math.isqrt(n) + 1))
 
 
+def _same_bits(x, y):
+    return np.array_equal(x.view(np.uint64), y.view(np.uint64))
+
+
 class TestKernels:
+    # At SPARSE_SIZES the two bitwise tests also run the sparse tables,
+    # in complex128 and in int64 and object storage.
+
     @pytest.mark.parametrize("n", KERNEL_SIZES)
     def test_complex_conv_matches_loop_bitwise(self, n):
         rng = np.random.default_rng(n)
         a, b = _rand_padded_complex(rng, n), _rand_padded_complex(rng, n)
         got = _conv(a, b, n)
         want = convolve_loop_complex(a, b, n)
-        assert np.array_equal(got.view(np.float64), want.view(np.float64))
+        assert _same_bits(got, want)
+        if n not in SPARSE_SIZES:
+            return
+        for t in _sparse_tables(rng, n, np.complex128):
+            for x, y in ((t, b), (a, t), (t, t)):
+                assert _same_bits(_conv(x, y, n), convolve_loop_complex(x, y, n))
+        c = _rand_padded_int(rng, n)
+        for t in _sparse_tables(rng, n, np.int64):
+            for x, y in ((t, c), (c, t), (t, t)):
+                want = convolve_loop_exact(x.tolist(), y.tolist(), n)
+                assert _conv(x, y, n).tolist() == want
+                assert _conv(x.astype(object), y.astype(object), n).tolist() == want
 
     @pytest.mark.parametrize("n", KERNEL_SIZES)
     def test_complex_inv_matches_loop_bitwise(self, n):
@@ -338,7 +387,19 @@ class TestKernels:
             a[1] = a1
             got = _inv(a, n)
             want = inverse_loop_complex(a, n)
-            assert np.array_equal(got.view(np.float64), want.view(np.float64))
+            assert _same_bits(got, want)
+        if n not in SPARSE_SIZES:
+            return
+        for t in _sparse_tables(rng, n, np.complex128)[:-1]:
+            for a1 in (1.0, 0.75 - 0.5j):
+                t[1] = a1
+                assert _same_bits(_inv(t, n), inverse_loop_complex(t, n))
+        for t in _sparse_tables(rng, n, np.int64)[:-1]:
+            for a1 in (1, -1, 2):
+                t[1] = a1
+                want = inverse_loop_exact(t.tolist(), n)
+                assert _inv(t, n).tolist() == want
+                assert _inv(t.astype(object), n).tolist() == want
 
     def test_storage_choice(self):
         half = _store([0, 1, Fraction(3, 2)], af.RATIONAL)

@@ -149,7 +149,6 @@ class TestBellDecomposition:
     def test_reconstruct_examples(self, sieve100):
         ones = af.BellDecomposition(
             100,
-            "multiplicative",
             af.RATIONAL,
             [
                 af.BellSeries(p, (1,) * (sieve100.prime_power_cap(p) + 1))
@@ -160,7 +159,6 @@ class TestBellDecomposition:
         # series 1 + p x per prime: value at 6 is 2*3
         linear = af.BellDecomposition(
             100,
-            "multiplicative",
             af.RATIONAL,
             [
                 af.BellSeries(p, (1, p) + (0,) * (sieve100.prime_power_cap(p) - 1))
@@ -172,7 +170,6 @@ class TestBellDecomposition:
     def test_constant_term_violation_names_prime(self, sieve100):
         bad = af.BellDecomposition(
             100,
-            "multiplicative",
             af.RATIONAL,
             [
                 af.BellSeries(p, (1 if p != 3 else 2,) + (0,) * sieve100.prime_power_cap(p))
@@ -308,7 +305,7 @@ def _mult_dec(rng, n, backend, draw, complete=False):
         coeffs = series.setdefault(p, [backend.one])
         coeffs.append(coeffs[1] ** k if complete and k > 1 else draw(rng))
     return af.BellDecomposition(
-        n, "multiplicative", backend, [af.BellSeries(p, tuple(c)) for p, c in series.items()]
+        n, backend, [af.BellSeries(p, tuple(c)) for p, c in series.items()]
     )
 
 
@@ -426,7 +423,6 @@ class TestAgainstScalarLoops:
         # 1/2 * 2 at n = 6 and 1/2 + 1/2 at n = 6: Fraction(1, 1) must be 1
         dec = af.BellDecomposition(
             100,
-            "multiplicative",
             af.RATIONAL,
             [
                 af.BellSeries(p, (1, Fraction(1, 2) if p == 2 else 2 if p == 3 else 1)
@@ -516,8 +512,3 @@ def test_bell_series_json_shape(sieve100):
     dec = af.bell_decompose_mult(af.make("mobius", sieve100), sieve100)
     obj = dec.series_for(2).to_json_obj(af.RATIONAL)
     assert obj == {"prime": 2, "coeffs": ["1", "-1", "0", "0", "0", "0", "0"]}
-
-
-def test_decomposition_kind_validation():
-    with pytest.raises(ValueError):
-        af.BellDecomposition(10, "weird", af.RATIONAL, [])

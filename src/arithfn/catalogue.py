@@ -1,11 +1,19 @@
 """Classical arithmetical functions and the closed-form identity suite.
 
-Every constructor computes from the elementary definition (totient by the
-product over prime factors, divisor sums by summing divisor powers, the
-Mobius sign from the factorization, ...).  The per-prime closed forms --
-for example "the totient's series at p is 1 + (p-1)x + (p^2-p)x^2 + ..."
--- are used only on the verification side, so the identity suite compares
-two genuinely independent computations of each function.
+Every constructor computes from an elementary definition:
+
+- mu, phi, liouville, nu and Omega by their smallest-prime-factor
+  recurrence f(k) = F(f(k / p), p, [p | k / p]) with p = spf(k)
+  (Apostol, Introduction to Analytic Number Theory, ch. 2);
+- sigma_c by its divisor sum, the sum of d^c over the divisors d of n,
+  and d as sigma_0;
+- Lambda as the prime-power indicator weighted by log p;
+- I, u and N as direct tables.
+
+The per-prime closed forms -- for example "the totient's series at p is
+1 + (p-1)x + (p^2-p)x^2 + ..." -- are used only on the verification side,
+so the identity suite compares two genuinely independent computations of
+each function.
 """
 
 from __future__ import annotations
@@ -23,6 +31,8 @@ from .structure import (
     BellDecomposition,
     BellSeries,
     PrimeSupport,
+    _higher_prime_powers,
+    _primes,
     additive_reconstruct,
     bell_reconstruct_mult,
 )
@@ -71,64 +81,45 @@ def make(name: str, sieve: SpfSieve, backend=RATIONAL, c=None, bound: int | None
             raise UnsupportedBackendError(
                 "the von Mangoldt function takes log-of-prime values; use the complex backend"
             )
-        out = [0j] * (n + 1)
-        for p in sieve.primes:
-            if p > n:
-                break
-            logp = math.log(p)
-            pk = p
-            while pk <= n:
-                out[pk] = logp
-                pk *= p
+        out = np.zeros(n + 1, dtype=np.complex128)
+        primes = _primes(sieve, n)
+        out[primes] = [math.log(p) for p in primes]
+        for p, _, pk in _higher_prime_powers(sieve, n):
+            out[pk] = out[p]
         return ArithFn._wrap(n, COMPLEX, out)
+    if name == "d":
+        return _make_sigma(sieve, n, RATIONAL, 0).to_backend(backend)
+    first, step = _SPF_STEPS[name]
+    return ArithFn._wrap(n, RATIONAL, _spf_recurrence(sieve, n, first, step)).to_backend(backend)
 
-    spf = sieve._spf[: n + 1].tolist()  # one bulk copy; per-index reads stay cheap
-    if name == "mobius":
-        out = [0] * (n + 1)
-        out[1] = 1
-        for k in range(2, n + 1):
-            p = spf[k]
-            m = k // p
-            out[k] = 0 if m % p == 0 else -out[m]
-    elif name == "phi":
-        out = [0] * (n + 1)
-        out[1] = 1
-        for k in range(2, n + 1):
-            p = spf[k]
-            m = k // p
-            out[k] = out[m] * p if m % p == 0 else out[m] * (p - 1)
-    elif name == "liouville":
-        out = [0] * (n + 1)
-        out[1] = 1
-        for k in range(2, n + 1):
-            out[k] = -out[k // spf[k]]
-    elif name == "d":
-        out = [0] * (n + 1)
-        exp = [0] * (n + 1)  # exponent of spf(k) in k
-        out[1] = 1
-        for k in range(2, n + 1):
-            p = spf[k]
-            m = k // p
-            if m % p == 0:
-                exp[k] = exp[m] + 1
-                out[k] = out[m] // (exp[m] + 1) * (exp[k] + 1)
-            else:
-                exp[k] = 1
-                out[k] = out[m] * 2
-    elif name == "nu":
-        out = [0] * (n + 1)
-        for k in range(2, n + 1):
-            p = spf[k]
-            m = k // p
-            out[k] = out[m] + (0 if m % p == 0 else 1)
-    elif name == "Omega":
-        out = [0] * (n + 1)
-        for k in range(2, n + 1):
-            out[k] = out[k // spf[k]] + 1
-    else:  # pragma: no cover
-        raise AssertionError(name)
 
-    return ArithFn._wrap(n, RATIONAL, out).to_backend(backend)
+#: f(1) and the step f(k) = step(f(m), p, p | m) with p = spf(k), m = k / p
+_SPF_STEPS = {
+    "mobius": (1, lambda f, p, div: np.where(div, 0, -f)),
+    "phi": (1, lambda f, p, div: f * (p - 1 + div)),
+    "liouville": (1, lambda f, p, div: -f),
+    "nu": (0, lambda f, p, div: f + ~div),
+    "Omega": (0, lambda f, p, div: f + 1),
+}
+
+
+def _spf_recurrence(sieve: SpfSieve, n: int, first: int, step) -> np.ndarray:
+    """The int64 table f on 0..n with f(0) = 0, f(1) = ``first`` and
+    f(k) = step(f(m), p, p | m) for k >= 2, where p = spf(k) and m = k / p.
+
+    Every k in a dyadic block [lo, 2 lo) has m <= k / 2 < lo, so the values
+    a block reads are final and the block is one vector op.
+    """
+    out = np.zeros(n + 1, dtype=np.int64)
+    out[1] = first
+    lo = 2
+    while lo <= n:
+        hi = min(2 * lo, n + 1)
+        p = sieve._spf[lo:hi]
+        m = np.arange(lo, hi) // p
+        out[lo:hi] = step(out[m], p, m % p == 0)
+        lo = hi
+    return out
 
 
 def _make_sigma(sieve: SpfSieve, n: int, backend, c) -> ArithFn:
@@ -146,6 +137,9 @@ def _make_sigma(sieve: SpfSieve, n: int, backend, c) -> ArithFn:
             f"sigma with c = {c!r} is not exact; integer c >= 0 requires the rational "
             "backend, anything else the complex backend"
         )
+    elif n**c < 2**63:  # then every d^c with d <= n fits int64
+        powers = np.arange(n + 1) ** c
+        powers[0] = 0
     else:
         powers = [0] + [d**c for d in range(1, n + 1)]
     # sigma_c = N^c * u, the sum of d^c over the divisors d of n: the
@@ -197,9 +191,7 @@ def _compare_exact(name: str, bound: int, lhs: ArithFn, rhs: ArithFn) -> Identit
 
 def _mult_closed_form(name: str, sieve: SpfSieve, bound: int, coeff_fn) -> BellDecomposition:
     series = []
-    for p in sieve.primes:
-        if p > bound:
-            break
+    for p in _primes(sieve, bound):
         cap = sieve.prime_power_cap(p, bound)
         series.append(BellSeries(p, tuple(coeff_fn(p, k) for k in range(cap + 1))))
     return BellDecomposition(bound, RATIONAL, series)
@@ -246,7 +238,7 @@ def verify_identities(sieve: SpfSieve, bound: int | None = None, tol: float = DE
         rhs = bell_reconstruct_mult(_mult_closed_form(name, sieve, n, closed_forms[name]), sieve)
         entries.append(_compare_exact(name, n, definitional[name], rhs))
 
-    primes = [p for p in sieve.primes if p <= n]
+    primes = _primes(sieve, n)
     nu_support = PrimeSupport(n, RATIONAL, {(p, 1): 1 for p in primes})
     entries.append(
         _compare_exact("nu", n, make("nu", sieve, bound=n), additive_reconstruct(nu_support, sieve))

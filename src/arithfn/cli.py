@@ -158,8 +158,7 @@ def _dispatch(args) -> int:
             print(fnio.dump_json(fn))
         else:
             fmt = fn.backend.format
-            for n, v in fn.items():
-                print(f"{n}\t{fmt(v)}")
+            sys.stdout.write("".join(f"{n}\t{fmt(v)}\n" for n, v in fn.items()))
         return 0
 
     if cmd == "check":

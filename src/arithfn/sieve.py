@@ -2,8 +2,9 @@
 
 The sieve stores spf[n] = smallest prime factor of n for 2 <= n <= N,
 which makes the factorization of any n <= N an O(number of prime factors)
-walk.  The catalogue's tables (totient, Mobius, the omega/nu counts, ...)
-are built from the table itself, one smallest prime factor at a time.
+walk.  The catalogue's recurrence tables (totient, Mobius, Liouville, the
+nu/Omega counts) read f(k) off f(k / spf(k)), one dyadic block of k at a
+time.
 
 Memory is the only practical limit: the table is a single int64 numpy
 array, so N = 10**7 costs ~80 MB and builds in well under a second.

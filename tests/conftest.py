@@ -179,6 +179,19 @@ def sigma_loop_complex(c, n: int) -> list:
     return out
 
 
+def mangoldt_loop_complex(n: int) -> np.ndarray:
+    """Lambda on 0..n by the per-prime loop the array constructor replaced:
+    math.log(p) stored on every power of each prime p <= n."""
+    out = [0j] * (n + 1)
+    for p in primes_brute(n):
+        logp = math.log(p)
+        pk = p
+        while pk <= n:
+            out[pk] = logp
+            pk *= p
+    return np.array(out, dtype=np.complex128)
+
+
 def pointwise_loop(f, *padded) -> np.ndarray:
     """f applied index by index to Python scalars, as the per-index loops
     of the pointwise ops and the widening to complex did; complex128."""
@@ -454,3 +467,8 @@ def sieve1000():
 @pytest.fixture(scope="session")
 def sieve2048():
     return af.build_sieve(2048)
+
+
+@pytest.fixture(scope="session")
+def sieve5000():
+    return af.build_sieve(5000)

@@ -11,6 +11,7 @@ from arithfn.errors import NonFiniteError, UnsupportedBackendError
 from conftest import (
     divisors_brute,
     is_prime_power_brute,
+    mangoldt_loop_complex,
     mobius_brute,
     nu_brute,
     omega_brute,
@@ -19,65 +20,82 @@ from conftest import (
 )
 
 
+#: table bounds at and around the edges of the dyadic blocks [lo, 2 lo)
+#: the recurrence constructors fill, all below the bound of sieve5000;
+#: each test below runs at every one of them
+EDGE_BOUNDS = (1, 2, 3, 4, 7, 8, 9, 1023, 1024, 1025, 4099)
+
+
+def _int64_table(name, sieve, n, **kw):
+    fn = af.make(name, sieve, bound=n, **kw)
+    assert fn._v.dtype == np.int64, (name, n)
+    return fn
+
+
 class TestDefinitionalValues:
-    def test_phi_by_coprime_counting(self, sieve1000):
-        phi = af.make("phi", sieve1000, bound=200)
-        assert phi[12] == phi_brute(12) == 4
-        for n in range(1, 201):
-            assert phi[n] == phi_brute(n)
+    def test_phi_by_coprime_counting(self, sieve5000):
+        assert phi_brute(12) == 4
+        for n in EDGE_BOUNDS:
+            phi = _int64_table("phi", sieve5000, n)
+            assert phi.values() == tuple(phi_brute(k) for k in range(1, n + 1)), n
 
-    def test_sigma_by_divisor_sums(self, sieve1000):
-        s1 = af.make("sigma", sieve1000, c=1, bound=200)
-        assert s1[6] == 1 + 2 + 3 + 6 == 12
-        s0 = af.make("sigma", sieve1000, c=0, bound=200)
-        s2 = af.make("sigma", sieve1000, c=2, bound=200)
-        for n in range(1, 201):
-            ds = divisors_brute(n)
-            assert s1[n] == sum(ds)
-            assert s0[n] == len(ds)
-            assert s2[n] == sum(d * d for d in ds)
+    def test_sigma_by_divisor_sums(self, sieve5000):
+        assert sum(divisors_brute(6)) == 1 + 2 + 3 + 6 == 12
+        for n in EDGE_BOUNDS:
+            s0, s1, s2 = (_int64_table("sigma", sieve5000, n, c=c) for c in (0, 1, 2))
+            for k in range(1, n + 1):
+                ds = divisors_brute(k)
+                assert s1[k] == sum(ds)
+                assert s0[k] == len(ds)
+                assert s2[k] == sum(d * d for d in ds)
 
-    def test_mobius_by_squarefree_sign(self, sieve1000):
-        mu = af.make("mobius", sieve1000, bound=300)
-        assert mu[30] == -1
-        for n in range(1, 301):
-            assert mu[n] == mobius_brute(n)
+    def test_mobius_by_squarefree_sign(self, sieve5000):
+        assert mobius_brute(30) == -1
+        for n in EDGE_BOUNDS:
+            mu = _int64_table("mobius", sieve5000, n)
+            assert mu.values() == tuple(mobius_brute(k) for k in range(1, n + 1)), n
 
-    def test_counts_and_parity(self, sieve1000):
-        nu = af.make("nu", sieve1000, bound=300)
-        om = af.make("Omega", sieve1000, bound=300)
-        lam = af.make("liouville", sieve1000, bound=300)
-        for n in range(1, 301):
-            assert nu[n] == nu_brute(n)
-            assert om[n] == omega_brute(n)
-            assert lam[n] == (-1) ** omega_brute(n)
+    def test_counts_and_parity(self, sieve5000):
+        for n in EDGE_BOUNDS:
+            nu = _int64_table("nu", sieve5000, n)
+            om = _int64_table("Omega", sieve5000, n)
+            lam = _int64_table("liouville", sieve5000, n)
+            assert nu.values() == tuple(nu_brute(k) for k in range(1, n + 1)), n
+            assert om.values() == tuple(omega_brute(k) for k in range(1, n + 1)), n
+            assert lam.values() == tuple((-1) ** omega_brute(k) for k in range(1, n + 1)), n
 
-    def test_divisor_count_table(self, sieve1000):
-        d = af.make("d", sieve1000, bound=300)
-        for n in range(1, 301):
-            assert d[n] == len(divisors_brute(n))
+    def test_divisor_count_table(self, sieve5000):
+        for n in EDGE_BOUNDS:
+            d = _int64_table("d", sieve5000, n)
+            assert d.values() == tuple(len(divisors_brute(k)) for k in range(1, n + 1)), n
 
-    def test_simple_tables(self, sieve100):
-        assert af.make("u", sieve100).values() == (1,) * 100
-        assert af.make("N", sieve100).values() == tuple(range(1, 101))
-        assert af.make("I", sieve100) == af.ArithFn.identity(100)
+    def test_simple_tables(self, sieve5000):
+        for n in EDGE_BOUNDS:
+            assert _int64_table("u", sieve5000, n).values() == (1,) * n
+            assert _int64_table("N", sieve5000, n).values() == tuple(range(1, n + 1))
+            assert _int64_table("I", sieve5000, n) == af.ArithFn.identity(n)
 
-    def test_mangoldt_values(self, sieve100):
-        lam = af.make("mangoldt", sieve100, af.COMPLEX)
+    def test_mangoldt_values(self, sieve5000):
+        lam = af.make("mangoldt", sieve5000, af.COMPLEX, bound=100)
         assert lam[1] == 0 and lam[6] == 0 and lam[12] == 0
         assert abs(lam[8] - math.log(2)) < 1e-15
         assert abs(lam[49] - math.log(7)) < 1e-15
+        for n in EDGE_BOUNDS:
+            got = af.make("mangoldt", sieve5000, af.COMPLEX, bound=n)._v
+            want = mangoldt_loop_complex(n)
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), n
 
     def test_aliases(self, sieve100):
         assert af.make("mu", sieve100) == af.make("mobius", sieve100)
         assert af.make("lambda_liouville", sieve100) == af.make("liouville", sieve100)
         assert af.make("Lambda", sieve100, af.COMPLEX) == af.make("mangoldt", sieve100, af.COMPLEX)
 
-    def test_complex_backend_matches_exact(self, sieve100):
-        for name in ("u", "mobius", "phi", "d", "nu", "Omega", "N"):
-            exact = af.make(name, sieve100)
-            floated = af.make(name, sieve100, af.COMPLEX)
-            assert floated.values() == tuple(complex(v) for v in exact.values())
+    def test_complex_backend_matches_exact(self, sieve5000):
+        for n in EDGE_BOUNDS:
+            for name in ("u", "mobius", "phi", "liouville", "d", "nu", "Omega", "N"):
+                exact = af.make(name, sieve5000, bound=n)
+                floated = af.make(name, sieve5000, af.COMPLEX, bound=n)
+                assert floated.values() == tuple(complex(v) for v in exact.values()), (name, n)
 
     def test_sigma_complex_exponent(self, sieve100):
         s = af.make("sigma", sieve100, af.COMPLEX, c=0.5)

@@ -21,6 +21,7 @@ from .numerics import DEFAULT_EPS, DEFAULT_TOL, get_backend
 from .sieve import build_sieve
 from .structure import (
     CheckResult,
+    bell_decompose_mult,
     is_additive,
     is_completely_additive,
     is_completely_multiplicative,
@@ -198,9 +199,7 @@ def _dispatch(args) -> int:
         p = args.prime
         if not (2 <= p <= bound and sieve.is_prime(p)):
             raise ArithfnError(f"--prime must be a prime <= {bound}, got {p}")
-        cap = sieve.prime_power_cap(p, bound)
-        coeffs = [fn[p**k] if k else fn[1] for k in range(cap + 1)]
-        print(json.dumps({"prime": p, "coeffs": [fn.backend.to_json(c) for c in coeffs]}))
+        print(json.dumps(bell_decompose_mult(fn, sieve).series_for(p).to_json_obj(fn.backend)))
         return 0
 
     if cmd == "verify":

@@ -17,12 +17,12 @@ first failing m, so a failing function always reports its
 lexicographically least witness.  Complex values compare within
 tol + 8 eps (|lhs| + |rhs|): the absolute tolerance plus a rounding
 allowance that grows with the magnitudes, as in PEP 485's ``isclose``.
-The reconstructions multiply (or add) each prime's contribution onto
-its multiples with one strided operation per prime p <= sqrt(N), and
-every n <= N has at most one prime factor above sqrt(N), which a single
-gather supplies last; every value is thus formed in the same order as a
-per-index loop over the factorization, so complex results are
-bit-identical to it.
+Both reconstructions are one fold over the exact prime powers of each
+index, under x or +, one vector op per dyadic block: a(k) is
+a(k / P^v) c_P[v] or a(k / P) + g(P, v), P^v the exact power of the
+largest prime factor of k.  So every value is formed in ascending primes
+(sums in ascending (p, k)), as a per-index loop over the factorization
+forms it, and complex results are bit-identical to that loop.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .dirichlet import ArithFn, _max_abs, _scaled, _scratch
+from .dirichlet import ArithFn, _max_abs, _scaled, _scratch, _store
 from .errors import NonFiniteError, StructureError
 from .numerics import DEFAULT_TOL, _canonical_exact
 from .sieve import SpfSieve, build_sieve
@@ -93,18 +93,45 @@ def _higher_prime_powers(sieve: SpfSieve, bound: int):
             k += 1
 
 
-def _large_prime_factors(sieve: SpfSieve, bound: int) -> tuple[np.ndarray, np.ndarray]:
-    """(n, p): every n <= bound with a prime factor p > sqrt(bound), and that
-    p, which is unique and the largest prime factor of n.  It is what is
-    left of n once the primes <= sqrt(bound) are divided out."""
-    rest = np.arange(bound + 1)
-    for p in _primes(sieve, math.isqrt(bound)):
-        pk = p
-        while pk <= bound:
-            rest[pk::pk] //= p
-            pk *= p
-    idx = np.flatnonzero(rest > 1)
-    return idx, rest[idx]
+@np.errstate(over="ignore", invalid="ignore")  # _store reports it
+def _prime_power_fold(sieve, n, first, pks, vals, backend, product) -> ArithFn:
+    """f on 1..n with f(1) = ``first`` and f(k) = first x at[p1^a1] x ...
+    (``product``) or first + at[p1] + ... + at[p1^a1] + at[p2] + ... over
+    the primes of k ascending, where at[pks[i]] = vals[i], else 0.
+
+    With p = spf(k), m = k / p, the largest prime factor P(k) is
+    max(p, P(m)) and r(k) = k / P(k)^v is 1 if P(m) <= p, else p r(m); so
+    f(k) = f(r(k)) x at[k / r(k)] or f(k / P(k)) + at[k / r(k)] reads only
+    below k / 2, and each dyadic block is one vector op.  int64 runs while
+    max|left| x max|at| (or +) < 2**63; a block that fails moves to object.
+    """
+    stored = _store(vals, backend)
+    at = np.zeros(n + 1, dtype=stored.dtype)
+    at[pks] = stored
+    out = np.zeros(n + 1, dtype=at.dtype)
+    out[1] = first
+    big = np.ones(n + 1, dtype=np.int64)  # P(k)
+    rest = np.ones(n + 1, dtype=np.int64)  # r(k)
+    lo = 2
+    while lo <= n:
+        hi = min(2 * lo, n + 1)
+        k = np.arange(lo, hi)
+        p = sieve._spf[lo:hi]
+        m = k // p
+        big_m = big[m]
+        big[lo:hi] = np.maximum(p, big_m)
+        r = np.where(big_m <= p, 1, p * rest[m])
+        rest[lo:hi] = r
+        left = out[r] if product else out[k // big[lo:hi]]
+        right = at[k // r]
+        if out.dtype == np.int64:
+            x, y = _max_abs(left), _max_abs(right)
+            if (x * y if product else x + y) >= 2**63:
+                out, at = out.astype(object), at.astype(object)
+                left, right = left.astype(object), right.astype(object)
+        out[lo:hi] = _scaled(left, right) if product else left + right
+        lo = hi
+    return ArithFn._wrap(n, backend, out)
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -349,45 +376,32 @@ def bell_decompose_mult(
     return BellDecomposition(a.bound, a.backend, series)
 
 
-@np.errstate(over="ignore", invalid="ignore")
 def bell_reconstruct_mult(dec: BellDecomposition, sieve: SpfSieve | None = None) -> ArithFn:
     """Multiply the per-prime series back out: a(p1^a1...pk^ak) is the
-    product of the per-prime coefficients; a(1) = 1 (empty product).
+    product 1 * c_p1[a1] * c_p2[a2] * ... in ascending primes; a(1) = 1
+    (empty product).
 
-    Each a(n) is the product 1 * c_p1[a1] * c_p2[a2] * ... in ascending
-    primes: one strided multiply per prime p <= sqrt(N), then one gather
-    for the prime factor above sqrt(N) that n may have.
+    Every series needs its floor(log_p N) + 1 coefficients and constant
+    term 1, else StructureError names its prime.
     """
     backend = dec.backend
+    n = dec.bound
     for s in dec.series:
+        if s.prime ** len(s.coeffs) <= n:
+            raise StructureError(
+                f"the series at prime {s.prime} is too short for bound {n}", witness=s.prime
+            )
         if s.coeffs[0] != backend.one:
             raise StructureError(
                 f"constant term of the series at prime {s.prime} must be 1, "
                 f"got {backend.format(s.coeffs[0])}",
                 witness=s.prime,
             )
-    n = dec.bound
     sieve = _ensure_sieve(sieve, n)
-    root = math.isqrt(n)
-    out = _scratch(n + 1, backend)
-    out[1:] = backend.one
-    small = _primes(sieve, root)
-    for p in small:
-        coeffs = dec.series_for(p).coeffs
-        # factor[j - 1] = c_p[v_p(p j)] = c_p[1 + v_p(j)] for j = 1..N // p
-        factor = np.full(n // p, coeffs[1], dtype=out.dtype)
-        step, k = p, 2
-        while step * p <= n:
-            factor[step - 1 :: step] = coeffs[k]
-            step *= p
-            k += 1
-        out[p::p] = _scaled(out[p::p], factor)
-    large = _primes(sieve, n)[len(small) :]
-    by_large = np.zeros(n + 1, dtype=out.dtype)
-    by_large[large] = np.array([dec.series_for(p).coeffs[1] for p in large], dtype=out.dtype)
-    idx, big = _large_prime_factors(sieve, n)
-    out[idx] = _scaled(out[idx], by_large[big])
-    return ArithFn._wrap(n, backend, out)
+    powers = [(p, 1, p) for p in _primes(sieve, n)] + list(_higher_prime_powers(sieve, n))
+    vals = [dec.series_for(p).coeffs[k] for p, k, _ in powers]
+    pks = [pk for _, _, pk in powers]
+    return _prime_power_fold(sieve, n, backend.one, pks, vals, backend, True)
 
 
 # ---------------------------------------------------------------------------
@@ -477,15 +491,11 @@ def additive_decompose(
     return PrimeSupport(a.bound, a.backend, entries)
 
 
-@np.errstate(over="ignore", invalid="ignore")
 def additive_reconstruct(g: PrimeSupport, sieve: SpfSieve | None = None) -> ArithFn:
     """Sum g over the prime-power divisors of each index: the u-convolution
-    of g's zero-extension, evaluated directly.  Keys must be genuine prime
-    powers; a composite base is an invariant violation.
-
-    Each a(n) sums its g(p, k) in ascending (p, k): one strided add per
-    entry with p <= sqrt(N), then one gather for the prime factor above
-    sqrt(N) that n may have.
+    of g's zero-extension, evaluated directly, each a(n) in ascending
+    (p, k).  Keys must be genuine prime powers; a composite base is an
+    invariant violation.
     """
     n = g.bound
     sieve = _ensure_sieve(sieve, n)
@@ -495,21 +505,9 @@ def additive_reconstruct(g: PrimeSupport, sieve: SpfSieve | None = None) -> Arit
     if len(composite):
         p, k = items[composite[0]][0]
         raise StructureError(f"key ({p}, {k}): base {p} is not prime", witness=(p, k))
-    root = math.isqrt(n)
-    backend = g.backend
-    out = _scratch(n + 1, backend)
-    large, large_vals = [], []
-    for (p, k), v in items:
-        if p <= root:
-            out[p**k :: p**k] += v
-        else:  # k = 1, as p**2 > N
-            large.append(p)
-            large_vals.append(v)
-    by_large = np.zeros(n + 1, dtype=out.dtype)
-    by_large[large] = np.array(large_vals, dtype=out.dtype)
-    idx, big = _large_prime_factors(sieve, n)
-    out[idx] += by_large[big]
-    return ArithFn._wrap(n, backend, out)
+    pks = [p**k for (p, k), _ in items]
+    vals = [v for _, v in items]
+    return _prime_power_fold(sieve, n, g.backend.zero, pks, vals, g.backend, False)
 
 
 # ---------------------------------------------------------------------------

@@ -335,6 +335,11 @@ class TestCliBehavior:
             "coeffs": ["1", "1", "2", "4", "8", "16", "32"],
         }
 
+    def test_bell_rejects_non_multiplicative(self, capsys):
+        code, out, err = run_cli(capsys, "bell", "nu", "--prime", "2", "--n", "100")
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and "(2, 3)" in err
+
     def test_bell_rejects_composite(self, capsys):
         code, _, err = run_cli(capsys, "bell", "phi", "--prime", "6", "--n", "100")
         assert code == 2 and "prime" in err

@@ -179,6 +179,24 @@ class TestBellDecomposition:
         with pytest.raises(StructureError, match="prime 3"):
             af.bell_reconstruct_mult(bad, sieve100)
 
+    def test_short_series_names_prime(self, sieve100):
+        # floor(log_2 8) + 1 = 4 coefficients are needed at p = 2, 2 at p = 3
+        series = [af.BellSeries(p, (1, 1)) for p in (2, 3, 5, 7)]
+        short = af.BellDecomposition(8, af.RATIONAL, series)
+        with pytest.raises(StructureError, match="prime 2") as err:
+            af.bell_reconstruct_mult(short, sieve100)
+        assert err.value.witness == 2
+        series[:2] = [af.BellSeries(2, (1, 1, 1, 1)), af.BellSeries(3, ())]
+        empty = af.BellDecomposition(8, af.RATIONAL, series)
+        with pytest.raises(StructureError, match="prime 3") as err:
+            af.bell_reconstruct_mult(empty, sieve100)
+        assert err.value.witness == 3
+        # exactly long enough reconstructs
+        series[1] = af.BellSeries(3, (1, 1))
+        assert af.bell_reconstruct_mult(af.BellDecomposition(8, af.RATIONAL, series), sieve100) == (
+            af.make("u", sieve100, bound=8)
+        )
+
     def test_random_series_reconstruct_multiplicative(self, sieve1000):
         rng = random.Random(41)
         for _ in range(10):
@@ -371,6 +389,66 @@ def _bits(vals) -> np.ndarray:
     return np.array(vals, dtype=np.complex128).view(np.uint64)
 
 
+def _signed_zero_draw(rng):
+    """Complex values with signed-zero parts, whose sums and products
+    depend on the operand order."""
+    return complex(rng.choice((0.0, -0.0, 0.75, -1.25)), rng.choice((0.0, -0.0, 1.5, -0.5)))
+
+
+def _descending_fold(dec_or_support) -> list:
+    """A reconstruction that folds from the largest prime down: what a
+    smallest-prime-factor recurrence f(k) = f(k / p^a) x c_p[a] forms."""
+    backend, n = dec_or_support.backend, dec_or_support.bound
+    out = [backend.zero] * (n + 1)
+    for k in range(1, n + 1):
+        if isinstance(dec_or_support, af.BellDecomposition):
+            acc = backend.one
+            for p, a in reversed(factorize_brute(k)):
+                acc = acc * dec_or_support.series_for(p).coeffs[a]
+        else:
+            acc = backend.zero
+            for p, a in reversed(factorize_brute(k)):
+                for j in range(1, a + 1):
+                    acc = acc + dec_or_support.get(p, j)
+        out[k] = acc
+    return out
+
+
+def _fold_dec(n, backend, coeffs):
+    """Bell decomposition at n with c_p[k] = coeffs.get((p, k), 1)."""
+    series = {}
+    for p, k in _prime_powers_upto(n):
+        series.setdefault(p, [backend.one]).append(coeffs.get((p, k), 1))
+    return af.BellDecomposition(n, backend, [af.BellSeries(p, tuple(c)) for p, c in series.items()])
+
+
+def _fits(vals) -> bool:
+    return all(type(v) is int and -(2**63) <= v < 2**63 for v in vals)
+
+
+# 2**63 - 1 = 7**2 * 73 * 127 * 337 * 92737 * 649657
+_UNDER_A, _UNDER_B = 7**2 * 73 * 127 * 337, 92737 * 649657
+
+# (c_p[k] or g(p, k) entries, values of the fold at 6) at the int64 edge
+GUARD_PRODUCTS = [
+    ({(2, 1): 2**61, (3, 1): 4}, 2**63),
+    ({(2, 1): -(2**61), (3, 1): 4}, -(2**63)),
+    ({(2, 1): _UNDER_A, (3, 1): _UNDER_B}, 2**63 - 1),
+    ({(2, 1): _UNDER_A, (3, 1): _UNDER_B + 1}, 2**63 - 1 + _UNDER_A),
+    ({(2, 1): 2**63 - 1, (3, 1): -1}, -(2**63) + 1),
+    ({(2, 1): Fraction(1, 3), (3, 1): 3}, 1),
+    ({(2, 1): 2**64, (3, 1): 0}, 0),
+]
+GUARD_SUMS = [
+    ({(2, 1): 2**62, (3, 1): 2**62}, 2**63),
+    ({(2, 1): -(2**62), (3, 1): -(2**62)}, -(2**63)),
+    ({(2, 1): 2**62, (3, 1): 2**62 - 1}, 2**63 - 1),
+    ({(2, 1): 2**63 - 1, (3, 1): -1}, 2**63 - 2),
+    ({(2, 1): Fraction(1, 3), (3, 1): Fraction(2, 3)}, 1),
+    ({(2, 1): 2**64, (3, 1): -(2**64)}, 0),
+]
+
+
 class TestAgainstScalarLoops:
     """The vector scans and reconstructions against the per-pair and
     per-index loops they replaced (tests/conftest.py)."""
@@ -395,11 +473,12 @@ class TestAgainstScalarLoops:
                     got = _outcome(predicate(a, sieve1000, None))
                     assert got == predicate_oracle(a, kind), (name, backend, kind)
 
-    @pytest.mark.parametrize("n", STRUCTURE_SIZES)
+    # also both sides of the dyadic block edges of the fold, and 4099
+    @pytest.mark.parametrize("n", STRUCTURE_SIZES + (1023, 1024, 1025, 4099))
     def test_reconstructions_match_scalar_loops(self, n):
         rng = random.Random(100 + n)
         sieve = af.build_sieve(n)
-        for backend, draw in _draws():
+        for backend, draw in _draws() + [(af.COMPLEX, _signed_zero_draw)]:
             for complete in (False, True):
                 dec = _mult_dec(rng, n, backend, draw, complete)
                 got = af.bell_reconstruct_mult(dec, sieve)
@@ -418,6 +497,36 @@ class TestAgainstScalarLoops:
                 assert af.additive_decompose(got_add, sieve) == af.PrimeSupport(
                     n, backend, additive_decompose_oracle(got_add)
                 )
+
+    def test_smallest_prime_order_fails_bit_test(self):
+        # the bit comparison above can tell the fold's association order
+        n = 1000
+        rng = random.Random(7)
+        sieve = af.build_sieve(n)
+        draw = _draws()[2][1]
+        dec = _mult_dec(rng, n, af.COMPLEX, draw)
+        g = _support(rng, n, af.COMPLEX, draw, density=0.6)
+        for got, src, oracle in (
+            (af.bell_reconstruct_mult(dec, sieve), dec, bell_reconstruct_oracle),
+            (af.additive_reconstruct(g, sieve), g, additive_reconstruct_oracle),
+        ):
+            want = _bits(oracle(src))
+            assert np.array_equal(_bits(got._v), want)
+            assert not np.array_equal(_bits(_descending_fold(src)), want)
+
+    @pytest.mark.parametrize("n", (6, 16, 1025))
+    def test_fold_int64_guard_edges(self, n):
+        sieve = af.build_sieve(n)
+        cases = [(_fold_dec(n, af.RATIONAL, c), at6, af.bell_reconstruct_mult,
+                  bell_reconstruct_oracle) for c, at6 in GUARD_PRODUCTS]
+        cases += [(af.PrimeSupport(n, af.RATIONAL, c), at6, af.additive_reconstruct,
+                   additive_reconstruct_oracle) for c, at6 in GUARD_SUMS]
+        for src, at6, fold, oracle in cases:
+            got = fold(src, sieve)
+            want = oracle(src)
+            assert want[6] == at6
+            assert got.values() == tuple(want[1:]), src
+            assert (got._v.dtype == np.int64) == _fits(want[1:]), src
 
     def test_reconstructed_values_are_canonical(self, sieve100):
         # 1/2 * 2 at n = 6 and 1/2 + 1/2 at n = 6: Fraction(1, 1) must be 1

@@ -10,10 +10,13 @@ Every constructor computes from an elementary definition:
 - Lambda as the prime-power indicator weighted by log p;
 - I, u and N as direct tables.
 
-The per-prime closed forms -- for example "the totient's series at p is
-1 + (p-1)x + (p^2-p)x^2 + ..." -- are used only on the verification side,
-so the identity suite compares two genuinely independent computations of
-each function.
+The per-prime closed forms -- for example "the totient's value at p^k is
+p^k - p^(k-1)" -- are used only on the verification side, so the identity
+suite compares two genuinely independent computations of each function.
+It evaluates each closed form on the prime-power rows (p, k, p^k) and
+folds those values straight into a table with
+``structure._prime_power_fold``, under x for a multiplicative function
+and under + for an additive one.
 """
 
 from __future__ import annotations
@@ -26,16 +29,8 @@ import numpy as np
 from .dirichlet import ArithFn
 from .errors import NonFiniteError, UnsupportedBackendError
 from .numerics import COMPLEX, DEFAULT_TOL, RATIONAL
-from .sieve import SpfSieve
-from .structure import (
-    BellDecomposition,
-    BellSeries,
-    PrimeSupport,
-    _higher_prime_powers,
-    _primes,
-    additive_reconstruct,
-    bell_reconstruct_mult,
-)
+from .sieve import SpfSieve, _prime_powers
+from .structure import _prime_power_fold
 
 #: Canonical constructor names (CLI aliases included).
 NAMES = ("I", "u", "mobius", "phi", "mangoldt", "liouville", "d", "sigma", "N", "nu", "Omega")
@@ -82,10 +77,8 @@ def make(name: str, sieve: SpfSieve, backend=RATIONAL, c=None, bound: int | None
                 "the von Mangoldt function takes log-of-prime values; use the complex backend"
             )
         out = np.zeros(n + 1, dtype=np.complex128)
-        primes = _primes(sieve, n)
-        out[primes] = [math.log(p) for p in primes]
-        for p, _, pk in _higher_prime_powers(sieve, n):
-            out[pk] = out[p]
+        p, _, pk = _prime_powers(sieve, n)
+        out[pk] = list(map(math.log, p.tolist()))
         return ArithFn._wrap(n, COMPLEX, out)
     if name == "d":
         return _make_sigma(sieve, n, RATIONAL, 0).to_backend(backend)
@@ -137,11 +130,9 @@ def _make_sigma(sieve: SpfSieve, n: int, backend, c) -> ArithFn:
             f"sigma with c = {c!r} is not exact; integer c >= 0 requires the rational "
             "backend, anything else the complex backend"
         )
-    elif n**c < 2**63:  # then every d^c with d <= n fits int64
-        powers = np.arange(n + 1) ** c
+    else:  # int64 when every d^c with d <= n fits it, else Python ints
+        powers = np.arange(n + 1, dtype=np.int64 if n**c < 2**63 else object) ** c
         powers[0] = 0
-    else:
-        powers = [0] + [d**c for d in range(1, n + 1)]
     # sigma_c = N^c * u, the sum of d^c over the divisors d of n: the
     # kernel sums each output in ascending d, and a product with 1 is
     # exact, as in a plain divisor sum
@@ -189,68 +180,41 @@ def _compare_exact(name: str, bound: int, lhs: ArithFn, rhs: ArithFn) -> Identit
     return IdentityCheck(name, bound, "rational", True)
 
 
-def _mult_closed_form(name: str, sieve: SpfSieve, bound: int, coeff_fn) -> BellDecomposition:
-    series = []
-    for p in _primes(sieve, bound):
-        cap = sieve.prime_power_cap(p, bound)
-        series.append(BellSeries(p, tuple(coeff_fn(p, k) for k in range(cap + 1))))
-    return BellDecomposition(bound, RATIONAL, series)
+#: identity name -> (catalogue constructor, its c, product (x) or sum (+)
+#: fold, the closed-form value at p^k: Bell coefficient c_p[k] under x,
+#: prime-support value g(p, k) = f(p^k) - f(p^(k-1)) under +)
+_CLOSED_FORMS = {
+    "u": ("u", None, True, lambda p, k: 1),
+    "mu": ("mobius", None, True, lambda p, k: -1 if k == 1 else 0),
+    "phi": ("phi", None, True, lambda p, k: p**k - p ** (k - 1)),
+    "lambda": ("liouville", None, True, lambda p, k: (-1) ** k),
+    "d": ("d", None, True, lambda p, k: k + 1),
+    "N": ("N", None, True, lambda p, k: p**k),
+    "sigma_1": ("sigma", 1, True, lambda p, k: (p ** (k + 1) - 1) // (p - 1)),
+    "nu": ("nu", None, False, lambda p, k: int(k == 1)),
+    "Omega": ("Omega", None, False, lambda p, k: 1),
+}
 
 
 def verify_identities(sieve: SpfSieve, bound: int | None = None, tol: float = DEFAULT_TOL) -> IdentityReport:
     """Check the ten per-prime closed forms against the definitional tables.
 
-    The seven exact identities (u, mu, phi, liouville, d, N, sigma_1) are
-    rebuilt from their closed-form series coefficients and must match
-    exactly; nu and Omega are rebuilt from their prime-power supports; the
-    von Mangoldt identity is checked in floats via (u * Lambda)(n) = ln n
-    together with Lambda = mu * u', each within ``tol``.
+    The nine exact identities (u, mu, phi, liouville, d, N, sigma_1, nu,
+    Omega) evaluate their closed form on every prime power p^k <= bound,
+    fold those values into a table (a product over the prime powers of n,
+    or a sum for nu and Omega) and must match exactly; the von Mangoldt
+    identity is checked in floats via (u * Lambda)(n) = ln n together with
+    Lambda = mu * u', each within ``tol``.
     """
     n = sieve.bound if bound is None else bound
+    p, k, pk = _prime_powers(sieve, n)
+    rows = list(zip(p.tolist(), k.tolist()))
     entries = []
-
-    closed_forms = {
-        "u": lambda p, k: 1,
-        "mu": lambda p, k: (1, -1)[k] if k <= 1 else 0,
-        "phi": lambda p, k: 1 if k == 0 else p**k - p ** (k - 1),
-        "lambda": lambda p, k: (-1) ** k,
-        "d": lambda p, k: k + 1,
-        "N": lambda p, k: p**k,
-        "sigma_1": lambda p, k: (p ** (k + 1) - 1) // (p - 1),
-    }
-    definitional = {
-        "u": make("u", sieve, bound=n),
-        "mu": make("mobius", sieve, bound=n),
-        "phi": make("phi", sieve, bound=n),
-        "lambda": make("liouville", sieve, bound=n),
-        "d": make("d", sieve, bound=n),
-        "N": make("N", sieve, bound=n),
-        "sigma_1": make("sigma", sieve, c=1, bound=n),
-    }
-
-    for name in ("u", "mu", "phi", "lambda"):
-        rhs = bell_reconstruct_mult(_mult_closed_form(name, sieve, n, closed_forms[name]), sieve)
-        entries.append(_compare_exact(name, n, definitional[name], rhs))
-
-    entries.append(_lambda_entry(sieve, n, tol))
-
-    for name in ("d", "N", "sigma_1"):
-        rhs = bell_reconstruct_mult(_mult_closed_form(name, sieve, n, closed_forms[name]), sieve)
-        entries.append(_compare_exact(name, n, definitional[name], rhs))
-
-    primes = _primes(sieve, n)
-    nu_support = PrimeSupport(n, RATIONAL, {(p, 1): 1 for p in primes})
-    entries.append(
-        _compare_exact("nu", n, make("nu", sieve, bound=n), additive_reconstruct(nu_support, sieve))
-    )
-    omega_support = PrimeSupport(
-        n, RATIONAL, {(p, k): 1 for p in primes for k in range(1, sieve.prime_power_cap(p, n) + 1)}
-    )
-    entries.append(
-        _compare_exact(
-            "Omega", n, make("Omega", sieve, bound=n), additive_reconstruct(omega_support, sieve)
-        )
-    )
+    for name, (ctor, c, product, closed_form) in _CLOSED_FORMS.items():
+        vals = [closed_form(q, j) for q, j in rows]
+        rhs = _prime_power_fold(sieve, n, int(product), pk, vals, RATIONAL, product)
+        entries.append(_compare_exact(name, n, make(ctor, sieve, c=c, bound=n), rhs))
+    entries.insert(4, _lambda_entry(sieve, n, tol))  # the report lists Lambda after lambda
     return IdentityReport(tuple(entries))
 
 

@@ -1,10 +1,16 @@
-"""Smallest-prime-factor sieve and factorization services.
+"""Smallest-prime-factor sieve, primes and prime powers.
 
 The sieve stores spf[n] = smallest prime factor of n for 2 <= n <= N,
 which makes the factorization of any n <= N an O(number of prime factors)
 walk.  The catalogue's recurrence tables (totient, Mobius, Liouville, the
 nu/Omega counts) read f(k) off f(k / spf(k)), one dyadic block of k at a
 time.
+
+This module also owns the primes <= bound (:func:`_primes`) and the
+prime-power rows (p, k, p^k) <= bound (:func:`_prime_powers`): a
+multiplicative or additive function is fixed by its values on those
+rows, so the predicates, the decompositions, the Mangoldt table and the
+identity suite all read them from here.
 
 Memory is the only practical limit: the table is a single int64 numpy
 array, so N = 10**7 costs ~80 MB and builds in well under a second.
@@ -13,6 +19,7 @@ array, so N = 10**7 costs ~80 MB and builds in well under a second.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 
 import numpy as np
 
@@ -94,3 +101,31 @@ def build_sieve(bound: int) -> SpfSieve:
     spf[rest] = rest
     primes = (np.nonzero(spf[2:] == np.arange(2, bound + 1))[0] + 2).tolist()
     return SpfSieve(bound, spf, primes)
+
+
+def _primes(sieve: SpfSieve, bound: int) -> list[int]:
+    """The primes <= bound, ascending."""
+    return sieve.primes[: bisect_right(sieve.primes, bound)]
+
+
+def _prime_powers(sieve: SpfSieve, bound: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """int64 arrays (p, k, p**k) over every prime power p**k <= bound,
+    sorted by (p, k).
+
+    Only the primes up to sqrt(bound) have a row with k >= 2.  p**k grows
+    with p, so the primes with a k-th power <= bound are a prefix of them:
+    one vector step per k counts the largest exponent ``cap`` of each.
+    """
+    primes = _primes(sieve, bound)
+    p = np.fromiter(primes, dtype=np.int64, count=len(primes))
+    root = bisect_right(primes, math.isqrt(bound))
+    cap, pk = np.ones(root, dtype=np.int64), p[:root]
+    while len(pk):
+        pk = pk * p[: len(pk)]  # at most bound**2: no int64 wrap
+        pk = pk[pk <= bound]
+        cap[: len(pk)] += 1
+    head = np.repeat(p[:root], cap)
+    k = np.arange(1, len(head) + 1) - np.repeat(np.cumsum(cap) - cap, cap)
+    tail = p[root:]  # k = 1 only
+    ones = np.ones(len(tail), dtype=np.int64)
+    return np.concatenate((head, tail)), np.concatenate((k, ones)), np.concatenate((head**k, tail))

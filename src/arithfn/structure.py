@@ -23,21 +23,27 @@ a(k / P^v) c_P[v] or a(k / P) + g(P, v), P^v the exact power of the
 largest prime factor of k.  So every value is formed in ascending primes
 (sums in ascending (p, k)), as a per-index loop over the factorization
 forms it, and complex results are bit-identical to that loop.
+
+The checks, decompositions and reconstructions walk the prime-power
+rows (p, k, p^k) of ``sieve._prime_powers``.  The identity suite
+(``catalogue.verify_identities``) folds its closed-form values on those
+rows with :func:`_prime_power_fold` directly, with no decomposition
+object in between.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import repeat
 
 import numpy as np
 
 from .dirichlet import ArithFn, _max_abs, _scaled, _scratch, _store
 from .errors import NonFiniteError, StructureError
 from .numerics import DEFAULT_TOL, _canonical_exact
-from .sieve import SpfSieve, build_sieve
+from .sieve import SpfSieve, _prime_powers, build_sieve
 
 #: Rounding allowance of the complex comparisons: values match within
 #: tol + ROUNDING_ALLOWANCE * eps * (|lhs| + |rhs|).  The rounding error of
@@ -75,22 +81,6 @@ def _ensure_sieve(sieve: SpfSieve | None, bound: int) -> SpfSieve:
     if sieve.bound < bound:
         raise ValueError(f"sieve bound {sieve.bound} < required {bound}")
     return sieve
-
-
-def _primes(sieve: SpfSieve, bound: int) -> list[int]:
-    """The primes <= bound, ascending."""
-    return sieve.primes[: bisect_right(sieve.primes, bound)]
-
-
-def _higher_prime_powers(sieve: SpfSieve, bound: int):
-    """Yield (p, k, p**k) for every prime power <= bound with k >= 2,
-    p then k ascending; only primes p <= sqrt(bound) have one."""
-    for p in _primes(sieve, math.isqrt(bound)):
-        pk, k = p * p, 2
-        while pk <= bound:
-            yield p, k, pk
-            pk *= p
-            k += 1
 
 
 @np.errstate(over="ignore", invalid="ignore")  # _store reports it
@@ -218,17 +208,23 @@ def _prime_power_check(
     a: ArithFn, sieve: SpfSieve | None, kind: str, product: bool, tol
 ) -> CheckResult:
     """a(p^k) = a(p)**k (``product``) or k a(p) on every prime power p^k <= N
-    with k >= 2; the witness is the least failing (p, k)."""
+    with k >= 2; the witness is the least failing (p, k).  A complex
+    a(p)**k beyond the floats raises NonFiniteError."""
     sieve = _ensure_sieve(sieve, a.bound)
-    powers = list(_higher_prime_powers(sieve, a.bound))
-    rhs = _scratch(len(powers), a.backend)
-    for i, (p, k, _) in enumerate(powers):
-        rhs[i] = a[p] ** k if product else k * a[p]
-    i = _first_mismatch(a._v[[pk for _, _, pk in powers]], rhs, tol)
+    p, k, pk = _prime_powers(sieve, a.bound)
+    higher = k >= 2
+    rows = list(zip(p[higher].tolist(), k[higher].tolist()))
+    rhs = _scratch(len(rows), a.backend)
+    try:
+        for i, (q, j) in enumerate(rows):
+            rhs[i] = a[q] ** j if product else j * a[q]
+    except OverflowError:
+        raise NonFiniteError(f"a({q})**{j} overflows the complex backend") from None
+    i = _first_mismatch(a._v[pk[higher]], rhs, tol)
     if i is not None:
-        return CheckResult(False, kind, powers[i][:2], "prime_power")
-    primes = _primes(sieve, a.bound)
-    return CheckResult(True, kind, constants=dict(zip(primes, a._v[primes].tolist())))
+        return CheckResult(False, kind, rows[i], "prime_power")
+    primes = p[k == 1]
+    return CheckResult(True, kind, constants=dict(zip(primes.tolist(), a._v[primes].tolist())))
 
 
 def is_multiplicative(a: ArithFn, tol: float | None = None) -> CheckResult:
@@ -287,8 +283,7 @@ def mobius_additivity_test(
     g = (mu * a)._v
     prime_power = np.zeros(a.bound + 1, dtype=bool)
     prime_power[0] = True  # dead padding slot
-    prime_power[_primes(sieve, a.bound)] = True
-    prime_power[[pk for _, _, pk in _higher_prime_powers(sieve, a.bound)]] = True
+    prime_power[_prime_powers(sieve, a.bound)[2]] = True
     off = np.flatnonzero(~prime_power)
     i = _first_mismatch(g[off], np.zeros(len(off), dtype=g.dtype), tol)
     if i is not None:
@@ -360,19 +355,13 @@ def bell_decompose_mult(
             witness=check.witness,
         )
     sieve = _ensure_sieve(sieve, a.bound)
-    one = a.backend.one
-    root = math.isqrt(a.bound)
-    small = _primes(sieve, root)
-    series = []
-    for p in small:
-        coeffs = [one]
-        pk = p
-        while pk <= a.bound:
-            coeffs.append(a[pk])
-            pk *= p
-        series.append(BellSeries(p, tuple(coeffs)))
-    large = _primes(sieve, a.bound)[len(small) :]
-    series += [BellSeries(p, (one, v)) for p, v in zip(large, a._v[large].tolist())]
+    p, k, pk = _prime_powers(sieve, a.bound)
+    # the primes above sqrt N are a tail of rows with k = 1 only
+    tail = int(np.searchsorted(p, math.isqrt(a.bound), side="right"))
+    starts = np.flatnonzero(k[:tail] == 1).tolist() + [tail]
+    one, vals, p = a.backend.one, a._v[pk].tolist(), p.tolist()
+    series = [BellSeries(p[i], (one, *vals[i:j])) for i, j in zip(starts, starts[1:])]
+    series += map(BellSeries, p[tail:], zip(repeat(one), vals[tail:]))
     return BellDecomposition(a.bound, a.backend, series)
 
 
@@ -398,10 +387,9 @@ def bell_reconstruct_mult(dec: BellDecomposition, sieve: SpfSieve | None = None)
                 witness=s.prime,
             )
     sieve = _ensure_sieve(sieve, n)
-    powers = [(p, 1, p) for p in _primes(sieve, n)] + list(_higher_prime_powers(sieve, n))
-    vals = [dec.series_for(p).coeffs[k] for p, k, _ in powers]
-    pks = [pk for _, _, pk in powers]
-    return _prime_power_fold(sieve, n, backend.one, pks, vals, backend, True)
+    p, k, pk = _prime_powers(sieve, n)
+    vals = [dec.series_for(q).coeffs[j] for q, j in zip(p.tolist(), k.tolist())]
+    return _prime_power_fold(sieve, n, backend.one, pk, vals, backend, True)
 
 
 # ---------------------------------------------------------------------------
@@ -422,15 +410,17 @@ class PrimeSupport:
         self.bound = bound
         self.backend = backend
         table = {}
-        for (p, k), v in (entries or {}).items():
+        convert, zero = backend.convert, backend.zero
+        for key, v in (entries or {}).items():
+            p, k = key
             if k < 1 or p < 2 or p**k > bound:
                 raise StructureError(
                     f"key ({p}, {k}) is not a prime power within bound {bound}",
                     witness=(p, k),
                 )
-            v = backend.convert(v)
-            if v != backend.zero:
-                table[(p, k)] = v
+            v = convert(v)
+            if v != zero:
+                table[key] = v
         self._entries = table
 
     def get(self, p: int, k: int):
@@ -483,12 +473,11 @@ def additive_decompose(
             witness=check.witness,
         )
     sieve = _ensure_sieve(sieve, a.bound)
-    primes = _primes(sieve, a.bound)
-    a1 = a[1]
-    entries = {(p, 1): v - a1 for p, v in zip(primes, a._v[primes].tolist())}
-    for p, k, pk in _higher_prime_powers(sieve, a.bound):
-        entries[(p, k)] = a[pk] - a[pk // p]
-    return PrimeSupport(a.bound, a.backend, entries)
+    p, k, pk = _prime_powers(sieve, a.bound)
+    # a(p^k) - a(p^(k-1)), a(p) - a(1) at k = 1, in Python scalars (object
+    # storage), so an int64 difference cannot wrap
+    diff = a._v[pk].astype(object) - a._v[pk // p]
+    return PrimeSupport(a.bound, a.backend, dict(zip(zip(p.tolist(), k.tolist()), diff.tolist())))
 
 
 def additive_reconstruct(g: PrimeSupport, sieve: SpfSieve | None = None) -> ArithFn:

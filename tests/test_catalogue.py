@@ -204,6 +204,13 @@ class TestIdentitySuite:
         assert lam.backend == "complex" and lam.passed
         assert 0 <= lam.max_dev < 1e-9
 
+    def test_exact_failure_reports_first_index(self, sieve2048, monkeypatch):
+        # a totient step that forgets p | m is wrong first at phi(4) = 2
+        monkeypatch.setitem(af.catalogue._SPF_STEPS, "phi", (1, lambda f, p, div: f * (p - 1)))
+        report = af.verify_identities(sieve2048, 500, tol=1e-9)
+        assert [e.line() for e in report.entries if not e.passed] == ["FAIL phi at n=4"]
+        assert not report.all_passed and len(report.entries) == 10
+
     def test_failure_reports_first_index(self, sieve2048):
         report = af.verify_identities(sieve2048, 500, tol=1e-18)
         lam = next(e for e in report.entries if e.name == "Lambda")

@@ -401,6 +401,13 @@ class TestCliBehavior:
         code, out, err = run_cli(capsys, "table", expr, "--backend", "complex", "--n", "8")
         assert code == 2 and out == "" and err.startswith("error:")
 
+    def test_exit_2_on_prime_power_overflow(self, capsys, tmp_path):
+        big = tmp_path / "big.csv"
+        big.write_text("n,value\n1,1\n2,1e200\n3,1\n4,1e200\n")
+        code, out, err = run_cli(capsys, "check", "completely-multiplicative", f'file("{big}")',
+                                 "--backend", "complex", "--n", "4")
+        assert code == 2 and out == "" and err.startswith("error:")
+
     def test_exit_2_on_widening_overflow(self, capsys, tmp_path):
         big = tmp_path / "big.json"
         table = {"bound": 2, "backend": "rational", "values": [str(10**400), "1"]}

@@ -1,10 +1,12 @@
 """Sieve and factorization against trial division."""
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 import arithfn as af
+from arithfn.sieve import _prime_powers, _primes
 from conftest import factorize_brute, nu_brute, omega_brute, primes_brute
 
 
@@ -101,3 +103,13 @@ def test_prime_power_cap(sieve1000):
     assert sieve1000.prime_power_cap(2, 10) == 3
     with pytest.raises(ValueError):
         sieve1000.prime_power_cap(1)
+
+
+@pytest.mark.parametrize("bound", [1, 2, 3, 4, 8, 9, 1023, 1024, 1025, 4099])
+def test_prime_powers_against_brute(sieve5000, bound):
+    assert _primes(sieve5000, bound) == primes_brute(bound)
+    factors = {n: factorize_brute(n) for n in range(2, bound + 1)}
+    rows = sorted((*fac[0], n) for n, fac in factors.items() if len(fac) == 1)
+    p, k, pk = _prime_powers(sieve5000, bound)
+    assert p.dtype == k.dtype == pk.dtype == np.int64
+    assert list(zip(p.tolist(), k.tolist(), pk.tolist())) == rows

@@ -77,6 +77,16 @@ class TestPredicates:
         assert not af.is_multiplicative(noisy, tol=1e-15).ok
 
 
+    def test_complex_prime_power_overflow_is_non_finite(self):
+        # the pair scan passes at N = 4; a(2)**2 and 2 a(2) leave the floats
+        big = af.ArithFn.from_values([1, 1e200, 1, 1e200], af.COMPLEX)
+        with pytest.raises(NonFiniteError):
+            af.is_completely_multiplicative(big)
+        big = af.ArithFn.from_values([0, 1e308, 0, 1e308], af.COMPLEX)
+        with pytest.raises(NonFiniteError):
+            af.is_completely_additive(big)
+
+
 class TestMobiusAdditivityTest:
     def test_on_counting_functions(self, sieve1000):
         nu = af.make("nu", sieve1000)

@@ -174,7 +174,7 @@ class IdentityReport:
 
 
 def _compare_exact(name: str, bound: int, lhs: ArithFn, rhs: ArithFn) -> IdentityCheck:
-    bad = np.flatnonzero(lhs._v != rhs._v)
+    bad = np.flatnonzero(lhs._values_at(slice(None)) != rhs._values_at(slice(None)))
     if len(bad):
         return IdentityCheck(name, bound, "rational", False, first_fail=int(bad[0]))
     return IdentityCheck(name, bound, "rational", True)

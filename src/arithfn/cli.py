@@ -158,8 +158,7 @@ def _dispatch(args) -> int:
         elif args.format == "json":
             print(fnio.dump_json(fn))
         else:
-            fmt = fn.backend.format
-            sys.stdout.write("".join(f"{n}\t{fmt(v)}\n" for n, v in fn.items()))
+            sys.stdout.write("".join(f"{n}\t{s}\n" for n, s in enumerate(fn._formatted(), 1)))
         return 0
 
     if cmd == "check":

@@ -16,22 +16,22 @@ Operator conventions:
     a.inv()    Dirichlet inverse (requires a(1) != 0)
 
 Every table is stored as one read-only numpy array, int64, object or
-complex128, which the kernels run on as it is (see :func:`_store`).
-``fn[n]``, ``values()`` and ``items()`` give Python scalars.
+complex128, which the kernels run on as it is, and one denominator
+``den``: an exact table holds the integer numerators of its values over
+the lcm of their denominators (see :func:`_store`).  ``fn[n]``,
+``values()`` and ``items()`` divide by ``den`` and give Python scalars.
 
 Convolution and inverse run in two numpy kernels, :func:`_conv` and
 :func:`_inv`, shared by every backend.  An int64 table whose magnitudes
-fail a provable overflow guard runs in object storage.  A product of
-exact tables with Fractions convolves integer numerators over one common
-denominator L per table, the lcm of its denominators, and divides by the
-two Ls once at the end; a table with L >= 2**64 keeps its Fractions
-instead (see the kernel notes below).  The inverse takes Fraction tables
-as they are.  Both kernels are calls to one push, :func:`_push`, which
-adds x(d) y(m) into out[d m] for a support of d by a d-loop or an m-loop,
-whichever is shorter.  The convolution pushes the support of a below and
-above sqrt(N) (Dirichlet's hyperbola method), so it takes about 2 sqrt(N)
-vector operations; the inverse pushes dyadic blocks [2**j, 2**(j+1)),
-each final once the earlier blocks are pushed.
+fail a provable overflow guard runs in object storage.  A product
+convolves numerators over the product of the two dens; the inverse of a
+table with den > 1 runs on its Fractions.  Both kernels are calls to one
+push, :func:`_push`, which adds x(d) y(m) into out[d m] for a support of
+d by a d-loop or an m-loop, whichever is shorter.  The convolution
+pushes the support of a below and above sqrt(N) (Dirichlet's hyperbola
+method), so it takes about 2 sqrt(N) vector operations; the inverse
+pushes dyadic blocks [2**j, 2**(j+1)), each final once the earlier
+blocks are pushed.
 
 Each output coefficient is a sum over its divisors in ascending order,
 of the same products a per-divisor loop forms.  In the float backend
@@ -53,7 +53,7 @@ from .errors import (
     NotInvertibleError,
     UnsupportedBackendError,
 )
-from .numerics import COMPLEX, DEFAULT_EPS, RATIONAL
+from .numerics import COMPLEX, DEFAULT_EPS, RATIONAL, rational
 
 
 class ArithFn:
@@ -64,14 +64,15 @@ class ArithFn:
     ``ones`` / ``identity`` helpers.
     """
 
-    __slots__ = ("bound", "backend", "_v")
+    __slots__ = ("bound", "backend", "_v", "den")
 
-    def __init__(self, bound, backend, _storage=None):
+    def __init__(self, bound, backend, _storage=None, den=1):
         if _storage is None:
             raise TypeError("use ArithFn.from_values / zeros / ones / identity")
         self.bound = bound
         self.backend = backend
         self._v = _storage  # read-only array of length bound+1 (see _store); slot 0 is dead padding
+        self.den = den  # a(n) = _v[n] / den
 
     # -- construction -------------------------------------------------
 
@@ -79,7 +80,7 @@ class ArithFn:
     def _wrap(cls, bound, backend, padded, den=1):
         """Trusted constructor: ``padded`` is a sequence or array of length
         bound+1, each value to be divided by ``den`` (see :func:`_store`)."""
-        return cls(bound, backend, _storage=_store(padded, backend, den))
+        return cls(bound, backend, *_store(padded, backend, den))
 
     @classmethod
     def from_values(cls, values, backend=RATIONAL):
@@ -119,15 +120,29 @@ class ArithFn:
     def __getitem__(self, n: int):
         if not 1 <= n <= self.bound:
             raise IndexError(f"index {n} outside 1..{self.bound}")
-        return self._v.item(n)
+        return self._v.item(n) if self.den == 1 else rational(self._v.item(n), self.den)
 
     def values(self) -> tuple:
         """The tuple (a(1), ..., a(N))."""
-        return tuple(self._v[1:].tolist())
+        return tuple(_box(self._v[1:], self.den))
 
     def items(self):
         """Iterate (n, a(n)) for n = 1..N."""
-        return zip(range(1, self.bound + 1), self._v[1:].tolist())
+        return zip(range(1, self.bound + 1), _box(self._v[1:], self.den))
+
+    def _formatted(self):
+        """Iterate backend.format of a(1), ..., a(N).  int64 numerators over
+        den > 1 reduce by one vector gcd to the "p/q" of str(Fraction),
+        unboxed (np.gcd needs den and every |numerator| below 2**63)."""
+        v, den = self._v[1:], self.den
+        if den == 1 or v.dtype != np.int64 or den >= 2**63 or v.min() == -(2**63):
+            return map(self.backend.format, _box(v, den))
+        g = np.gcd(v, den)
+        return (f"{p}/{q}" if q != 1 else str(p) for p, q in zip((v // g).tolist(), (den // g).tolist()))
+
+    def _values_at(self, idx) -> np.ndarray:
+        """The values at ``idx``: as stored if den = 1, else boxed (object)."""
+        return self._v[idx] if self.den == 1 else _objects(_box(self._v[idx], self.den))
 
     def __len__(self) -> int:
         return self.bound
@@ -135,9 +150,9 @@ class ArithFn:
     def __eq__(self, other) -> bool:
         if not isinstance(other, ArithFn):
             return NotImplemented
-        if self.bound != other.bound or self.backend is not other.backend:
+        if self.bound != other.bound or self.backend is not other.backend or self.den != other.den:
             return False
-        a, b = self._v, other._v
+        a, b = self._v, other._v  # the storage is canonical (see _store)
         # a list compares Python objects far faster than numpy does
         return a.tolist() == b.tolist() if a.dtype == object else np.array_equal(a, b)
 
@@ -157,7 +172,7 @@ class ArithFn:
         return bool((np.hypot(diff.real, diff.imag) <= tol).all())
 
     def __repr__(self) -> str:
-        head = ", ".join(map(self.backend.format, self._v[1 : min(self.bound, 8) + 1].tolist()))
+        head = ", ".join(map(self.backend.format, _box(self._v[1 : min(self.bound, 8) + 1], self.den)))
         tail = ", ..." if self.bound > 8 else ""
         return f"ArithFn(bound={self.bound}, backend={self.backend.name}, [{head}{tail}])"
 
@@ -180,20 +195,21 @@ class ArithFn:
                 f"cannot truncate bound {self.bound} to {bound}"
             )
         # a copy, so that the result does not keep the whole table alive
-        return ArithFn._wrap(bound, self.backend, self._v[: bound + 1].copy())
+        return ArithFn._wrap(bound, self.backend, self._v[: bound + 1].copy(), self.den)
 
     def to_backend(self, backend) -> "ArithFn":
         """Convert values; only exact -> complex widening is allowed."""
         if backend is self.backend:
             return self
         if self.backend is RATIONAL and backend is COMPLEX:
-            return ArithFn._wrap(self.bound, COMPLEX, self._v)
+            return ArithFn._wrap(self.bound, COMPLEX, self._v, self.den)
         raise UnsupportedBackendError(
             f"cannot convert {self.backend.name} values to {backend.name}"
         )
 
     # -- pointwise ring of the codomain -----------------------------------
     #
+    # On numerators: a sum over the lcm of the two dens, r = p/q as p over q.
     # int64 tables stay int64 while no result can leave it (numpy wraps
     # silently), else they run in object storage; _store stores the result.
 
@@ -206,34 +222,39 @@ class ArithFn:
     @np.errstate(over="ignore", invalid="ignore")  # _store reports it
     def _pointwise(self, other: "ArithFn", op) -> "ArithFn":
         self._check_compatible(other)
+        den = math.lcm(self.den, other.den)
+        fa, fb = den // self.den, den // other.den
         a, b = self._v, other._v
-        if a.dtype == b.dtype == np.int64 and not _max_abs(a) + _max_abs(b) < 2**63:
-            a = a.astype(object)
-        return ArithFn._wrap(self.bound, self.backend, op(a, b))
+        if a.dtype != b.dtype or a.dtype == np.int64 and (
+                (_max_abs(a) + 1) * fa + (_max_abs(b) + 1) * fb >= 2**63):
+            a, b = a.astype(object), b.astype(object)
+        if den > 1:  # exact only: a complex x * 1 can flip the sign of a zero
+            a, b = a * fa, b * fb
+        return ArithFn._wrap(self.bound, self.backend, op(a, b), den)
 
     def __neg__(self) -> "ArithFn":
         v = self._v
         if v.dtype == np.int64 and not _max_abs(v) < 2**63:
             v = v.astype(object)
-        return ArithFn._wrap(self.bound, self.backend, -v)
+        return ArithFn._wrap(self.bound, self.backend, -v, self.den)
 
     @np.errstate(over="ignore", invalid="ignore")  # _store reports it
     def scale(self, r) -> "ArithFn":
         """Pointwise scalar multiple r*a; r must fit the backend."""
         r = self.backend.convert(r)
+        p, q = (r, 1) if self.backend is COMPLEX else r.as_integer_ratio()
         v = self._v
-        if v.dtype == np.int64 and not (type(r) is int and abs(r) * (_max_abs(v) + 1) < 2**63):
+        if v.dtype == np.int64 and not abs(p) * (_max_abs(v) + 1) < 2**63:
             v = v.astype(object)
-        return ArithFn._wrap(self.bound, self.backend, _scaled(r, v))
+        return ArithFn._wrap(self.bound, self.backend, _scaled(p, v), self.den * q)
 
     # -- Dirichlet ring ----------------------------------------------------
 
     def __mul__(self, other):
         if isinstance(other, ArithFn):
             self._check_compatible(other)
-            a, la = _split(self._v)
-            b, lb = _split(other._v)
-            return ArithFn._wrap(self.bound, self.backend, _conv(a, b, self.bound), la * lb)
+            out = _conv(self._v, other._v, self.bound)
+            return ArithFn._wrap(self.bound, self.backend, out, self.den * other.den)
         if isinstance(other, (int, float, complex, Fraction)):
             return self.scale(other)
         return NotImplemented
@@ -256,7 +277,7 @@ class ArithFn:
                 )
         elif a1 == 0:
             raise NotInvertibleError("a(1) = 0; no Dirichlet inverse")
-        return ArithFn._wrap(self.bound, self.backend, _inv(self._v, self.bound))
+        return ArithFn._wrap(self.bound, self.backend, _inv(self._values_at(slice(None)), self.bound))
 
     def __pow__(self, k: int) -> "ArithFn":
         """k-fold convolution power by binary exponentiation; a**0 = I."""
@@ -305,31 +326,29 @@ class ArithFn:
 # ---------------------------------------------------------------------------
 # storage and kernels
 #
-# Every table is one read-only array, and the kernels run on it as it is:
+# Every table is one read-only array, which the kernels run on as it is,
+# and one denominator den:
 #
-#   int64       exact tables whose values are all ints that fit;
-#   object      every other exact table: big ints, and Fractions with
-#               denominator > 1 (a Fraction with denominator 1 is stored
-#               as its int);
-#   complex128  the complex backend; it never holds NaN or Inf.
+#   int64       exact numerators that all fit;
+#   object      exact numerators beyond int64, or the Fractions of a
+#               table above the cap (den = 1);
+#   complex128  the complex backend (den = 1); it never holds NaN or Inf.
 #
-# _store makes that choice once for every table built anywhere, so equal
-# tables have equal storage.
+# den is the lcm of the denominators of the values in lowest terms, so
+# gcd(den, numerators) = 1 and a table of ints has den = 1.  _store makes
+# that choice once for every table built anywhere, so equal tables have
+# equal storage; it reduces a kernel result over a multiple of den by one
+# gcd, and no value is boxed until a caller asks for it.
 #
 # Guard: an output n sums tau(n) <= 2 sqrt(n) products, so partial sums
 # stay below 2**62 when max|a| * max|b| * (2 floor(sqrt N) + 1) < 2**62.
 # A table that fails it is computed in object storage instead.
 #
-# Exact tables with Fractions enter the kernels as integer numerators
-# over L, the lcm of their denominators (_split), and results are divided
-# by the product of the Ls once, when _store stores them, so the kernels
-# see only ints.  Numerators grow with L, so there is a cap: at N = 2048 the
-# table 1/n has L = lcm(1..2048) of 2955 bits, and on numerators a * a
-# took 263 ms and dlog 2202 ms, against 70 and 218 ms on Fractions; on
-# random tables with denominators in 1..m, dlog on numerators stopped
-# winning between 574 and 1008 bits of L (2-core Xeon VM, Python 3.11).
-# Tables with L >= _SPLIT_CAP = 2**64 keep their Fractions, with L = 1;
-# the exact traffic measured so far stays under 46 bits.
+# Cap: numerators grow with den.  On random tables at N = 2048 (BENCH_11.json)
+# they beat Fractions for a * b up to 982 bits of den and for dlog up to
+# 574 bits, and lose dlog from 724 bits on.  A table whose den would reach
+# _SPLIT_CAP = 2**512 keeps its Fractions, with den = 1; the exact traffic
+# measured so far stays under 46 bits.
 #
 # Every output sums its products a(d) b(n/d) in ascending order of d, and
 # each product is rounded as a per-divisor loop rounds it, so complex
@@ -337,15 +356,16 @@ class ArithFn:
 # tests/conftest.py keeps as the oracle.
 # ---------------------------------------------------------------------------
 
-_SPLIT_CAP = 2**64
+_SPLIT_CAP = 2**512
 
 
-def _store(vals, backend, den: int = 1) -> np.ndarray:
-    """The read-only storage (see the notes above) of a padded table with
-    each value divided by ``den``: a kernel result, or a sequence of
-    values already in canonical form."""
+def _store(vals, backend, den: int = 1) -> tuple[np.ndarray, int]:
+    """The read-only storage and den (see the notes above) of the padded
+    values vals[i] / den: a kernel result, or a sequence of values."""
     if backend is COMPLEX:
         try:
+            if den != 1:  # exact numerators: x / den rounds as complex(Fraction(x, den))
+                vals, den = [x / den for x in vals.tolist()], 1
             arr = np.asarray(vals, dtype=np.complex128)  # an exact v as complex(v)
         except OverflowError:
             raise NonFiniteError("a value is too large for the complex backend") from None
@@ -353,54 +373,54 @@ def _store(vals, backend, den: int = 1) -> np.ndarray:
     elif isinstance(vals, np.ndarray) and vals.dtype == np.int64 and den == 1:
         arr = vals
     else:
-        if den != 1:
-            # x is an int, or a Fraction from a table above _SPLIT_CAP
-            vals = [Fraction(x, den) if x % den else x // den for x in vals.tolist()]
-        elif isinstance(vals, np.ndarray):
-            # type() rather than isinstance(): Fraction's ABC check is slow
-            vals = [x.numerator if type(x) is Fraction and x.denominator == 1 else x
-                    for x in vals.tolist()]
-        # np.array(vals, dtype=np.int64) would truncate a Fraction silently;
-        # np.fromiter builds an object array far faster than np.array does.
-        fits = Fraction not in set(map(type, vals))
-        if fits:
-            try:
-                arr = np.array(vals, dtype=np.int64)
-            except OverflowError:  # an int beyond int64
-                fits = False
-        if not fits:
-            arr = np.fromiter(vals, dtype=object, count=len(vals))
+        vals = vals.tolist() if isinstance(vals, np.ndarray) else vals
+        # type() rather than isinstance(): Fraction's ABC check is slow
+        fractions = Fraction in set(map(type, vals))
+        if not fractions and den != 1:
+            g = math.gcd(den, *vals)
+            if g != 1:
+                vals, den = [x // g for x in vals], den // g
+            fractions = den >= _SPLIT_CAP  # den is the lcm of the values' denominators
+        if fractions:  # the values, over the lcm of their denominators if below the cap
+            if den != 1:
+                vals = [Fraction(x, den) for x in vals]
+            den = 1
+            for q in {x.denominator for x in vals if type(x) is Fraction}:
+                den = math.lcm(den, q)
+                if den >= _SPLIT_CAP:  # the Fractions stay, with a Fraction p/1 as p
+                    vals, den = [x.numerator if type(x) is Fraction and x.denominator == 1
+                                 else x for x in vals], 1
+                    break
+            else:
+                vals = [x.numerator * (den // x.denominator) if type(x) is Fraction else x * den
+                        for x in vals]
+                fractions = False
+        # np.array(vals, dtype=np.int64) would truncate a Fraction silently
+        try:
+            arr = _objects(vals) if fractions else np.array(vals, dtype=np.int64)
+        except OverflowError:  # a numerator beyond int64
+            arr = _objects(vals)
     arr.flags.writeable = False
-    return arr
+    return arr, den
+
+
+def _objects(vals: list) -> np.ndarray:
+    """An object array of vals; np.fromiter builds it far faster than np.array."""
+    return np.fromiter(vals, dtype=object, count=len(vals))
+
+
+def _box(nums: np.ndarray, den: int) -> list:
+    """The values nums / den as Python scalars, Fractions in lowest terms."""
+    vals = nums.tolist()
+    if den == 1:
+        return vals
+    return [x // den if x % den == 0 else Fraction(x, den) for x in vals]
 
 
 def _scratch(length: int, backend) -> np.ndarray:
     """Writable zeros for a table built up in place, then stored by _store:
     complex128, or object for exact values, whose sums may leave int64."""
     return np.zeros(length, dtype=np.complex128 if backend is COMPLEX else object)
-
-
-def _split(arr: np.ndarray) -> tuple[np.ndarray, int]:
-    """A stored table over one common denominator: (nums, L) with
-    arr[i] == nums[i] / L, nums in storage form.
-
-    For exact values L is the lcm of the denominators and nums holds
-    integer numerators, unless L reaches _SPLIT_CAP: then nums is arr,
-    Fractions and all, and L = 1.  int64 and complex tables have L = 1.
-    """
-    if arr.dtype != object:
-        return arr, 1
-    vals = arr.tolist()
-    den = 1
-    for x in vals:
-        if type(x) is Fraction and den % x.denominator:
-            den = math.lcm(den, x.denominator)
-            if den >= _SPLIT_CAP:
-                return arr, 1
-    if den == 1:
-        return arr, 1
-    ints = [x.numerator * (den // x.denominator) if type(x) is Fraction else x * den for x in vals]
-    return _store(ints, RATIONAL), den
 
 
 def _max_abs(x: np.ndarray) -> int:

@@ -27,9 +27,8 @@ CSV_HEADER = "n,value"
 
 
 def dump_csv(fn: ArithFn) -> str:
-    fmt = fn.backend.format
     lines = [CSV_HEADER]
-    lines.extend(f"{n},{fmt(v)}" for n, v in fn.items())
+    lines.extend(f"{n},{s}" for n, s in enumerate(fn._formatted(), 1))
     return "\n".join(lines) + "\n"
 
 
@@ -73,12 +72,9 @@ def read_csv(path, backend=RATIONAL) -> ArithFn:
 
 
 def to_json_obj(fn: ArithFn) -> dict:
-    enc = fn.backend.to_json
-    return {
-        "bound": fn.bound,
-        "backend": fn.backend.name,
-        "values": [enc(v) for _, v in fn.items()],
-    }
+    # a rational serializes as its format, "p/q"
+    values = list(fn._formatted()) if fn.backend.exact else [fn.backend.to_json(v) for _, v in fn.items()]
+    return {"bound": fn.bound, "backend": fn.backend.name, "values": values}
 
 
 def from_json_obj(obj) -> ArithFn:

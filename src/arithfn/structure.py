@@ -12,9 +12,9 @@ test: a is additive iff (mu * a)(n) = 0 whenever n is not a prime power
 
 The predicates scan every coprime pair (m, n), m < n, m*n <= N, as one
 numpy vector step per m over the storage the convolution kernel uses
-(int64, object or complex128), and keep the first failing pair of the
-first failing m, so a failing function always reports its
-lexicographically least witness.  Complex values compare within
+(exact numerators A = a den: A(mn) = A(m) + A(n), A(mn) den = A(m) A(n)),
+and keep the first failing pair of the first failing m, so a failing
+function always reports its lexicographically least witness.  Complex values compare within
 tol + 8 eps (|lhs| + |rhs|): the absolute tolerance plus a rounding
 allowance that grows with the magnitudes, as in PEP 485's ``isclose``.
 Both reconstructions are one fold over the exact prime powers of each
@@ -40,7 +40,7 @@ from itertools import repeat
 
 import numpy as np
 
-from .dirichlet import ArithFn, _max_abs, _scaled, _scratch, _store
+from .dirichlet import ArithFn, _box, _max_abs, _objects, _scaled, _scratch, _store
 from .errors import NonFiniteError, StructureError
 from .numerics import DEFAULT_TOL, _canonical_exact
 from .sieve import SpfSieve, _prime_powers, build_sieve
@@ -94,12 +94,16 @@ def _prime_power_fold(sieve, n, first, pks, vals, backend, product) -> ArithFn:
     f(k) = f(r(k)) x at[k / r(k)] or f(k / P(k)) + at[k / r(k)] reads only
     below k / 2, and each dyadic block is one vector op.  int64 runs while
     max|left| x max|at| (or +) < 2**63; a block that fails moves to object.
+    The sum runs on the numerators over their den; a product over den > 1
+    would need den**omega(k), so it runs on the boxed values.
     """
-    stored = _store(vals, backend)
+    stored, den = _store(vals, backend)
+    if product and den > 1:
+        stored, den = _objects(_box(stored, den)), 1
     at = np.zeros(n + 1, dtype=stored.dtype)
     at[pks] = stored
     out = np.zeros(n + 1, dtype=at.dtype)
-    out[1] = first
+    out[1] = first * den
     big = np.ones(n + 1, dtype=np.int64)  # P(k)
     rest = np.ones(n + 1, dtype=np.int64)  # r(k)
     lo = 2
@@ -121,7 +125,7 @@ def _prime_power_fold(sieve, n, first, pks, vals, backend, product) -> ArithFn:
                 left, right = left.astype(object), right.astype(object)
         out[lo:hi] = _scaled(left, right) if product else left + right
         lo = hi
-    return ArithFn._wrap(n, backend, out)
+    return ArithFn._wrap(n, backend, out, den)
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -183,10 +187,11 @@ def _coprime_pair_scan(a: ArithFn, kind: str, product: bool, tol) -> CheckResult
 
     One vector step per m ascending over the k in (m, N // m] coprime to
     m; the first failing k of the first failing m is the least witness.
-    int64 storage needs max|a|**2 < 2**62 and falls back to object.
+    On numerators A = a den, a(1) = 1 is A(1) = den, and int64 storage
+    needs max|A| max(max|A|, den) < 2**62 and falls back to object.
     """
-    v = a._v
-    if v.dtype == np.int64 and _max_abs(v) ** 2 >= 2**62:
+    v, den = a._v, a.den
+    if v.dtype == np.int64 and _max_abs(v) * max(_max_abs(v), den) >= 2**62:
         v = v.astype(object)
     n = a.bound
     for m in range(2, math.isqrt(n) + 1):
@@ -194,11 +199,12 @@ def _coprime_pair_scan(a: ArithFn, kind: str, product: bool, tol) -> CheckResult
         if top <= m:
             break
         k = _coprime_above(m, top)
+        lhs = v[m * k] * den if product and den > 1 else v[m * k]
         rhs = _scaled(v[m], v[k]) if product else v[m] + v[k]
-        i = _first_mismatch(v[m * k], rhs, tol)
+        i = _first_mismatch(lhs, rhs, tol)
         if i is not None:
             return CheckResult(False, kind, (m, int(k[i])), "pair")
-    unit = a.backend.one if product else a.backend.zero
+    unit = a.backend.one * den if product else a.backend.zero
     if _first_mismatch(v[1:2], np.array([unit], dtype=v.dtype), tol) is not None:
         return CheckResult(False, kind, (1, 1), "pair")
     return CheckResult(True, kind)
@@ -220,11 +226,11 @@ def _prime_power_check(
             rhs[i] = a[q] ** j if product else j * a[q]
     except OverflowError:
         raise NonFiniteError(f"a({q})**{j} overflows the complex backend") from None
-    i = _first_mismatch(a._v[pk[higher]], rhs, tol)
+    i = _first_mismatch(a._values_at(pk[higher]), rhs, tol)
     if i is not None:
         return CheckResult(False, kind, rows[i], "prime_power")
     primes = p[k == 1]
-    return CheckResult(True, kind, constants=dict(zip(primes.tolist(), a._v[primes].tolist())))
+    return CheckResult(True, kind, constants=dict(zip(primes.tolist(), _box(a._v[primes], a.den))))
 
 
 def is_multiplicative(a: ArithFn, tol: float | None = None) -> CheckResult:
@@ -359,7 +365,7 @@ def bell_decompose_mult(
     # the primes above sqrt N are a tail of rows with k = 1 only
     tail = int(np.searchsorted(p, math.isqrt(a.bound), side="right"))
     starts = np.flatnonzero(k[:tail] == 1).tolist() + [tail]
-    one, vals, p = a.backend.one, a._v[pk].tolist(), p.tolist()
+    one, vals, p = a.backend.one, _box(a._v[pk], a.den), p.tolist()
     series = [BellSeries(p[i], (one, *vals[i:j])) for i, j in zip(starts, starts[1:])]
     series += map(BellSeries, p[tail:], zip(repeat(one), vals[tail:]))
     return BellDecomposition(a.bound, a.backend, series)
@@ -474,10 +480,10 @@ def additive_decompose(
         )
     sieve = _ensure_sieve(sieve, a.bound)
     p, k, pk = _prime_powers(sieve, a.bound)
-    # a(p^k) - a(p^(k-1)), a(p) - a(1) at k = 1, in Python scalars (object
-    # storage), so an int64 difference cannot wrap
-    diff = a._v[pk].astype(object) - a._v[pk // p]
-    return PrimeSupport(a.bound, a.backend, dict(zip(zip(p.tolist(), k.tolist()), diff.tolist())))
+    # a(p^k) - a(p^(k-1)), a(p) - a(1) at k = 1, on numerators in Python
+    # scalars (object storage), so an int64 difference cannot wrap
+    diff = _box(a._v[pk].astype(object) - a._v[pk // p], a.den)
+    return PrimeSupport(a.bound, a.backend, dict(zip(zip(p.tolist(), k.tolist()), diff)))
 
 
 def additive_reconstruct(g: PrimeSupport, sieve: SpfSieve | None = None) -> ArithFn:

@@ -22,18 +22,19 @@ additive functions (a group under pointwise sum) and back.
 
 Both maps are one series loop, :func:`_series`, given the coefficients
 p/q of term k: ((-1)**(k-1), k) for dlog and (1, k!) for dexp.  Exact
-series run on integers.  The input is split into integer numerators b
-over one common denominator L (``dirichlet._split``); the powers b**k are
-integer convolutions over the implied L**k, and the terms add up as
-Python ints over one common denominator D = lcm(q) L**K,
+series run on integers.  An exact table is stored as integer numerators
+b over one denominator L (``ArithFn.den``); the powers b**k are integer
+convolutions over the implied L**k, and the terms add up as Python ints
+over one common denominator D = lcm(q) L**K,
 
     dlog:  D = lcm(1..K) L**K,  term k adds (-1)**(k-1) D / (k L**k) * b**k
     dexp:  D = K! L**K,         term k adds D / (k! L**k) * b**k
 
-each coefficient an integer, so the only division is the one per value at
-the end.  A table in object storage with L = 1 (ints beyond int64, or
-Fractions kept because L reached the split cap) takes the coefficients
-(-1)**(k-1) / k and 1 / k! as they are, with D = 1.
+each coefficient an integer.  The result is stored as those numerators
+over D, reduced by one gcd: no value is divided.  A table in object
+storage with L = 1 (ints beyond int64, or Fractions kept because L
+reached the cap) takes the coefficients (-1)**(k-1) / k and 1 / k! as
+they are, with D = 1.
 The complex backend runs the same loop with the float coefficients p / q.
 """
 
@@ -44,7 +45,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .dirichlet import ArithFn, _conv, _scratch, _split
+from .dirichlet import ArithFn, _conv, _scratch
 from .errors import DomainError
 from .numerics import COMPLEX, rational
 
@@ -72,17 +73,15 @@ def dlog(a: ArithFn, *, normalize_unit: bool = False) -> ArithFn:
         a = a.scale((1.0 if a.backend is COMPLEX else Fraction(1, 1)) / a[1])
     else:
         _require_unit_value(a, a.backend.one, "dlog")
-    b, den = _split(a._v)
-    b = b.copy()  # stored tables are read-only
+    b = a._v.copy()  # stored tables are read-only
     b[1] = 0
-    return _series(a, b, den, 0, [((-1) ** (k - 1), k) for k in range(1, a.bound.bit_length())])
+    return _series(a, b, a.den, 0, [((-1) ** (k - 1), k) for k in range(1, a.bound.bit_length())])
 
 
 def dexp(a: ArithFn) -> ArithFn:
     """Formal exponential; domain a(1) = 0, image has value 1 at index 1."""
     _require_unit_value(a, a.backend.zero, "dexp")
-    b, den = _split(a._v)
-    return _series(a, b, den, 1, [(1, math.factorial(k)) for k in range(1, a.bound.bit_length())])
+    return _series(a, a._v, a.den, 1, [(1, math.factorial(k)) for k in range(1, a.bound.bit_length())])
 
 
 def _series(a: ArithFn, b: np.ndarray, den: int, unit: int, coeffs) -> ArithFn:
@@ -91,7 +90,7 @@ def _series(a: ArithFn, b: np.ndarray, den: int, unit: int, coeffs) -> ArithFn:
 
     Exact: over big_d = lcm(q) den**K, term k adds the integer multiple
     (p big_d / (q den**k)) b**k in Python ints.  Object storage with
-    den = 1 may keep Fractions (above the split cap), so it runs over
+    den = 1 may keep Fractions (above the cap), so it runs over
     big_d = 1 with Fraction coefficients.  Complex: p / q as a float.
     """
     n = a.bound

@@ -328,44 +328,50 @@ def additive_reconstruct_oracle(g: af.PrimeSupport) -> list:
 # ---------------------------------------------------------------------------
 
 
-def dlog_oracle(a: af.ArithFn) -> af.ArithFn:
-    assert a[1] == 1
-    n_max = a.bound
-    da = af.ArithFn.from_values(
-        [omega_brute(n) * a[n] for n in range(1, n_max + 1)], a.backend
-    )
-    ainv = af.ArithFn.from_values(inverse_brute(a)[1:], a.backend)
-    lhs = convolve_brute(da, ainv)
-    vals = [a.backend.zero]
+def padded(fn: af.ArithFn) -> list:
+    """The values of an exact table as the padded list [0, a(1), ..., a(N)]."""
+    return [0, *fn.values()]
+
+
+def dlog_oracle(av: list) -> list:
+    """dlog of the padded exact values av (av[1] = 1), padded."""
+    assert av[1] == 1
+    n_max = len(av) - 1
+    omega = [0] + [omega_brute(n) for n in range(1, n_max + 1)]
+    da = [w * x for w, x in zip(omega, av)]
+    lhs = convolve_loop_exact(da, inverse_loop_exact(av, n_max), n_max)
+    return [0, 0] + [Fraction(lhs[n], omega[n]) for n in range(2, n_max + 1)]
+
+
+def dexp_oracle(av: list) -> list:
+    """dexp of the padded exact values av (av[1] = 0), padded."""
+    assert av[1] == 0
+    n_max = len(av) - 1
+    omega = [0] + [omega_brute(n) for n in range(1, n_max + 1)]
+    f = [0] * (n_max + 1)
+    f[1] = 1
     for n in range(2, n_max + 1):
-        vals.append(Fraction(1, omega_brute(n)) * lhs[n])
-    return af.ArithFn.from_values(vals, a.backend)
+        s = 0
+        for d in divisors_brute(n)[1:]:
+            if av[d]:
+                s = s + omega[d] * av[d] * f[n // d]
+        f[n] = Fraction(s, omega[n])
+    return f
 
 
-def dexp_oracle(a: af.ArithFn) -> af.ArithFn:
-    assert a[1] == 0
-    n_max = a.bound
-    f = [a.backend.zero] * (n_max + 1)
-    f[1] = a.backend.one
-    for n in range(2, n_max + 1):
-        s = a.backend.zero
-        for d in divisors_brute(n):
-            if d > 1:
-                s = s + omega_brute(d) * a[d] * f[n // d]
-        f[n] = Fraction(1, omega_brute(n)) * s
-    return af.ArithFn.from_values(f[1:], a.backend)
-
-
-def series_partial_sum_log(a: af.ArithFn, terms: int) -> af.ArithFn:
-    """Direct partial sums of the alternating series with a chosen term
-    count, built from repeated brute convolutions."""
-    n_max = a.bound
-    b = af.ArithFn.from_values([a[1] - 1] + [a[n] for n in range(2, n_max + 1)], a.backend)
-    acc = af.ArithFn.zeros(n_max, a.backend)
-    pw = af.ArithFn.identity(n_max, a.backend)
+def series_partial_sum_log(av: list, terms: int) -> list:
+    """Direct partial sums of the alternating series for dlog of the padded
+    exact values av, with a chosen term count, by repeated loop
+    convolutions; padded."""
+    n_max = len(av) - 1
+    b = list(av)
+    b[1] -= 1
+    acc = [0] * (n_max + 1)
+    pw = [0, 1] + [0] * (n_max - 1)
     for k in range(1, terms + 1):
-        pw = af.ArithFn.from_values(convolve_brute(pw, b)[1:], a.backend)
-        acc = acc + pw.scale(Fraction(-1 if k % 2 == 0 else 1, k))
+        pw = convolve_loop_exact(pw, b, n_max)
+        c = Fraction(-1 if k % 2 == 0 else 1, k)
+        acc = [x + c * y for x, y in zip(acc, pw)]
     return acc
 
 
@@ -412,8 +418,8 @@ def rand_exact_fn(rng: random.Random, bound: int, unit=None) -> af.ArithFn:
 
 
 def recip_fn(bound: int, first) -> af.ArithFn:
-    """[first, 1/2, ..., 1/bound]: its denominators' lcm reaches 2**64,
-    the common-denominator cap, from bound = 47 on."""
+    """[first, 1/2, ..., 1/bound]: its denominators' lcm reaches 2**512,
+    the common-denominator cap, from bound = 359 on."""
     return af.ArithFn.from_values([first] + [Fraction(1, k) for k in range(2, bound + 1)])
 
 

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 import arithfn as af
 from arithfn import io as fnio
-from arithfn.dirichlet import _conv, _inv, _split, _store
+from arithfn.dirichlet import _SPLIT_CAP, _conv, _inv, _store
 from arithfn.errors import (
     BackendMismatchError,
     BoundMismatchError,
@@ -356,6 +356,14 @@ def _same_bits(x, y):
     return np.array_equal(x.view(np.uint64), y.view(np.uint64))
 
 
+def _kernel_input(vals) -> np.ndarray:
+    """A padded table as the kernels take it: int64 when every value is an
+    int that fits, else object values (big ints, or the Fractions of a
+    table above the cap)."""
+    fits = all(type(v) is int and -(2**63) <= v < 2**63 for v in vals)
+    return np.array(vals, dtype=np.int64 if fits else object)
+
+
 class TestKernels:
     # At SPARSE_SIZES the two bitwise tests also run the sparse tables,
     # in complex128 and in int64 and object storage.
@@ -402,13 +410,17 @@ class TestKernels:
                 assert _inv(t.astype(object), n).tolist() == want
 
     def test_storage_choice(self):
-        half = _store([0, 1, Fraction(3, 2)], af.RATIONAL)
-        assert half.dtype == object and half[2] == Fraction(3, 2)
+        half, den = _store([0, 1, Fraction(3, 2)], af.RATIONAL)
+        assert half.dtype == np.int64 and half.tolist() == [0, 2, 3] and den == 2
         for big in (2**63, 2**64 - 1, 2**64):
-            wide = _store([0, 1, big], af.RATIONAL)
-            assert wide.dtype == object and wide.tolist() == [0, 1, big]
-        assert _store([0, -(2**63)], af.RATIONAL).dtype == np.int64
-        assert _store([0, 1j], af.COMPLEX).dtype == np.complex128
+            wide, den = _store([0, 1, big], af.RATIONAL)
+            assert wide.dtype == object and wide.tolist() == [0, 1, big] and den == 1
+        wide, den = _store([0, 1, Fraction(2**63, 3)], af.RATIONAL)
+        assert wide.dtype == object and wide.tolist() == [0, 3, 2**63] and den == 3
+        kept, den = _store([0, 1, Fraction(1, _SPLIT_CAP)], af.RATIONAL)
+        assert kept.dtype == object and kept.tolist() == [0, 1, Fraction(1, _SPLIT_CAP)] and den == 1
+        assert _store([0, -(2**63)], af.RATIONAL)[0].dtype == np.int64
+        assert _store([0, 1j], af.COMPLEX)[0].dtype == np.complex128
 
     @pytest.mark.parametrize("n", (1, 17, 100))
     def test_int64_guard_edge(self, n):
@@ -416,13 +428,13 @@ class TestKernels:
         # back to object storage.  Both equal the exact loop.
         for m, dtype in ((_guard_edge(n), np.int64), (_guard_edge(n) + 1, object)):
             av = [0] + [m if k % 3 else -m for k in range(1, n + 1)]
-            got = _conv(_store(av, af.RATIONAL), _store(av, af.RATIONAL), n)
+            got = _conv(_kernel_input(av), _kernel_input(av), n)
             assert got.dtype == dtype
             assert got.tolist() == convolve_loop_exact(av, av, n)
 
     def test_min_int64_takes_object_storage(self):
         av = [0, 1, -(2**63), 5]
-        got = _conv(_store(av, af.RATIONAL), _store(av, af.RATIONAL), 3)
+        got = _conv(_kernel_input(av), _kernel_input(av), 3)
         assert got.dtype == object
         assert got.tolist() == convolve_loop_exact(av, av, 3)
 
@@ -439,12 +451,12 @@ class TestKernels:
             av[data.draw(st.integers(1, n))] = Fraction(3, 2)
         if data.draw(st.booleans(), label="big"):
             bv[data.draw(st.integers(1, n))] = 2**63
-        a, b = _store(av, af.RATIONAL), _store(bv, af.RATIONAL)
+        a, b = _kernel_input(av), _kernel_input(bv)
         want = convolve_loop_exact(av, bv, n)
         assert _conv(a, b, n).tolist() == want
         assert _conv(a.astype(object), b.astype(object), n).tolist() == want
         av[1] = data.draw(st.sampled_from([1, -1]), label="a1")
-        a = _store(av, af.RATIONAL)
+        a = _kernel_input(av)
         want = inverse_loop_exact(av, n)
         assert _inv(a, n).tolist() == want
         assert _inv(a.astype(object), n).tolist() == want
@@ -470,58 +482,71 @@ class TestCommonDenominator:
         ([0, 2**63, Fraction(1, 2)], 2, object),
         ([0, -(2**70), 7], 1, object),
         # a denominator beyond int64, and L just under the cap
-        ([0, 1, Fraction(-1, 2**64 - 1)], 2**64 - 1, object),
+        ([0, 1, Fraction(-1, _SPLIT_CAP - 1)], _SPLIT_CAP - 1, object),
     ]
     # L at or past the cap: the Fractions stay, with L = 1
     KEPT = [
-        [0, 1, Fraction(1, 2**64)],
-        [0, Fraction(1, 2**63), Fraction(-1, 3)],
-        [0, *recip_fn(60, 1).values()],
+        [0, 1, Fraction(1, _SPLIT_CAP)],
+        [0, Fraction(2, _SPLIT_CAP), Fraction(-1, 3)],
+        [0, *recip_fn(360, 1).values()],
     ]
 
+    # A table splits into numerators over den and its values come back.
     def test_split_values_round_trip(self):
         for vals, want_l, dtype in self.CASES:
-            arr, l = _split(_store(vals, af.RATIONAL))
-            assert l == want_l and arr.dtype == dtype
-            back = _store(arr, af.RATIONAL, l).tolist()
-            assert back == vals and _is_canonical(back[1:])
+            fn = af.ArithFn.from_values(vals[1:])
+            assert fn.den == want_l and fn._v.dtype == dtype
+            assert fn._v.tolist() == [v * want_l for v in vals]
+            assert math.gcd(fn.den, *fn._v.tolist()) == 1
+            assert list(fn.values()) == vals[1:] and _is_canonical(fn.values())
         for vals in self.KEPT:
-            arr, l = _split(_store(vals, af.RATIONAL))
-            assert l == 1 and arr.dtype == object and arr.tolist() == vals
-            assert _store(arr, af.RATIONAL, l).tolist() == vals
+            fn = af.ArithFn.from_values(vals[1:])
+            assert fn.den == 1 and fn._v.dtype == object and fn._v.tolist() == vals
+            assert list(fn.values()) == vals[1:] and _is_canonical(fn.values())
 
     @pytest.mark.parametrize("n", (1, 2, 3, 17))
     def test_split_random_tables(self, n):
         rng = random.Random(n)
         for _ in range(5):
             vals = self._rand_table(rng, n)
-            arr, l = _split(_store(vals, af.RATIONAL))
-            assert l == math.lcm(*(Fraction(v).denominator for v in vals))
-            assert arr.dtype == np.int64
-            back = _store(arr, af.RATIONAL, l).tolist()
-            assert back == vals and _is_canonical(back[1:])
+            fn = af.ArithFn.from_values(vals[1:])
+            assert fn.den == math.lcm(*(Fraction(v).denominator for v in vals))
+            assert fn._v.dtype == np.int64
+            assert fn._v.tolist() == [v * fn.den for v in vals]
+            assert list(fn.values()) == vals[1:] and _is_canonical(fn.values())
 
     def test_products_match_exact_loop(self):
-        # under the cap, over it (1/n, L = lcm(2..60)), and one of each
+        # under the cap, over it (1/n, L = lcm(2..360)), one of each, and
+        # two under it whose products reach it (L = 2**300 3**250)
         rng = random.Random(40)
-        n = 60
+        n = 360
         under = [af.ArithFn.from_values(self._rand_table(rng, n)[1:]) for _ in range(2)]
+        under += [af.ArithFn.from_values([1, Fraction(1, 2**300)] + [7] * (n - 2)),
+                  af.ArithFn.from_values([1, 0, Fraction(-1, 3**250)] + [0] * (n - 3))]
         crossing = af.ArithFn.from_values(self.KEPT[1][1:] + [5] * (n - 2))
         over = [recip_fn(n, 1), recip_fn(n, 0), crossing]
         for a in under + over:
             for b in under + over:
                 got = (a * b).values()
                 assert list(got) == convolve_loop_exact([0, *a.values()], [0, *b.values()], n)[1:]
-                assert _is_canonical(got)
+                assert _is_canonical(got) and _stores_canonically(a * b, got)
 
 
 def _stores_canonically(fn, want) -> bool:
-    """fn holds want, as ints where the denominator is 1, in int64
-    storage exactly when every value is an int that fits."""
-    fits = all(Fraction(v).denominator == 1 and -(2**63) <= v < 2**63 for v in want)
+    """fn holds want, as ints where the denominator is 1.  Its storage is
+    the numerators of want over den, the lcm of their denominators, in
+    int64 exactly when every numerator fits; at or above the cap it is
+    want itself, with den = 1."""
+    den = math.lcm(*(Fraction(v).denominator for v in want))
+    nums = [int(v * den) for v in want]
+    if den >= _SPLIT_CAP:
+        den, nums = 1, list(want)
+    fits = all(type(x) is int and -(2**63) <= x < 2**63 for x in nums)
     return (
         fn.values() == tuple(want)
         and all(type(v) is int or v.denominator > 1 for v in fn.values())
+        and fn.den == den
+        and fn._v[1:].tolist() == nums
         and (fn._v.dtype == np.int64) == fits
     )
 
@@ -614,6 +639,32 @@ class TestStorage:
                 assert res.ok and all(type(v) in allowed for v in res.constants.values())
             g = af.additive_decompose(af.make("nu", sieve100, backend).scale(2**70), sieve100)
             assert len(g) and all(type(v) in allowed for _, v in g.items())
+
+    def test_kernel_results_store_canonically(self):
+        rng = random.Random(90)
+        n = 400
+        a, b = rand_exact_fn(rng, n, unit=1), rand_exact_fn(rng, n, unit=1)
+        x = rand_exact_fn(rng, n, unit=0)
+        big = af.ArithFn.from_values([1] + [2**70 if k % 7 else Fraction(k, 3) for k in range(2, n + 1)])
+        kept = recip_fn(n, 1)
+        wide = kept.truncate(100)  # den = lcm(1..100) > 2**63
+        tables = [
+            wide + a.truncate(100), a.truncate(100) - wide, af.ArithFn.zeros(100) + wide,
+            a * b, a + b, a - b, -a, a.scale(Fraction(3, 4)), a.scale(6), a.truncate(100),
+            a.inv(), af.dlog(a), af.dexp(x), af.psi(a), af.psi_inv(x), a - a, (a + a).scale(Fraction(1, 2)),
+            big, big * a, big + a, big.scale(Fraction(1, 3)),
+            kept, kept * a, kept + a, kept.truncate(358), kept.truncate(359), af.dlog(kept),
+        ]
+        for fn in tables:
+            vals = fn.values()
+            assert _stores_canonically(fn, vals), fn
+            assert fn.den == 1 or math.gcd(fn.den, *fn._v.tolist()) == 1
+            same = af.ArithFn.from_values(vals)
+            assert same == fn and hash(same) == hash(fn)
+        assert kept.truncate(358).den == math.lcm(*range(1, 359)) and kept.truncate(359).den == 1
+        assert repr(a.truncate(3).scale(Fraction(1, 2))) == (
+            f"ArithFn(bound=3, backend=rational, [{', '.join(str(Fraction(v) / 2) for v in a.values()[:3])}])"
+        )
 
     def test_truncate_restores_int64(self):
         fn = af.ArithFn.from_values([1, 2, 2**70, Fraction(1, 3)])

@@ -1,13 +1,31 @@
 """CSV/JSON table serialization: round trips and malformed inputs."""
 
+import json
 import random
+from fractions import Fraction
 
 import pytest
 
 import arithfn as af
 from arithfn import io as fnio
 from arithfn.errors import FormatError
-from conftest import rand_complex_fn, rand_exact_fn
+from conftest import rand_complex_fn, rand_exact_fn, recip_fn
+
+
+def _text_tables():
+    """Tables on each storage: int64 numerators over den > 1 (also with
+    -2**63 and with den >= 2**63), object numerators, kept Fractions,
+    ints and complex."""
+    rng = random.Random(52)
+    return [
+        rand_exact_fn(rng, 300),
+        af.ArithFn.from_values([Fraction(-(2**63), 3), Fraction(2, 3), 0, 5]),
+        af.ArithFn.from_values([Fraction(1, 2**63 + 1), Fraction(-7, 2**63 + 1), 0]),
+        af.ArithFn.from_values([Fraction(2**70, 3), Fraction(-1, 2), 4]),
+        recip_fn(400, 1),
+        af.ArithFn.from_values([rng.randint(-9, 9) for _ in range(50)]),
+        rand_complex_fn(rng, 50),
+    ]
 
 
 class TestCsv:
@@ -24,6 +42,11 @@ class TestCsv:
         path = tmp_path / "fn.csv"
         fnio.write_csv(fn, path)
         assert fnio.read_csv(path, af.COMPLEX) == fn  # repr round-trips floats exactly
+
+    def test_rows_format_each_value(self):
+        for fn in _text_tables():
+            want = "".join(f"{n},{fn.backend.format(v)}\n" for n, v in fn.items())
+            assert fnio.dump_csv(fn) == "n,value\n" + want
 
     def test_layout(self):
         fn = af.ArithFn.from_values([1, af.rational(-1, 2), 0])
@@ -61,6 +84,11 @@ class TestJson:
             path = tmp_path / "fn.json"
             fnio.write_json(fn, path)
             assert fnio.read_json(path) == fn
+
+    def test_values_serialize_each_value(self):
+        for fn in _text_tables():
+            want = [fn.backend.to_json(v) for v in fn.values()]
+            assert json.loads(fnio.dump_json(fn))["values"] == want
 
     def test_object_shape(self):
         fn = af.ArithFn.from_values([1.5 + 2j, 0j], af.COMPLEX)

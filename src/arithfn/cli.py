@@ -16,7 +16,7 @@ from . import io as fnio
 from .catalogue import verify_identities
 from .dirichlet import ArithFn
 from .errors import ArithfnError
-from .expr import EvalOptions, eval_expr, parse_expr
+from .expr import Apply, EvalOptions, eval_expr, parse_expr
 from .numerics import DEFAULT_EPS, DEFAULT_TOL, get_backend
 from .sieve import build_sieve
 from .structure import (
@@ -28,7 +28,6 @@ from .structure import (
     is_multiplicative,
     mobius_additivity_test,
 )
-from .transcend import dexp, dlog, psi, psi_inv
 
 #: Hard cap on the truncation bound; the smallest-prime-factor table is
 #: dense, so memory is the binding constraint.
@@ -41,8 +40,6 @@ _CHECKS = {
     "completely-additive": is_completely_additive,
     "additive-mobius": mobius_additivity_test,
 }
-
-_TRANSFORMS = {"psi": psi, "psiinv": psi_inv, "log": dlog, "exp": dexp}
 
 
 def _add_common(p, *, default_n: int, n_help: str | None = None):
@@ -82,7 +79,7 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_common(p, default_n=1000)
 
     p = sub.add_parser("transform", help="apply psi/psiinv/log/exp and write the table to a file")
-    p.add_argument("op", choices=sorted(_TRANSFORMS))
+    p.add_argument("op", choices=("exp", "log", "psi", "psiinv"))
     p.add_argument("expr")
     p.add_argument("--out", required=True, help="output file (.json -> JSON, otherwise CSV)")
     p.add_argument("--format", choices=("csv", "json"), default=None,
@@ -116,6 +113,8 @@ def _checked_bound(n: int) -> int:
 def _evaluate(args, sieve) -> ArithFn:
     backend = get_backend(args.backend)
     node = parse_expr(args.expr)
+    if args.command == "transform":
+        node = Apply(args.op, node)
     options = EvalOptions(normalize_unit=args.normalize_unit, eps=args.eps)
     return eval_expr(node, sieve, backend, sieve.bound, options)
 
@@ -178,12 +177,7 @@ def _dispatch(args) -> int:
 
     if cmd == "transform":
         bound = _checked_bound(args.n)
-        fn = _evaluate(args, build_sieve(bound))
-        op = _TRANSFORMS[args.op]
-        if args.op in ("psi", "log"):
-            out = op(fn, normalize_unit=args.normalize_unit)
-        else:
-            out = op(fn)
+        out = _evaluate(args, build_sieve(bound))
         fmt = args.format or ("json" if Path(args.out).suffix.lower() == ".json" else "csv")
         if fmt == "json":
             fnio.write_json(out, args.out)

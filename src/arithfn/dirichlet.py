@@ -24,14 +24,14 @@ the lcm of their denominators (see :func:`_store`).  ``fn[n]``,
 Convolution and inverse run in two numpy kernels, :func:`_conv` and
 :func:`_inv`, shared by every backend.  An int64 table whose magnitudes
 fail a provable overflow guard runs in object storage.  A product
-convolves numerators over the product of the two dens; the inverse of a
-table with den > 1 runs on its Fractions.  Both kernels are calls to one
-push, :func:`_push`, which adds x(d) y(m) into out[d m] for a support of
-d by a d-loop or an m-loop, whichever is shorter.  The convolution
-pushes the support of a below and above sqrt(N) (Dirichlet's hyperbola
-method), so it takes about 2 sqrt(N) vector operations; the inverse
-pushes dyadic blocks [2**j, 2**(j+1)), each final once the earlier
-blocks are pushed.
+convolves numerators over the product of the two dens; the inverse of
+numerators A is an integer table over |A(1)|**(K+1), K = floor(log2 N)
+(see :func:`_inv`), times den.  Both kernels are calls to one push,
+:func:`_push`, which adds x(d) y(m) into out[d m] for a support of d by
+a d-loop or an m-loop, whichever is shorter.  The convolution pushes the
+support of a below and above sqrt(N) (Dirichlet's hyperbola method), so
+it takes about 2 sqrt(N) vector operations; the inverse pushes dyadic
+blocks [2**j, 2**(j+1)), each final once the earlier blocks are pushed.
 
 Each output coefficient is a sum over its divisors in ascending order,
 of the same products a per-divisor loop forms.  In the float backend
@@ -277,7 +277,9 @@ class ArithFn:
                 )
         elif a1 == 0:
             raise NotInvertibleError("a(1) = 0; no Dirichlet inverse")
-        return ArithFn._wrap(self.bound, self.backend, _inv(self._values_at(slice(None)), self.bound))
+        b, den = _inv(self._v, self.bound)  # (A / den)**-1 = den A**-1
+        b = b.astype(object) * self.den if self.den > 1 else b  # den b may leave int64
+        return ArithFn._wrap(self.bound, self.backend, b, den)
 
     def __pow__(self, k: int) -> "ArithFn":
         """k-fold convolution power by binary exponentiation; a**0 = I."""
@@ -500,39 +502,48 @@ def _conv(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
 
 
 @np.errstate(over="ignore", invalid="ignore")  # _store reports it
-def _inv(a: np.ndarray, n: int) -> np.ndarray:
-    """Dirichlet inverse on 1..n of a padded array with a(1) != 0.
+def _inv(a: np.ndarray, n: int) -> tuple[np.ndarray, int]:
+    """Dirichlet inverse on 1..n of a padded array with a(1) != 0, as
+    numerators b over den: b(n) = -acc(n) / a(1), acc(n) = sum over d | n,
+    d < n of b(d) a(n/d).  The dyadic block [2**j, 2**(j+1)) only has
+    proper divisors in earlier blocks, so once those are pushed its b is
+    one vector op; the block is then pushed onto its multiples.  int64
+    re-checks the guard per block.
 
-    b(1) = 1/a(1) and b(n) = -b(1) acc(n), acc(n) = sum over d | n, d < n
-    of b(d) a(n/d).  The dyadic block [2**j, 2**(j+1)) only has proper
-    divisors in earlier blocks, so once those are pushed its b is one
-    vector op; the block is then pushed onto its multiples.  int64 needs
-    a(1) = +-1 and re-checks the guard per block with the running max|b|.
+    Integers, t = a(1): each proper divisor d of n has Omega(d) < Omega(n),
+    so by induction the inverse at n has a denominator dividing
+    t**(Omega(n)+1).  As Omega(n) <= K = floor(log2 n), b is an integer
+    table over den = |t|**(K+1): b(1) = sign(t) |t|**K, and each block is
+    the exact division -acc // t.  Complex tables, tables holding
+    Fractions, and den at or past the cap (where _store keeps Fractions
+    anyway) multiply by w = -1/a(1) over den = 1.
     """
-    a1 = a[1]
+    ints = a.dtype == np.int64 or a.dtype == object and Fraction not in set(map(type, a.tolist()))
+    den = abs(int(a[1])) ** n.bit_length() if ints else 1
     if a.dtype == np.complex128:
-        inv1 = 1.0 / a1
-    elif a.dtype == np.int64 and (a1 == 1 or a1 == -1):
-        inv1 = int(a1)
+        b1 = 1.0 / a[1]
+    elif ints and den < _SPLIT_CAP:
+        b1 = den // int(a[1])
     else:
-        a = a.astype(object)
-        a1 = a[1]
-        inv1 = a1 if a1 == 1 or a1 == -1 else Fraction(1, 1) / a1
-    w = -inv1
+        a, den = a.astype(object), 1
+        b1 = rational(1, a[1])
+    w = -int(a[1]) if den > 1 else -b1
     max_a = _max_abs(a) if a.dtype == np.int64 else 0
-    max_b = 1
+    max_b = abs(b1)
+    if a.dtype == np.int64 and not _fits_int64(max_a, max_b, n):
+        a = a.astype(object)
     acc = np.zeros(n + 1, dtype=a.dtype)
     b = np.zeros(n + 1, dtype=a.dtype)
-    b[1] = inv1
+    b[1] = b1
     lo = 1
     while lo <= n:
         hi = min(2 * lo, n + 1)
         if lo > 1:
-            b[lo:hi] = _scaled(w, acc[lo:hi])
+            b[lo:hi] = acc[lo:hi] // w if den > 1 else _scaled(w, acc[lo:hi])
         if b.dtype == np.int64:
             max_b = max(max_b, _max_abs(b[lo:hi]))
             if not _fits_int64(max_a, max_b, n):
                 a, b, acc = a.astype(object), b.astype(object), acc.astype(object)
         _push(acc, b, np.flatnonzero(b[lo:hi]) + lo, a, n, 2)
         lo = hi
-    return b
+    return b, den

@@ -31,11 +31,9 @@ over one common denominator D = lcm(q) L**K,
     dexp:  D = K! L**K,         term k adds D / (k! L**k) * b**k
 
 each coefficient an integer.  The result is stored as those numerators
-over D, reduced by one gcd: no value is divided.  A table in object
-storage with L = 1 (ints beyond int64, or Fractions kept because L
-reached the cap) takes the coefficients (-1)**(k-1) / k and 1 / k! as
-they are, with D = 1.
-The complex backend runs the same loop with the float coefficients p / q.
+over D, reduced by one gcd: no value is divided.  A table that keeps its
+Fractions (L = 1) runs the same integer coefficients on them.  The
+complex backend runs the same loop with the float coefficients p / q.
 """
 
 from __future__ import annotations
@@ -47,7 +45,7 @@ import numpy as np
 
 from .dirichlet import ArithFn, _conv, _scratch
 from .errors import DomainError
-from .numerics import COMPLEX, rational
+from .numerics import COMPLEX
 
 
 def _require_unit_value(a: ArithFn, want, op: str) -> None:
@@ -89,15 +87,12 @@ def _series(a: ArithFn, b: np.ndarray, den: int, unit: int, coeffs) -> ArithFn:
     b over den with b(1) = 0 and coeffs the (p, q) of k = 1..floor(log2 N).
 
     Exact: over big_d = lcm(q) den**K, term k adds the integer multiple
-    (p big_d / (q den**k)) b**k in Python ints.  Object storage with
-    den = 1 may keep Fractions (above the cap), so it runs over
-    big_d = 1 with Fraction coefficients.  Complex: p / q as a float.
+    (p big_d / (q den**k)) b**k, in Python ints or on the Fractions a
+    table keeps above the cap.  Complex: p / q as a float.
     """
     n = a.bound
     exact = a.backend is not COMPLEX
-    big_d = 1
-    if b.dtype == np.int64 or den > 1:
-        big_d = math.lcm(*(q for _, q in coeffs)) * den ** len(coeffs)
+    big_d = math.lcm(*(q for _, q in coeffs)) * den ** len(coeffs) if exact else 1
     acc = _scratch(n + 1, a.backend)
     acc[1] = unit * big_d
     pw = b
@@ -105,7 +100,7 @@ def _series(a: ArithFn, b: np.ndarray, den: int, unit: int, coeffs) -> ArithFn:
         if k > 1:
             pw = _conv(pw, b, n)
         if exact:
-            c = rational(p * big_d, q * den**k)
+            c = p * big_d // (q * den**k)
             nz = np.flatnonzero(pw)  # zeros of pw add nothing
             terms = pw[nz].astype(object)
             acc[nz] += terms if c == 1 else c * terms

@@ -423,6 +423,15 @@ def recip_fn(bound: int, first) -> af.ArithFn:
     return af.ArithFn.from_values([first] + [Fraction(1, k) for k in range(2, bound + 1)])
 
 
+def series_operand(rng: random.Random, n: int, first) -> list:
+    """A padded table shaped like the rational-series benchmark operands:
+    about a fifth zeros, the rest p/q with q in {1, 2, 3}."""
+    return [0, first] + [
+        0 if rng.random() < 0.2 else Fraction(rng.randint(-9, 9), rng.choice((1, 1, 2, 3)))
+        for _ in range(n - 1)
+    ]
+
+
 def rand_complex_fn(rng: random.Random, bound: int, unit=None) -> af.ArithFn:
     vals = [complex(rng.uniform(-0.5, 0.5), rng.uniform(-0.5, 0.5)) for _ in range(bound)]
     if unit is not None:

@@ -327,6 +327,12 @@ class TestCliBehavior:
         sieve = af.build_sieve(64)
         assert fnio.read_csv(back) == af.make("phi", sieve)
 
+    def test_transform_domain_error_carries_span(self, capsys, tmp_path):
+        out = tmp_path / "psi_nu.csv"
+        code, _, err = run_cli(capsys, "transform", "psi", "nu", "--n", "20", "--out", str(out))
+        assert code == 2 and "a(1)" in err and "psi(nu)" in err
+        assert not out.exists()
+
     def test_bell_subcommand(self, capsys):
         code, out, _ = run_cli(capsys, "bell", "phi", "--prime", "2", "--n", "100")
         assert code == 0

@@ -31,11 +31,13 @@ from conftest import (
     inverse_loop_complex,
     inverse_loop_exact,
     mobius_brute,
+    padded,
     pointwise_loop,
     primes_brute,
     rand_complex_fn,
     rand_exact_fn,
     recip_fn,
+    series_operand,
 )
 
 
@@ -364,6 +366,12 @@ def _kernel_input(vals) -> np.ndarray:
     return np.array(vals, dtype=np.int64 if fits else object)
 
 
+def _inverse_values(a, n):
+    """_inv's numerators over its den, as values in lowest terms."""
+    b, den = _inv(a, n)
+    return [af.rational(x, den) for x in b.tolist()]
+
+
 class TestKernels:
     # At SPARSE_SIZES the two bitwise tests also run the sparse tables,
     # in complex128 and in int64 and object storage.
@@ -393,21 +401,22 @@ class TestKernels:
         a = _rand_padded_complex(rng, n)
         for a1 in (1.0, 0.75 - 0.5j):
             a[1] = a1
-            got = _inv(a, n)
+            got, den = _inv(a, n)
             want = inverse_loop_complex(a, n)
-            assert _same_bits(got, want)
+            assert den == 1 and _same_bits(got, want)
         if n not in SPARSE_SIZES:
             return
         for t in _sparse_tables(rng, n, np.complex128)[:-1]:
             for a1 in (1.0, 0.75 - 0.5j):
                 t[1] = a1
-                assert _same_bits(_inv(t, n), inverse_loop_complex(t, n))
+                got, den = _inv(t, n)
+                assert den == 1 and _same_bits(got, inverse_loop_complex(t, n))
         for t in _sparse_tables(rng, n, np.int64)[:-1]:
             for a1 in (1, -1, 2):
                 t[1] = a1
                 want = inverse_loop_exact(t.tolist(), n)
-                assert _inv(t, n).tolist() == want
-                assert _inv(t.astype(object), n).tolist() == want
+                assert _inverse_values(t, n) == want
+                assert _inverse_values(t.astype(object), n) == want
 
     def test_storage_choice(self):
         half, den = _store([0, 1, Fraction(3, 2)], af.RATIONAL)
@@ -455,11 +464,11 @@ class TestKernels:
         want = convolve_loop_exact(av, bv, n)
         assert _conv(a, b, n).tolist() == want
         assert _conv(a.astype(object), b.astype(object), n).tolist() == want
-        av[1] = data.draw(st.sampled_from([1, -1]), label="a1")
+        av[1] = data.draw(st.sampled_from([1, -1, 2, -3]), label="a1")
         a = _kernel_input(av)
         want = inverse_loop_exact(av, n)
-        assert _inv(a, n).tolist() == want
-        assert _inv(a.astype(object), n).tolist() == want
+        assert _inverse_values(a, n) == want
+        assert _inverse_values(a.astype(object), n) == want
 
 
 def _is_canonical(vals) -> bool:
@@ -549,6 +558,63 @@ def _stores_canonically(fn, want) -> bool:
         and fn._v[1:].tolist() == nums
         and (fn._v.dtype == np.int64) == fits
     )
+
+
+@pytest.mark.parametrize("n", (1, 2, 1023, 1024, 1025, 4099))
+class TestIntegerInverse:
+    """inv runs on integer numerators over |t|**(K+1), t the numerator of
+    a(1) and K = floor(log2 N), or multiplies by -1/a(1) where those would
+    reach the cap; each case equals the exact loop and stores canonically."""
+
+    def _check(self, fn):
+        want = inverse_loop_exact(padded(fn), fn.bound)[1:]
+        assert _stores_canonically(fn.inv(), want)
+
+    def test_integer_units(self, n):
+        rng = random.Random(90 + n)
+        rest = [0 if rng.random() < 0.2 else rng.randint(-5, 5) for _ in range(n - 1)]
+        for a1 in (1, -1, 2, -3, 6):
+            self._check(af.ArithFn.from_values([a1] + rest))
+
+    def test_rational_tables(self, n):
+        rng = random.Random(100 + n)
+        for first in (1, Fraction(-5, 3), Fraction(1, 6), Fraction(-1, 6)):
+            self._check(af.ArithFn.from_values(series_operand(rng, n, first)[1:]))
+
+    def test_shifted_units(self, n):
+        u, one = af.ArithFn.ones(n), af.ArithFn.identity(n)
+        for fn in (u.scale(2), u + one, u.scale(Fraction(2, 3)) + one):
+            self._check(fn)
+
+    def test_unit_crossing_the_cap(self, n):
+        # (2**40)**(K+1) passes 2**512 from K = 12 (n >= 4096) on
+        fn = af.ArithFn.from_values([2**40] + [(-1) ** k * k for k in range(2, n + 1)])
+        self._check(fn)
+
+    def test_int64_guard_edge(self, n):
+        # max|a| = t and b(1) = t**K: the largest t that passes the
+        # guard, t**(K+1) (2 floor(sqrt n) + 1) < 2**62, and one past it
+        c, k1 = 2 * math.isqrt(n) + 1, n.bit_length()  # k1 = K + 1
+        t = round(((2**62 - 1) // c) ** (1 / k1))
+        while t**k1 * c >= 2**62:
+            t -= 1
+        while (t + 1) ** k1 * c < 2**62:
+            t += 1
+        rng = random.Random(110 + n)
+        rest = [rng.choice((0, 1, -1)) for _ in range(n - 1)]
+        for a1, dtype in ((t, np.int64), (-(t + 1), object)):
+            fn = af.ArithFn.from_values([a1] + rest)
+            assert _inv(fn._v, n)[0].dtype == dtype
+            self._check(fn)
+
+
+def test_inverse_of_kept_fractions():
+    # 1/n at 400: den would reach the cap, so the table keeps Fractions
+    for first in (1, 2, Fraction(-1, 3)):
+        fn = recip_fn(400, first)
+        assert fn.den == 1 and fn._v.dtype == object
+        want = inverse_loop_exact(padded(fn), 400)[1:]
+        assert _stores_canonically(fn.inv(), want)
 
 
 # Signed zeros and zero parts, where a complex product formula can differ

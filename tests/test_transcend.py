@@ -26,6 +26,7 @@ from conftest import (
     rand_multiplicative,
     recip_fn,
     series_loop_complex,
+    series_operand,
     series_partial_sum_log,
 )
 
@@ -307,6 +308,14 @@ class TestCommonDenominator:
             got = af.dexp(a)
             assert padded(got) == dexp_oracle(padded(a)) and _is_canonical(got)
 
+    def test_object_ints_match_oracles(self, sieve5000):
+        # sigma_6 leaves int64 from n = 1449 on: object ints over den = 1
+        s6 = af.make("sigma", sieve5000, c=6, bound=4099)
+        x = s6 - af.ArithFn.identity(4099)
+        assert s6._v.dtype == object and s6.den == 1
+        for got, want in ((af.dlog(s6), dlog_oracle(padded(s6))), (af.dexp(x), dexp_oracle(padded(x)))):
+            assert padded(got) == want and _is_canonical(got)
+
     def test_psi_round_trip(self):
         for a in self._tables(1):
             p = af.psi(a)
@@ -357,15 +366,6 @@ class TestExactAgainstComplex:
             assert _close(af.psi_inv(a), af.psi_inv(ac))
 
 
-def _series_operand(rng, n, first) -> list:
-    """A padded table shaped like the rational-series benchmark operands:
-    about a fifth zeros, the rest p/q with q in {1, 2, 3}."""
-    return [0, first] + [
-        0 if rng.random() < 0.2 else Fraction(rng.randint(-9, 9), rng.choice((1, 1, 2, 3)))
-        for _ in range(n - 1)
-    ]
-
-
 @pytest.mark.parametrize("n", (1023, 1024, 1025, 4099))
 class TestBlockEdges:
     """Numerator storage on both sides of the dyadic block edges, against
@@ -373,7 +373,7 @@ class TestBlockEdges:
 
     def test_ring_ops_match_loops(self, n):
         rng = random.Random(70 + n)
-        av, bv = _series_operand(rng, n, 1), _series_operand(rng, n, 1)
+        av, bv = series_operand(rng, n, 1), series_operand(rng, n, 1)
         a, b = af.ArithFn.from_values(av[1:]), af.ArithFn.from_values(bv[1:])
         r = Fraction(-4, 3)
         cases = [
@@ -391,7 +391,7 @@ class TestBlockEdges:
 
     def test_series_match_oracles(self, n):
         rng = random.Random(80 + n)
-        av, xv = _series_operand(rng, n, 1), _series_operand(rng, n, 0)
+        av, xv = series_operand(rng, n, 1), series_operand(rng, n, 0)
         a, x = af.ArithFn.from_values(av[1:]), af.ArithFn.from_values(xv[1:])
         log_a = dlog_oracle(av)
         assert log_a == series_partial_sum_log(av, n.bit_length())

@@ -1,0 +1,114 @@
+"""Print one sha256 digest per (op, input, N) of the arithfn found in SRC_DIR.
+
+Usage:  python3 tools/digest.py SRC_DIR > digests.txt
+
+Running it on two source trees and diffing the outputs checks that a
+change keeps every result: a digest covers ``repr(values())``, so value
+types count, and for complex tables also the bits of the stored array.
+An op that raises digests its exception type and message instead.
+
+Ops: inv, dlog, dexp, psi, psi_inv, * and + (with the table itself and
+with a fixed partner), scale, dump_csv and dump_json.  dlog and psi get
+the input divided by a(1); dexp and psi_inv get it with a(1) set to 0.
+Inputs: the catalogue, 2 . u, u + I, seeded tables shaped like the
+rational-series benchmark operands, 1/n, sigma_6, and complex phi and mu.
+Standard library and numpy only.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import random
+import sys
+from fractions import Fraction
+
+import numpy as np
+
+BOUNDS = (1, 2, 17, 1023, 1024, 1025, 4099)
+
+
+def _series_table(af, seed: int, n: int, first):
+    """About a fifth zeros, the rest p/q with q in {1, 2, 3}."""
+    rng = random.Random(seed)
+    vals = [first] + [
+        0 if rng.random() < 0.2 else Fraction(rng.randint(-9, 9), rng.choice((1, 1, 2, 3)))
+        for _ in range(n - 1)
+    ]
+    return af.ArithFn.from_values(vals)
+
+
+def _inputs(af, n: int) -> dict:
+    sieve = af.build_sieve(n)
+    u, one = af.ArithFn.ones(n), af.ArithFn.identity(n)
+    tables = {name: af.make(name, sieve) for name in af.catalogue.NAMES if name not in ("mangoldt", "sigma")}
+    tables.update({
+        "sigma_6": af.make("sigma", sieve, c=6),
+        "2.u": u.scale(2),
+        "u+I": u + one,
+        "1/n": af.ArithFn.from_values([1] + [Fraction(1, k) for k in range(2, n + 1)]),
+        "complex_phi": af.make("phi", sieve, af.COMPLEX),
+        "complex_mu": af.make("mobius", sieve, af.COMPLEX),
+    })
+    for seed, first in ((1, 1), (2, Fraction(-5, 3)), (3, Fraction(1, 6)), (4, 0)):
+        tables[f"series_{seed}"] = _series_table(af, seed, n, first)
+    return tables
+
+
+def _ops(af, a, partner):
+    n, backend = a.bound, a.backend
+    one = af.ArithFn.identity(n, backend)
+    a1 = a[1]
+    unit = a if a1 == 0 else a.scale((1.0 if backend is af.COMPLEX else Fraction(1)) / a1)
+    zero = a - one.scale(a1)
+    r = 0.75 - 0.5j if backend is af.COMPLEX else Fraction(-4, 3)
+    return {
+        "inv": a.inv,
+        "dlog": lambda: af.dlog(unit),
+        "dexp": lambda: af.dexp(zero),
+        "psi": lambda: af.psi(unit),
+        "psi_inv": lambda: af.psi_inv(zero),
+        "a*a": lambda: a * a,
+        "a*p": lambda: a * partner,
+        "a+a": lambda: a + a,
+        "a+p": lambda: a + partner,
+        "scale": lambda: a.scale(r),
+        "dump_csv": lambda: af.io.dump_csv(a),
+        "dump_json": lambda: af.io.dump_json(a),
+    }
+
+
+def _digest(af, result) -> str:
+    h = hashlib.sha256()
+    if isinstance(result, str):
+        h.update(result.encode())
+    else:
+        h.update(repr(result.values()).encode())
+        if result.backend is af.COMPLEX:
+            h.update(np.ascontiguousarray(result._v).view(np.uint64).tobytes())
+    return h.hexdigest()
+
+
+def main(argv) -> int:
+    if len(argv) != 2:
+        print(__doc__.splitlines()[2], file=sys.stderr)
+        return 2
+    sys.path.insert(0, argv[1])
+    import arithfn as af
+    import arithfn.catalogue  # noqa: F401  (af.catalogue.NAMES)
+    import arithfn.io  # noqa: F401
+
+    for n in BOUNDS:
+        tables = _inputs(af, n)
+        partners = {af.RATIONAL: tables["series_1"], af.COMPLEX: tables["complex_mu"]}
+        for name, a in tables.items():
+            for op, run in _ops(af, a, partners[a.backend]).items():
+                try:
+                    line = _digest(af, run())
+                except af.ArithfnError as e:  # an error is a result too
+                    line = "error " + hashlib.sha256(f"{type(e).__name__}: {e}".encode()).hexdigest()
+                print(f"{op}\t{name}\t{n}\t{line}", flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv))

@@ -196,24 +196,24 @@ _CLOSED_FORMS = {
 }
 
 
-def verify_identities(sieve: SpfSieve, bound: int | None = None, tol: float = DEFAULT_TOL) -> IdentityReport:
+def verify_identities(sieve: SpfSieve, *, tol: float = DEFAULT_TOL) -> IdentityReport:
     """Check the ten per-prime closed forms against the definitional tables.
 
     The nine exact identities (u, mu, phi, liouville, d, N, sigma_1, nu,
-    Omega) evaluate their closed form on every prime power p^k <= bound,
-    fold those values into a table (a product over the prime powers of n,
-    or a sum for nu and Omega) and must match exactly; the von Mangoldt
-    identity is checked in floats via (u * Lambda)(n) = ln n together with
-    Lambda = mu * u', each within ``tol``.
+    Omega) evaluate their closed form on every prime power p^k <= N, the
+    sieve's bound, fold those values into a table (a product over the
+    prime powers of n, or a sum for nu and Omega) and must match exactly;
+    the von Mangoldt identity is checked in floats via (u * Lambda)(n) =
+    ln n together with Lambda = mu * u', each within ``tol``.
     """
-    n = sieve.bound if bound is None else bound
+    n = sieve.bound
     p, k, pk = _prime_powers(sieve, n)
     rows = list(zip(p.tolist(), k.tolist()))
     entries = []
     for name, (ctor, c, product, closed_form) in _CLOSED_FORMS.items():
         vals = [closed_form(q, j) for q, j in rows]
         rhs = _prime_power_fold(sieve, n, int(product), pk, vals, RATIONAL, product)
-        entries.append(_compare_exact(name, n, make(ctor, sieve, c=c, bound=n), rhs))
+        entries.append(_compare_exact(name, n, make(ctor, sieve, c=c), rhs))
     entries.insert(4, _lambda_entry(sieve, n, tol))  # the report lists Lambda after lambda
     return IdentityReport(tuple(entries))
 
@@ -224,9 +224,9 @@ def _lambda_entry(sieve: SpfSieve, n: int, tol: float) -> IdentityCheck:
     # the prime-power weights from the log-weighted derivative.
     u = ArithFn.ones(n, COMPLEX)
     logs = u.deriv()  # ln n on 1..N
-    lam = make("mangoldt", sieve, COMPLEX, bound=n)
+    lam = make("mangoldt", sieve, COMPLEX)
     d1 = (u * lam)._v - logs._v
-    d2 = (make("mobius", sieve, COMPLEX, bound=n) * logs)._v - lam._v
+    d2 = (make("mobius", sieve, COMPLEX) * logs)._v - lam._v
     # np.hypot rounds as Python's abs(complex) does; np.abs does not
     dev = np.maximum(np.hypot(d1.real, d1.imag), np.hypot(d2.real, d2.imag))[1:]
     fails = np.flatnonzero(dev > tol)

@@ -1,7 +1,7 @@
 """Command-line interface.
 
 Exit codes: 0 success, 1 a check or identity verification failed,
-2 usage, parse, format or domain errors.  Diagnostics go to stderr;
+2 usage, parse, format, domain or file errors.  Diagnostics go to stderr;
 data goes to stdout.
 """
 
@@ -14,7 +14,6 @@ from pathlib import Path
 
 from . import io as fnio
 from .catalogue import verify_identities
-from .dirichlet import ArithFn
 from .errors import ArithfnError
 from .expr import Apply, EvalOptions, eval_expr, parse_expr
 from .numerics import DEFAULT_EPS, DEFAULT_TOL, get_backend
@@ -104,21 +103,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-def _checked_bound(n: int) -> int:
-    if not 1 <= n <= MAX_BOUND:
-        raise ArithfnError(f"bound must be in 1..{MAX_BOUND}, got {n}")
-    return n
-
-
-def _evaluate(args, sieve) -> ArithFn:
-    backend = get_backend(args.backend)
-    node = parse_expr(args.expr)
-    if args.command == "transform":
-        node = Apply(args.op, node)
-    options = EvalOptions(normalize_unit=args.normalize_unit, eps=args.eps)
-    return eval_expr(node, sieve, backend, sieve.bound, options)
-
-
 def _format_witness(res: CheckResult) -> str:
     if res.witness_kind == "pair":
         m, n = res.witness
@@ -133,7 +117,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return _dispatch(args)
-    except (ArithfnError, ValueError) as e:
+    except (ArithfnError, ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 
@@ -141,29 +125,35 @@ def main(argv=None) -> int:
 def _dispatch(args) -> int:
     cmd = args.command
 
-    if cmd == "eval":
-        bound = _checked_bound(args.n if args.n else args.index)
-        if not 1 <= args.index <= bound:
-            raise ArithfnError(f"index {args.index} outside 1..{bound}")
-        fn = _evaluate(args, build_sieve(bound))
-        print(fn.backend.format(fn[args.index]))
+    if cmd == "import":
+        backend = get_backend(args.backend)
+        fn = fnio.read_function(args.file, backend=backend)
+        print(f"bound={fn.bound} backend={fn.backend.name} nonzero={len(fn.support())}")
         return 0
 
-    if cmd == "table":
-        bound = _checked_bound(args.n)
-        fn = _evaluate(args, build_sieve(bound))
-        if args.format == "csv":
-            sys.stdout.write(fnio.dump_csv(fn))
-        elif args.format == "json":
-            print(fnio.dump_json(fn))
-        else:
-            sys.stdout.write("".join(f"{n}\t{s}\n" for n, s in enumerate(fn._formatted(), 1)))
-        return 0
+    # every other command: one bound, one sieve, then verify or one evaluation
+    bound = (args.n or args.index) if cmd == "eval" else args.n
+    if not 1 <= bound <= MAX_BOUND:
+        raise ArithfnError(f"bound must be in 1..{MAX_BOUND}, got {bound}")
+    if cmd == "eval" and not 1 <= args.index <= bound:
+        raise ArithfnError(f"index {args.index} outside 1..{bound}")
+    sieve = build_sieve(bound)
+
+    if cmd == "verify":
+        report = verify_identities(sieve, tol=args.tol)
+        for line in report.lines():
+            print(line)
+        return 0 if report.all_passed else 1
+
+    node = parse_expr(args.expr)
+    if cmd == "transform":
+        node = Apply(args.op, node)
+    options = EvalOptions(normalize_unit=args.normalize_unit, eps=args.eps)
+    fn = eval_expr(node, sieve, get_backend(args.backend), options=options)
+    if cmd not in ("check", "bell"):
+        del sieve  # free it before the output step, where a large table peaks in memory
 
     if cmd == "check":
-        bound = _checked_bound(args.n)
-        sieve = build_sieve(bound)
-        fn = _evaluate(args, sieve)
         predicate = _CHECKS[args.kind]
         if args.kind in ("multiplicative", "additive"):
             res = predicate(fn, tol=args.tol)
@@ -175,40 +165,29 @@ def _dispatch(args) -> int:
         print(f"{args.kind}: false witness={_format_witness(res)}")
         return 1
 
-    if cmd == "transform":
-        bound = _checked_bound(args.n)
-        out = _evaluate(args, build_sieve(bound))
+    if cmd == "eval":
+        print(fn.backend.format(fn[args.index]))
+    elif cmd == "table":
+        if args.format == "csv":
+            sys.stdout.write(fnio.dump_csv(fn))
+        elif args.format == "json":
+            print(fnio.dump_json(fn))
+        else:
+            sys.stdout.write("".join(f"{n}\t{s}\n" for n, s in enumerate(fn._formatted(), 1)))
+    elif cmd == "transform":
         fmt = args.format or ("json" if Path(args.out).suffix.lower() == ".json" else "csv")
         if fmt == "json":
-            fnio.write_json(out, args.out)
+            fnio.write_json(fn, args.out)
         else:
-            fnio.write_csv(out, args.out)
-        return 0
-
-    if cmd == "bell":
-        bound = _checked_bound(args.n)
-        sieve = build_sieve(bound)
-        fn = _evaluate(args, sieve)
+            fnio.write_csv(fn, args.out)
+    elif cmd == "bell":
         p = args.prime
         if not (2 <= p <= bound and sieve.is_prime(p)):
             raise ArithfnError(f"--prime must be a prime <= {bound}, got {p}")
         print(json.dumps(bell_decompose_mult(fn, sieve).series_for(p).to_json_obj(fn.backend)))
-        return 0
-
-    if cmd == "verify":
-        bound = _checked_bound(args.n)
-        report = verify_identities(build_sieve(bound), bound, tol=args.tol)
-        for line in report.lines():
-            print(line)
-        return 0 if report.all_passed else 1
-
-    if cmd == "import":
-        backend = get_backend(args.backend)
-        fn = fnio.read_function(args.file, backend=backend)
-        print(f"bound={fn.bound} backend={fn.backend.name} nonzero={len(fn.support())}")
-        return 0
-
-    raise AssertionError(cmd)  # pragma: no cover
+    else:  # pragma: no cover
+        raise AssertionError(cmd)
+    return 0
 
 
 def entry() -> None:

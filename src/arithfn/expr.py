@@ -15,7 +15,7 @@ pointwise `+`; a scalar prefix `r . e` binds tighter still)::
 
 Numbers are exact: "3" is an integer, "-1/2" and "0.25" are rationals.
 Parse errors carry the byte offset and the token set that would have
-been accepted there.
+been accepted there.  ``eval_expr`` evaluates at its sieve's bound.
 """
 
 from __future__ import annotations
@@ -318,111 +318,101 @@ def to_text(node: Expr) -> str:
 # ---------------------------------------------------------------------------
 
 
+def _children(node: Expr) -> tuple:
+    """The sub-expressions of a node, left to right."""
+    if isinstance(node, (Add, Mul)):
+        return (node.left, node.right)
+    if isinstance(node, (Scale, Apply, Pow)):
+        return (node.expr,)
+    return ()
+
+
 def _first_complex_only_node(node: Expr) -> Optional[Expr]:
     """The first node (leftmost, outermost-last) that forces the complex
     backend: deriv, the von Mangoldt function, or sigma with a non-integer
     or negative exponent."""
+    for child in _children(node):
+        offender = _first_complex_only_node(child)
+        if offender is not None:
+            return offender
     if isinstance(node, Named):
         if node.name == "mangoldt":
             return node
         if node.name == "sigma" and (not isinstance(node.arg, int) or node.arg < 0):
             return node
-        return None
-    if isinstance(node, FileRef):
-        return None
-    if isinstance(node, Scale):
-        return _first_complex_only_node(node.expr)
-    if isinstance(node, (Add, Mul)):
-        return _first_complex_only_node(node.left) or _first_complex_only_node(node.right)
-    if isinstance(node, Apply):
-        inner = _first_complex_only_node(node.expr)
-        if inner is not None:
-            return inner
-        return node if node.op == "deriv" else None
-    if isinstance(node, Pow):
-        return _first_complex_only_node(node.expr)
+    if isinstance(node, Apply) and node.op == "deriv":
+        return node
     return None
 
 
 @dataclass
 class EvalOptions:
-    """Evaluation knobs threaded through expression evaluation."""
+    """Evaluation knobs read by every node of one evaluation."""
 
     normalize_unit: bool = False  # let log/psi rescale inputs with a(1) != 1
     eps: float = DEFAULT_EPS  # float-backend "is zero" threshold
 
 
-def _load_file(path: str, backend, bound: int) -> ArithFn:
-    fn = fnio.read_function(path, backend=backend)
-    if fn.backend is not backend:
-        fn = fn.to_backend(backend)  # exact -> complex widening only
-    if fn.bound < bound:
-        raise ExprEvalError(
-            f"file {path!r} holds {fn.bound} values but bound {bound} was requested"
-        )
-    if fn.bound > bound:
-        fn = fn.truncate(bound)
-    return fn
-
-
 def eval_expr(
-    node: Expr,
-    sieve: SpfSieve,
-    backend=RATIONAL,
-    bound: int | None = None,
-    options: EvalOptions | None = None,
+    node: Expr, sieve: SpfSieve, backend=RATIONAL, *, options: EvalOptions | None = None
 ) -> ArithFn:
-    """Evaluate an AST bottom-up at the given bound and backend.
+    """Evaluate an AST bottom-up at the sieve's bound in the given backend.
 
     Expressions that need floats fail fast under the rational backend,
-    naming the offending node; domain errors raised mid-evaluation are
-    re-raised with the source span of the node that caused them.
+    naming the offending node; domain errors raised mid-evaluation, and a
+    ``file("...")`` that cannot be read, are re-raised with the source
+    span of the node that caused them.
     """
-    bound = sieve.bound if bound is None else bound
     options = options or EvalOptions()
+    bound = sieve.bound
     if backend is RATIONAL:
         offender = _first_complex_only_node(node)
         if offender is not None:
             raise UnsupportedBackendError(
                 f"`{to_text(offender)}` needs the complex backend (--backend complex)"
             )
-    return _eval(node, sieve, backend, bound, options)
 
+    def ev(node: Expr) -> ArithFn:
+        try:
+            if isinstance(node, Named):
+                return make(node.name, sieve, backend, c=node.arg)
+            if isinstance(node, FileRef):
+                fn = fnio.read_function(node.path, backend=backend)
+                if fn.backend is not backend:
+                    fn = fn.to_backend(backend)  # exact -> complex widening only
+                if fn.bound < bound:
+                    raise ExprEvalError(f"file {node.path!r} holds {fn.bound} values "
+                                        f"but bound {bound} was requested")
+                return fn.truncate(bound) if fn.bound > bound else fn
+            if isinstance(node, Scale):
+                return ev(node.expr).scale(node.coeff)
+            if isinstance(node, Add):
+                return ev(node.left) + ev(node.right)
+            if isinstance(node, Mul):
+                return ev(node.left) * ev(node.right)
+            if isinstance(node, Pow):
+                return ev(node.expr) ** node.k
+            if isinstance(node, Apply):
+                inner = ev(node.expr)
+                if node.op == "inv":
+                    return inner.inv(eps=options.eps)
+                if node.op == "log":
+                    return dlog(inner, normalize_unit=options.normalize_unit)
+                if node.op == "exp":
+                    return dexp(inner)
+                if node.op == "psi":
+                    return psi(inner, normalize_unit=options.normalize_unit)
+                if node.op == "psiinv":
+                    return psi_inv(inner)
+                if node.op == "deriv":
+                    return inner.deriv()
+        except ExprEvalError:
+            raise
+        except (ArithfnError, OSError) as e:
+            raise ExprEvalError(str(e), span=to_text(node), position=node.pos) from e
+        raise TypeError(f"not an expression node: {node!r}")
 
-def _eval(node: Expr, sieve, backend, bound: int, options: EvalOptions) -> ArithFn:
     try:
-        if isinstance(node, Named):
-            return make(node.name, sieve, backend, c=node.arg, bound=bound)
-        if isinstance(node, FileRef):
-            return _load_file(node.path, backend, bound)
-        if isinstance(node, Scale):
-            return _eval(node.expr, sieve, backend, bound, options).scale(node.coeff)
-        if isinstance(node, Add):
-            return _eval(node.left, sieve, backend, bound, options) + _eval(
-                node.right, sieve, backend, bound, options
-            )
-        if isinstance(node, Mul):
-            return _eval(node.left, sieve, backend, bound, options) * _eval(
-                node.right, sieve, backend, bound, options
-            )
-        if isinstance(node, Pow):
-            return _eval(node.expr, sieve, backend, bound, options) ** node.k
-        if isinstance(node, Apply):
-            inner = _eval(node.expr, sieve, backend, bound, options)
-            if node.op == "inv":
-                return inner.inv(eps=options.eps)
-            if node.op == "log":
-                return dlog(inner, normalize_unit=options.normalize_unit)
-            if node.op == "exp":
-                return dexp(inner)
-            if node.op == "psi":
-                return psi(inner, normalize_unit=options.normalize_unit)
-            if node.op == "psiinv":
-                return psi_inv(inner)
-            if node.op == "deriv":
-                return inner.deriv()
-    except ExprEvalError:
-        raise
-    except ArithfnError as e:
-        raise ExprEvalError(str(e), span=to_text(node), position=node.pos) from e
-    raise TypeError(f"not an expression node: {node!r}")
+        return ev(node)
+    finally:
+        del ev  # ev refers to itself: break the cycle, which would keep the sieve alive

@@ -190,29 +190,40 @@ class TestClassicalIdentities:
             assert abs(conv[k] - math.log(k)) < 1e-9
 
 
+@pytest.fixture(scope="module")
+def sieve500():
+    return af.build_sieve(500)
+
+
 class TestIdentitySuite:
-    def test_all_pass_at_2000(self, sieve2048):
-        report = af.verify_identities(sieve2048, 2000, tol=1e-9)
+    def test_all_pass_at_2000(self):
+        report = af.verify_identities(af.build_sieve(2000), tol=1e-9)
         assert report.all_passed
         names = [e.name for e in report.entries]
         assert names == ["u", "mu", "phi", "lambda", "Lambda", "d", "N", "sigma_1", "nu", "Omega"]
         assert report.lines()[0] == "PASS u"
 
-    def test_lambda_entry_reports_deviation(self, sieve2048):
-        report = af.verify_identities(sieve2048, 500, tol=1e-9)
+    def test_lambda_entry_reports_deviation(self, sieve500):
+        report = af.verify_identities(sieve500, tol=1e-9)
         lam = next(e for e in report.entries if e.name == "Lambda")
         assert lam.backend == "complex" and lam.passed
         assert 0 <= lam.max_dev < 1e-9
 
-    def test_exact_failure_reports_first_index(self, sieve2048, monkeypatch):
+    def test_exact_failure_reports_first_index(self, sieve500, monkeypatch):
         # a totient step that forgets p | m is wrong first at phi(4) = 2
         monkeypatch.setitem(af.catalogue._SPF_STEPS, "phi", (1, lambda f, p, div: f * (p - 1)))
-        report = af.verify_identities(sieve2048, 500, tol=1e-9)
+        report = af.verify_identities(sieve500, tol=1e-9)
         assert [e.line() for e in report.entries if not e.passed] == ["FAIL phi at n=4"]
         assert not report.all_passed and len(report.entries) == 10
 
-    def test_failure_reports_first_index(self, sieve2048):
-        report = af.verify_identities(sieve2048, 500, tol=1e-18)
+    def test_failure_reports_first_index(self, sieve500):
+        report = af.verify_identities(sieve500, tol=1e-18)
         lam = next(e for e in report.entries if e.name == "Lambda")
         assert not lam.passed and lam.first_fail is not None
         assert "FAIL Lambda" in lam.line()
+
+    def test_tol_is_keyword_only(self, sieve500):
+        # the bound is the sieve's: a stale positional bound of 500 must
+        # not be taken for a tolerance
+        with pytest.raises(TypeError):
+            af.verify_identities(sieve500, 500)

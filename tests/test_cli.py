@@ -5,7 +5,9 @@ three contract commands; the expected values themselves are re-derived
 independently in test_transcend / test_catalogue.
 """
 
+import gc
 import json
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -142,48 +144,86 @@ class TestPrettyPrinter:
 
 
 class TestEvalExpr:
-    def test_mobius_times_u_is_identity(self, sieve100):
-        fn = eval_expr(parse_expr("mu * u"), sieve100, bound=5)
+    def test_mobius_times_u_is_identity(self):
+        fn = eval_expr(parse_expr("mu * u"), af.build_sieve(5))
         assert fn.values() == (1, 0, 0, 0, 0)
 
-    def test_psi_u(self, sieve100):
-        fn = eval_expr(parse_expr("psi(u)"), sieve100, bound=10)
+    def test_psi_u(self):
+        fn = eval_expr(parse_expr("psi(u)"), af.build_sieve(10))
         assert fn[4] == Fraction(3, 2)
 
-    def test_inv_identity(self, sieve100):
-        fn = eval_expr(parse_expr("inv(I)"), sieve100, bound=10)
+    def test_inv_identity(self):
+        fn = eval_expr(parse_expr("inv(I)"), af.build_sieve(10))
         assert fn == af.ArithFn.identity(10)
 
-    def test_complex_only_nodes_fail_fast_under_rational(self, sieve100):
+    def test_complex_only_nodes_fail_fast_under_rational(self):
+        sieve = af.build_sieve(50)
         for text in ("deriv(u)", "Lambda", "sigma(1/2)", "u * (mu + deriv(N))"):
             with pytest.raises(UnsupportedBackendError, match="complex backend"):
-                eval_expr(parse_expr(text), sieve100, af.RATIONAL, bound=50)
+                eval_expr(parse_expr(text), sieve, af.RATIONAL)
 
-    def test_complex_backend_evaluates_them(self, sieve100):
-        fn = eval_expr(parse_expr("deriv(u)"), sieve100, af.COMPLEX, bound=50)
+    def test_first_complex_only_node_is_leftmost_outermost_last(self):
+        # children are searched left to right before the node itself
+        sieve = af.build_sieve(50)
+        for text, offender in (
+            ("deriv(Lambda)", "Lambda"),
+            ("deriv(u) + sigma(-1)", "deriv(u)"),
+            ("u * deriv(sigma(1/2))", "sigma(1/2)"),
+            ("pow(2 . deriv(u), 2)", "deriv(u)"),
+        ):
+            with pytest.raises(UnsupportedBackendError) as exc:
+                eval_expr(parse_expr(text), sieve)
+            assert str(exc.value).startswith(f"`{offender}`"), text
+
+    def test_complex_backend_evaluates_them(self):
+        fn = eval_expr(parse_expr("deriv(u)"), af.build_sieve(50), af.COMPLEX)
         assert fn[1] == 0
 
-    def test_domain_error_carries_span(self, sieve100):
+    def test_domain_error_carries_span(self):
         with pytest.raises(ExprEvalError, match=r"log\(nu\)"):
-            eval_expr(parse_expr("log(nu)"), sieve100, bound=50)
+            eval_expr(parse_expr("log(nu)"), af.build_sieve(50))
 
     def test_file_nodes_load_tables(self, sieve100, tmp_path):
         target = af.make("phi", sieve100, bound=60)
         path = tmp_path / "phi.csv"
         fnio.write_csv(target, path)
-        fn = eval_expr(parse_expr(f'file("{path}") * u'), sieve100, bound=50)
+        fn = eval_expr(parse_expr(f'file("{path}") * u'), af.build_sieve(50))
         u = af.ArithFn.ones(50)
         assert fn == target.truncate(50) * u
 
-    def test_file_too_short_is_an_error(self, sieve100, tmp_path):
+    def test_file_too_short_is_an_error(self, tmp_path):
         path = tmp_path / "short.csv"
         fnio.write_csv(af.ArithFn.ones(10), path)
         with pytest.raises(ExprEvalError, match="10 values"):
-            eval_expr(parse_expr(f'file("{path}")'), sieve100, bound=50)
+            eval_expr(parse_expr(f'file("{path}")'), af.build_sieve(50))
+
+    def test_unreadable_file_carries_span(self, tmp_path):
+        missing = tmp_path / "missing.csv"
+        with pytest.raises(ExprEvalError, match=r'\(in `file\(".*missing\.csv"\)`\)$') as exc:
+            eval_expr(parse_expr(f'u + file("{missing}") * u'), af.build_sieve(10))
+        assert exc.value.position == 4 and isinstance(exc.value.__cause__, OSError)
+
+    def test_evaluation_keeps_no_reference_to_the_sieve(self):
+        # the evaluator refers to itself; unless eval_expr breaks that
+        # cycle, the sieve outlives the call until the cyclic collector runs
+        sieve = af.build_sieve(50)
+        before = sys.getrefcount(sieve)
+        gc.disable()
+        try:
+            eval_expr(parse_expr("psi(u) + mu * u"), sieve)
+            after = sys.getrefcount(sieve)
+        finally:
+            gc.enable()
+        assert after == before
+
+    def test_options_are_keyword_only(self, sieve100):
+        # the bound is the sieve's, so a stale positional bound is an error
+        with pytest.raises(TypeError):
+            eval_expr(parse_expr("u"), sieve100, af.RATIONAL, 50)
 
 
 class TestBackendAgreement:
-    def test_backends_compute_the_same_values(self, sieve100):
+    def test_backends_compute_the_same_values(self):
         # random expressions evaluated exactly, then widened to floats,
         # must match a direct complex-backend evaluation
         import random
@@ -191,6 +231,7 @@ class TestBackendAgreement:
         from arithfn.errors import ArithfnError
 
         n = 64
+        sieve = af.build_sieve(n)
         rng = random.Random(7070)
         names = ["I", "u", "mu", "phi", "d", "N", "nu", "Omega", "lambda_liouville", "sigma(1)"]
         unary = ["inv", "log", "exp", "psi", "psiinv"]
@@ -213,10 +254,10 @@ class TestBackendAgreement:
         for _ in range(150):
             node = parse_expr(gen(3))
             try:
-                exact = eval_expr(node, sieve100, af.RATIONAL, n)
+                exact = eval_expr(node, sieve, af.RATIONAL)
             except ArithfnError:
                 continue  # e.g. inv/log of something vanishing at 1
-            approx = eval_expr(node, sieve100, af.COMPLEX, n)
+            approx = eval_expr(node, sieve, af.COMPLEX)
             for k in range(1, n + 1):
                 want = complex(exact[k])
                 dev = abs(approx[k] - want) / max(1.0, abs(want))
@@ -427,15 +468,72 @@ class TestCliBehavior:
         [
             ("check", "completely-multiplicative", "mu", "--n", "100"),
             ("bell", "phi", "--prime", "2", "--n", "100"),
+            ("eval", "mu * u", "7", "--n", "100"),
+            ("eval", "mu * u", "100"),
+            ("table", "psi(phi)", "--n", "100", "--format", "csv"),
+            ("transform", "psi", "phi", "--n", "100", "--out", "psi_phi.csv"),
+            ("verify", "identities", "--n", "100"),
         ],
     )
-    def test_one_sieve_per_call(self, capsys, monkeypatch, argv):
-        calls = []
-
-        def counting_build_sieve(bound):
-            calls.append(bound)
-            return af.build_sieve(bound)
-
-        monkeypatch.setattr("arithfn.cli.build_sieve", counting_build_sieve)
-        run_cli(capsys, *argv)
+    def test_one_sieve_per_call(self, capsys, monkeypatch, tmp_path, argv):
+        calls = _count_sieves(monkeypatch, tmp_path)
+        assert run_cli(capsys, *argv)[0] in (0, 1)  # 1: mu is not completely multiplicative
         assert calls == [100]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("import", "u.csv"),
+            ("eval", "u", "101", "--n", "100"),
+            ("table", "u", "--n", "0"),
+            ("table", "u", "--n", "10000001"),
+        ],
+    )
+    def test_no_sieve_for_import_or_rejected_bound(self, capsys, monkeypatch, tmp_path, argv):
+        calls = _count_sieves(monkeypatch, tmp_path)
+        run_cli(capsys, *argv)
+        assert calls == []
+
+
+def _count_sieves(monkeypatch, tmp_path) -> list:
+    """Record the bound of every sieve the CLI builds, running in
+    ``tmp_path`` next to a 10-row table ``u.csv``."""
+    calls = []
+
+    def counting_build_sieve(bound):
+        calls.append(bound)
+        return af.build_sieve(bound)
+
+    monkeypatch.setattr("arithfn.cli.build_sieve", counting_build_sieve)
+    monkeypatch.chdir(tmp_path)
+    fnio.write_csv(af.ArithFn.ones(10), "u.csv")
+    return calls
+
+
+class TestCliFileErrors:
+    """A file that cannot be read or written exits 2 with a one-line
+    diagnostic, not a traceback."""
+
+    def assert_file_error(self, capsys, *argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "Traceback" not in err
+        return err
+
+    def test_import_missing_file(self, capsys, tmp_path):
+        err = self.assert_file_error(capsys, "import", str(tmp_path / "nonexistent.csv"))
+        assert "nonexistent.csv" in err
+
+    def test_import_directory(self, capsys, tmp_path):
+        self.assert_file_error(capsys, "import", str(tmp_path))
+
+    def test_table_of_missing_file(self, capsys, tmp_path):
+        expr = f'file("{tmp_path / "nope.csv"}")'
+        err = self.assert_file_error(capsys, "table", expr, "--n", "10")
+        assert f"(in `{expr}`)" in err
+
+    def test_transform_into_missing_directory(self, capsys, tmp_path):
+        out = tmp_path / "no" / "such" / "dir" / "x.csv"
+        self.assert_file_error(capsys, "transform", "psi", "phi", "--n", "10", "--out", str(out))
+        assert not out.exists()

@@ -1,4 +1,5 @@
-"""Print one sha256 digest per (op, input, N) of the arithfn found in SRC_DIR.
+"""Print one sha256 digest per (op, input, N) and per CLI call of the
+arithfn found in SRC_DIR.
 
 Usage:  python3 tools/digest.py SRC_DIR > digests.txt
 
@@ -12,19 +13,38 @@ with a fixed partner), scale, dump_csv and dump_json.  dlog and psi get
 the input divided by a(1); dexp and psi_inv get it with a(1) set to 0.
 Inputs: the catalogue, 2 . u, u + I, seeded tables shaped like the
 rational-series benchmark operands, 1/n, sigma_6, and complex phi and mu.
+
+CLI calls: one digest of (exit code, stdout, stderr) per ``cli.main``
+call, run in process from a temporary working directory with relative
+paths, so two source trees print the same bytes.  They cover every
+subcommand, ``table`` in all three formats, the expressions of the
+``cli`` benchmark workload (read from bench/workloads.py) at N = 10^4
+with its parse, domain and non-finite probes, and four file errors (a
+missing file and a directory given to ``import``, a missing
+``file("...")``, and a ``transform --out`` into a missing directory).
+An exception that escapes ``main`` is digested as exit 1 with its type
+and message on stderr, which is what the interpreter would report after
+the traceback.
+
 Standard library and numpy only.
 """
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
+import io
+import os
 import random
 import sys
+import tempfile
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 
 BOUNDS = (1, 2, 17, 1023, 1024, 1025, 4099)
+CLI_N = "10000"
 
 
 def _series_table(af, seed: int, n: int, first):
@@ -88,9 +108,81 @@ def _digest(af, result) -> str:
     return h.hexdigest()
 
 
+def _cli_calls(wl) -> list:
+    """argv lists: the ``cli`` workload's requests at N = 10^4 (``wl`` is
+    bench/workloads.py), the other subcommands and the error cases."""
+    named = {"scaled": "3 . phi * u", "file": f'file("{wl.INPUT_FILE}") * u'}
+    evals = [named.get(e, e) for e, _ in wl.EVAL_EXPRS]
+    tables = dict.fromkeys(evals + [named.get(e, e) for e, _, _ in wl.TABLE_EXPRS])
+    calls = [["eval", e, i, "--n", CLI_N] for e in evals for i in ("1", "9973", CLI_N)]
+    calls += [["table", e, "--n", CLI_N, "--format", fmt]
+              for e in tables for fmt in ("text", "csv", "json")]
+    calls += [["check", kind, e, "--n", CLI_N] for kind, e, _, _ in wl.CHECKS]
+    calls += [["bell", e, "--prime", p, "--n", CLI_N]
+              for e, _, _ in wl.BELL_EXPRS for p in ("2", "97")]
+    for i, (op, e, fmt, _) in enumerate(wl.TRANSFORMS):
+        path = f"t{i}.{fmt}"
+        calls += [["transform", op, e, "--n", CLI_N, "--out", path], ["import", path],
+                  ["table", f'file("{path}")', "--n", CLI_N, "--format", fmt]]
+    calls += [
+        ["verify", "identities", "--n", CLI_N],
+        ["verify", "identities", "--n", "100", "--tol", "1e-18"],
+        ["eval", "psi(u)", "4"],
+        ["eval", "u", "11", "--n", "10"],
+        ["table", "u", "--n", "0"],
+        ["check", "multiplicative", "sigma(5/2)", "--backend", "complex", "--n", "2000"],
+        ["table", "deriv(u)", "--n", "10"],
+        ["bell", "nu", "--prime", "2", "--n", "100"],
+        ["bell", "phi", "--prime", "6", "--n", "100"],
+        ["table"],
+        list(wl.PARSE_ERROR), list(wl.DOMAIN_ERROR), list(wl.NON_FINITE),
+        # file errors
+        ["import", "nonexistent.csv"],
+        ["import", "adir"],
+        ["table", 'file("nope.csv")'],
+        ["transform", "psi", "phi", "--out", "no/such/dir/x.csv"],
+    ]
+    return calls
+
+
+def _run_cli(main, argv) -> tuple:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as e:  # argparse usage errors
+            code = e.code
+        except Exception as e:  # noqa: BLE001  (the interpreter would print a traceback)
+            code = 1
+            err.write(f"{type(e).__name__}: {e}\n")
+    return code, out.getvalue(), err.getvalue()
+
+
+def _cli_digests() -> None:
+    import arithfn.cli
+
+    sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
+    import workloads as wl
+
+    rng = random.Random(1)
+    rows = "".join(f"{k},{rng.randint(-9, 9)}\n" for k in range(1, int(CLI_N) + 1))
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        os.chdir(tmp)
+        try:
+            Path(wl.INPUT_FILE).write_text("n,value\n" + rows, encoding="utf-8")
+            Path("adir").mkdir()
+            for argv in _cli_calls(wl):
+                result = _run_cli(arithfn.cli.main, argv)
+                line = hashlib.sha256(repr(result).encode()).hexdigest()
+                print(f"cli\t{result[0]}\t{' '.join(argv)}\t{line}", flush=True)
+        finally:
+            os.chdir(cwd)
+
+
 def main(argv) -> int:
     if len(argv) != 2:
-        print(__doc__.splitlines()[2], file=sys.stderr)
+        print(__doc__.splitlines()[3], file=sys.stderr)
         return 2
     sys.path.insert(0, argv[1])
     import arithfn as af
@@ -107,6 +199,7 @@ def main(argv) -> int:
                 except af.ArithfnError as e:  # an error is a result too
                     line = "error " + hashlib.sha256(f"{type(e).__name__}: {e}".encode()).hexdigest()
                 print(f"{op}\t{name}\t{n}\t{line}", flush=True)
+    _cli_digests()
     return 0
 
 

@@ -13,8 +13,8 @@ Every constructor computes from an elementary definition:
 The per-prime closed forms -- for example "the totient's value at p^k is
 p^k - p^(k-1)" -- are used only on the verification side, so the identity
 suite compares two genuinely independent computations of each function.
-It evaluates each closed form on the prime-power rows (p, k, p^k) and
-folds those values straight into a table with
+It evaluates each closed form as one numpy expression over the int64
+prime-power rows (p, k, p^k) and folds those values straight into a table with
 ``structure._prime_power_fold``, under x for a multiplicative function
 and under + for an additive one.
 """
@@ -181,18 +181,19 @@ def _compare_exact(name: str, bound: int, lhs: ArithFn, rhs: ArithFn) -> Identit
 
 
 #: identity name -> (catalogue constructor, its c, product (x) or sum (+)
-#: fold, the closed-form value at p^k: Bell coefficient c_p[k] under x,
-#: prime-support value g(p, k) = f(p^k) - f(p^(k-1)) under +)
+#: fold, the closed-form values at the int64 rows (p, k, pk = p^k): Bell
+#: coefficients c_p[k] under x, prime-support values
+#: g(p, k) = f(p^k) - f(p^(k-1)) under +)
 _CLOSED_FORMS = {
-    "u": ("u", None, True, lambda p, k: 1),
-    "mu": ("mobius", None, True, lambda p, k: -1 if k == 1 else 0),
-    "phi": ("phi", None, True, lambda p, k: p**k - p ** (k - 1)),
-    "lambda": ("liouville", None, True, lambda p, k: (-1) ** k),
-    "d": ("d", None, True, lambda p, k: k + 1),
-    "N": ("N", None, True, lambda p, k: p**k),
-    "sigma_1": ("sigma", 1, True, lambda p, k: (p ** (k + 1) - 1) // (p - 1)),
-    "nu": ("nu", None, False, lambda p, k: int(k == 1)),
-    "Omega": ("Omega", None, False, lambda p, k: 1),
+    "u": ("u", None, True, lambda p, k, pk: np.ones_like(k)),
+    "mu": ("mobius", None, True, lambda p, k, pk: np.where(k == 1, -1, 0)),
+    "phi": ("phi", None, True, lambda p, k, pk: pk - pk // p),
+    "lambda": ("liouville", None, True, lambda p, k, pk: 1 - 2 * (k % 2)),
+    "d": ("d", None, True, lambda p, k, pk: k + 1),
+    "N": ("N", None, True, lambda p, k, pk: pk),
+    "sigma_1": ("sigma", 1, True, lambda p, k, pk: (pk * p - 1) // (p - 1)),
+    "nu": ("nu", None, False, lambda p, k, pk: np.where(k == 1, 1, 0)),
+    "Omega": ("Omega", None, False, lambda p, k, pk: np.ones_like(k)),
 }
 
 
@@ -208,10 +209,9 @@ def verify_identities(sieve: SpfSieve, *, tol: float = DEFAULT_TOL) -> IdentityR
     """
     n = sieve.bound
     p, k, pk = _prime_powers(sieve, n)
-    rows = list(zip(p.tolist(), k.tolist()))
     entries = []
     for name, (ctor, c, product, closed_form) in _CLOSED_FORMS.items():
-        vals = [closed_form(q, j) for q, j in rows]
+        vals = closed_form(p, k, pk)
         rhs = _prime_power_fold(sieve, n, int(product), pk, vals, RATIONAL, product)
         entries.append(_compare_exact(name, n, make(ctor, sieve, c=c), rhs))
     entries.insert(4, _lambda_entry(sieve, n, tol))  # the report lists Lambda after lambda

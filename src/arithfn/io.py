@@ -67,8 +67,17 @@ def write_csv(fn: ArithFn, path) -> None:
     Path(path).write_text(dump_csv(fn), encoding="utf-8")
 
 
+def _read_text(path) -> str:
+    """The file's text; bytes that are not UTF-8 are a FormatError naming
+    the file and the byte offset."""
+    try:
+        return Path(path).read_bytes().decode("utf-8")
+    except UnicodeDecodeError as e:
+        raise FormatError(f"{path}: not UTF-8 at byte {e.start} ({e.reason})") from None
+
+
 def read_csv(path, backend=RATIONAL) -> ArithFn:
-    return parse_csv(Path(path).read_text(encoding="utf-8"), backend)
+    return parse_csv(_read_text(path), backend)
 
 
 def to_json_obj(fn: ArithFn) -> dict:
@@ -108,7 +117,7 @@ def write_json(fn: ArithFn, path) -> None:
 
 def read_json(path) -> ArithFn:
     try:
-        obj = json.loads(Path(path).read_text(encoding="utf-8"))
+        obj = json.loads(_read_text(path))
     except json.JSONDecodeError as e:
         raise FormatError(f"invalid JSON: {e}", line=e.lineno) from None
     return from_json_obj(obj)

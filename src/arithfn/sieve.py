@@ -103,6 +103,12 @@ def build_sieve(bound: int) -> SpfSieve:
     return SpfSieve(bound, spf, primes)
 
 
+def _check_bound(sieve: SpfSieve, bound: int) -> None:
+    """A sieve is read only up to its own bound: reject a smaller one."""
+    if sieve.bound < bound:
+        raise ValueError(f"sieve bound {sieve.bound} < required {bound}")
+
+
 def _primes(sieve: SpfSieve, bound: int) -> list[int]:
     """The primes <= bound, ascending."""
     return sieve.primes[: bisect_right(sieve.primes, bound)]
@@ -116,6 +122,7 @@ def _prime_powers(sieve: SpfSieve, bound: int) -> tuple[np.ndarray, np.ndarray, 
     with p, so the primes with a k-th power <= bound are a prefix of them:
     one vector step per k counts the largest exponent ``cap`` of each.
     """
+    _check_bound(sieve, bound)
     primes = _primes(sieve, bound)
     p = np.fromiter(primes, dtype=np.int64, count=len(primes))
     root = bisect_right(primes, math.isqrt(bound))

@@ -24,8 +24,12 @@ largest prime factor of k.  So every value is formed in ascending primes
 (sums in ascending (p, k)), as a per-index loop over the factorization
 forms it, and complex results are bit-identical to that loop.
 
-The checks, decompositions and reconstructions walk the prime-power
-rows (p, k, p^k) of ``sieve._prime_powers``.  The identity suite
+Every entry point that reads prime powers takes the caller's sieve,
+which must reach the table's bound: the two readers of the sieve,
+``sieve._prime_powers`` and :func:`_prime_power_fold`, raise ValueError
+on a smaller one before they read it.  The checks, decompositions and
+reconstructions walk the prime-power rows (p, k, p^k) of
+``sieve._prime_powers``.  The identity suite
 (``catalogue.verify_identities``) folds its closed-form values on those
 rows with :func:`_prime_power_fold` directly, with no decomposition
 object in between.
@@ -43,7 +47,7 @@ import numpy as np
 from .dirichlet import ArithFn, _box, _max_abs, _objects, _scaled, _scratch, _store
 from .errors import NonFiniteError, StructureError
 from .numerics import DEFAULT_TOL, _canonical_exact
-from .sieve import SpfSieve, _prime_powers, build_sieve
+from .sieve import SpfSieve, _check_bound, _prime_powers
 
 #: Rounding allowance of the complex comparisons: values match within
 #: tol + ROUNDING_ALLOWANCE * eps * (|lhs| + |rhs|).  The rounding error of
@@ -75,12 +79,12 @@ class CheckResult:
         return self.ok
 
 
-def _ensure_sieve(sieve: SpfSieve | None, bound: int) -> SpfSieve:
-    if sieve is None:
-        return build_sieve(bound)
-    if sieve.bound < bound:
-        raise ValueError(f"sieve bound {sieve.bound} < required {bound}")
-    return sieve
+def _require(check: CheckResult) -> None:
+    """A decomposition's precondition: StructureError with the witness."""
+    if not check:
+        raise StructureError(
+            f"input is not {check.kind} (witness {check.witness})", witness=check.witness
+        )
 
 
 @np.errstate(over="ignore", invalid="ignore")  # _store reports it
@@ -97,6 +101,7 @@ def _prime_power_fold(sieve, n, first, pks, vals, backend, product) -> ArithFn:
     The sum runs on the numerators over their den; a product over den > 1
     would need den**omega(k), so it runs on the boxed values.
     """
+    _check_bound(sieve, n)
     stored, den = _store(vals, backend)
     if product and den > 1:
         stored, den = _objects(_box(stored, den)), 1
@@ -210,14 +215,15 @@ def _coprime_pair_scan(a: ArithFn, kind: str, product: bool, tol) -> CheckResult
     return CheckResult(True, kind)
 
 
-def _prime_power_check(
-    a: ArithFn, sieve: SpfSieve | None, kind: str, product: bool, tol
-) -> CheckResult:
-    """a(p^k) = a(p)**k (``product``) or k a(p) on every prime power p^k <= N
-    with k >= 2; the witness is the least failing (p, k).  A complex
-    a(p)**k beyond the floats raises NonFiniteError."""
-    sieve = _ensure_sieve(sieve, a.bound)
+def _prime_power_check(a: ArithFn, sieve: SpfSieve, kind: str, product: bool, tol) -> CheckResult:
+    """The pair scan, then a(p^k) = a(p)**k (``product``) or k a(p) on every
+    prime power p^k <= N with k >= 2; the witness is the least failing
+    pair, else the least failing (p, k).  A complex a(p)**k beyond the
+    floats raises NonFiniteError."""
     p, k, pk = _prime_powers(sieve, a.bound)
+    base = _coprime_pair_scan(a, kind, product, tol)
+    if not base:
+        return base
     higher = k >= 2
     rows = list(zip(p[higher].tolist(), k[higher].tolist()))
     rhs = _scratch(len(rows), a.backend)
@@ -252,44 +258,32 @@ def is_additive(a: ArithFn, tol: float | None = None) -> CheckResult:
     return _coprime_pair_scan(a, "additive", False, tol)
 
 
-def is_completely_multiplicative(
-    a: ArithFn, sieve: SpfSieve | None = None, tol: float | None = None
-) -> CheckResult:
+def is_completely_multiplicative(a: ArithFn, sieve: SpfSieve, tol: float | None = None) -> CheckResult:
     """Multiplicative and a(p^k) = a(p)^k on every prime power <= N.
 
     At truncation the prime-power criterion plus plain multiplicativity
     is equivalent to a(mn) = a(m) a(n) for all m, n; scanning the O(N)
     prime powers is far cheaper than scanning all pairs.
     """
-    base = is_multiplicative(a, tol)
-    if not base:
-        return CheckResult(False, "completely-multiplicative", base.witness, base.witness_kind)
     return _prime_power_check(a, sieve, "completely-multiplicative", True, tol)
 
 
-def is_completely_additive(
-    a: ArithFn, sieve: SpfSieve | None = None, tol: float | None = None
-) -> CheckResult:
+def is_completely_additive(a: ArithFn, sieve: SpfSieve, tol: float | None = None) -> CheckResult:
     """Additive and a(p^k) = k a(p) on every prime power <= N."""
-    base = is_additive(a, tol)
-    if not base:
-        return CheckResult(False, "completely-additive", base.witness, base.witness_kind)
     return _prime_power_check(a, sieve, "completely-additive", False, tol)
 
 
-def mobius_additivity_test(
-    a: ArithFn, sieve: SpfSieve | None = None, tol: float | None = None
-) -> CheckResult:
+def mobius_additivity_test(a: ArithFn, sieve: SpfSieve, tol: float | None = None) -> CheckResult:
     """Additivity via convolution: mu * a must vanish at 1 and at every
     n with two or more distinct prime factors.  Agrees with
     :func:`is_additive` on every input; the witness is the least failing
     index n."""
-    sieve = _ensure_sieve(sieve, a.bound)
+    pk = _prime_powers(sieve, a.bound)[2]
     mu = ArithFn.ones(a.bound, a.backend).inv()
     g = (mu * a)._v
     prime_power = np.zeros(a.bound + 1, dtype=bool)
     prime_power[0] = True  # dead padding slot
-    prime_power[_prime_powers(sieve, a.bound)[2]] = True
+    prime_power[pk] = True
     off = np.flatnonzero(~prime_power)
     i = _first_mismatch(g[off], np.zeros(len(off), dtype=g.dtype), tol)
     if i is not None:
@@ -330,7 +324,7 @@ class BellDecomposition:
         try:
             return self._by_prime[p]
         except KeyError:
-            raise ValueError(f"no series for prime {p}") from None
+            raise StructureError(f"no series for prime {p}", witness=p) from None
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, BellDecomposition):
@@ -345,23 +339,15 @@ class BellDecomposition:
         return f"BellDecomposition(bound={self.bound}, primes={len(self.series)})"
 
 
-def bell_decompose_mult(
-    a: ArithFn, sieve: SpfSieve | None = None, tol: float | None = None
-) -> BellDecomposition:
+def bell_decompose_mult(a: ArithFn, sieve: SpfSieve) -> BellDecomposition:
     """Split a multiplicative function into its per-prime series.
 
     Raises StructureError carrying the witness pair if the input is not
     multiplicative; a silent decomposition of a non-multiplicative input
     would reconstruct into garbage.
     """
-    check = is_multiplicative(a, tol)
-    if not check:
-        raise StructureError(
-            f"input is not multiplicative (witness {check.witness})",
-            witness=check.witness,
-        )
-    sieve = _ensure_sieve(sieve, a.bound)
     p, k, pk = _prime_powers(sieve, a.bound)
+    _require(is_multiplicative(a))
     # the primes above sqrt N are a tail of rows with k = 1 only
     tail = int(np.searchsorted(p, math.isqrt(a.bound), side="right"))
     starts = np.flatnonzero(k[:tail] == 1).tolist() + [tail]
@@ -371,17 +357,23 @@ def bell_decompose_mult(
     return BellDecomposition(a.bound, a.backend, series)
 
 
-def bell_reconstruct_mult(dec: BellDecomposition, sieve: SpfSieve | None = None) -> ArithFn:
+def bell_reconstruct_mult(dec: BellDecomposition, sieve: SpfSieve) -> ArithFn:
     """Multiply the per-prime series back out: a(p1^a1...pk^ak) is the
     product 1 * c_p1[a1] * c_p2[a2] * ... in ascending primes; a(1) = 1
     (empty product).
 
-    Every series needs its floor(log_p N) + 1 coefficients and constant
-    term 1, else StructureError names its prime.
+    There must be one series per prime <= N and no other, each with its
+    floor(log_p N) + 1 coefficients and constant term 1, else
+    StructureError names the first bad series, else the least missing prime.
     """
     backend = dec.backend
     n = dec.bound
+    p, k, pk = _prime_powers(sieve, n)
     for s in dec.series:
+        if not (2 <= s.prime <= n and sieve._spf[s.prime] == s.prime):
+            raise StructureError(
+                f"the series at {s.prime} is not at a prime <= {n}", witness=s.prime
+            )
         if s.prime ** len(s.coeffs) <= n:
             raise StructureError(
                 f"the series at prime {s.prime} is too short for bound {n}", witness=s.prime
@@ -392,8 +384,6 @@ def bell_reconstruct_mult(dec: BellDecomposition, sieve: SpfSieve | None = None)
                 f"got {backend.format(s.coeffs[0])}",
                 witness=s.prime,
             )
-    sieve = _ensure_sieve(sieve, n)
-    p, k, pk = _prime_powers(sieve, n)
     vals = [dec.series_for(q).coeffs[j] for q, j in zip(p.tolist(), k.tolist())]
     return _prime_power_fold(sieve, n, backend.one, pk, vals, backend, True)
 
@@ -467,42 +457,34 @@ class PrimeSupport:
         return f"PrimeSupport(bound={self.bound}, entries={len(self._entries)})"
 
 
-def additive_decompose(
-    a: ArithFn, sieve: SpfSieve | None = None, tol: float | None = None
-) -> PrimeSupport:
+def additive_decompose(a: ArithFn, sieve: SpfSieve) -> PrimeSupport:
     """Difference the prime-power values of an additive function:
     g(p, k) = a(p^k) - a(p^(k-1)); g equals mu * a on prime powers."""
-    check = is_additive(a, tol)
-    if not check:
-        raise StructureError(
-            f"input is not additive (witness {check.witness})",
-            witness=check.witness,
-        )
-    sieve = _ensure_sieve(sieve, a.bound)
     p, k, pk = _prime_powers(sieve, a.bound)
+    _require(is_additive(a))
     # a(p^k) - a(p^(k-1)), a(p) - a(1) at k = 1, on numerators in Python
     # scalars (object storage), so an int64 difference cannot wrap
     diff = _box(a._v[pk].astype(object) - a._v[pk // p], a.den)
     return PrimeSupport(a.bound, a.backend, dict(zip(zip(p.tolist(), k.tolist()), diff)))
 
 
-def additive_reconstruct(g: PrimeSupport, sieve: SpfSieve | None = None) -> ArithFn:
+def additive_reconstruct(g: PrimeSupport, sieve: SpfSieve) -> ArithFn:
     """Sum g over the prime-power divisors of each index: the u-convolution
     of g's zero-extension, evaluated directly, each a(n) in ascending
-    (p, k).  Keys must be genuine prime powers; a composite base is an
-    invariant violation.
+    (p, k).  Keys must be genuine prime powers: a composite base raises
+    StructureError, found after the fold, which checks the sieve's bound
+    before any read.
     """
-    n = g.bound
-    sieve = _ensure_sieve(sieve, n)
     items = g.items()
+    pks = [p**k for (p, k), _ in items]
+    vals = [v for _, v in items]
+    a = _prime_power_fold(sieve, g.bound, g.backend.zero, pks, vals, g.backend, False)
     bases = np.array([p for (p, _), _ in items], dtype=np.int64)
     composite = np.flatnonzero(sieve._spf[bases] != bases)
     if len(composite):
         p, k = items[composite[0]][0]
         raise StructureError(f"key ({p}, {k}): base {p} is not prime", witness=(p, k))
-    pks = [p**k for (p, k), _ in items]
-    vals = [v for _, v in items]
-    return _prime_power_fold(sieve, n, g.backend.zero, pks, vals, g.backend, False)
+    return a
 
 
 # ---------------------------------------------------------------------------

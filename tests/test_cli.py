@@ -537,3 +537,12 @@ class TestCliFileErrors:
         out = tmp_path / "no" / "such" / "dir" / "x.csv"
         self.assert_file_error(capsys, "transform", "psi", "phi", "--n", "10", "--out", str(out))
         assert not out.exists()
+
+    def test_non_utf8_file(self, capsys, tmp_path):
+        path = tmp_path / "bin.csv"
+        path.write_bytes(b"n,value\n1,\xb0\n")
+        err = self.assert_file_error(capsys, "import", str(path))
+        assert "bin.csv: not UTF-8 at byte 10" in err
+        expr = f'file("{path}")'
+        err = self.assert_file_error(capsys, "table", expr, "--n", "5")
+        assert "bin.csv: not UTF-8 at byte 10" in err and f"(in `{expr}`)" in err

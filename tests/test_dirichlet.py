@@ -638,8 +638,8 @@ class TestStorage:
             u, uc, half, af.ArithFn.from_values([2**70, 1]), u * u, half * u, u.inv(), uc.inv(),
             u + u, u - half, -u, u.truncate(7), u.to_backend(af.COMPLEX), uc.deriv(),
             af.dlog(u), af.dexp(u - af.ArithFn.identity(50)), af.make("phi", sieve100),
-            af.bell_reconstruct_mult(af.bell_decompose_mult(af.make("phi", sieve100))),
-            af.additive_reconstruct(af.additive_decompose(af.make("nu", sieve100))),
+            af.bell_reconstruct_mult(af.bell_decompose_mult(af.make("phi", sieve100), sieve100), sieve100),
+            af.additive_reconstruct(af.additive_decompose(af.make("nu", sieve100), sieve100), sieve100),
             fnio.parse_csv(fnio.dump_csv(half)),
         ]
         for fn in tables:

@@ -118,3 +118,13 @@ def test_read_function_dispatches_on_extension(tmp_path, sieve100):
     fnio.write_json(fn, tmp_path / "t.json")
     assert fnio.read_function(tmp_path / "t.csv") == fn
     assert fnio.read_function(tmp_path / "t.json") == fn
+
+
+def test_non_utf8_file_names_file_and_byte(tmp_path):
+    # 0xff never occurs in UTF-8; the valid rows before it fix its offset
+    data = b"n,value\n1,1\n2,\xff\n"
+    for name, read in (("bin.csv", fnio.read_csv), ("bin.json", fnio.read_json)):
+        path = tmp_path / name
+        path.write_bytes(data)
+        with pytest.raises(FormatError, match=rf"{name}: not UTF-8 at byte 14 "):
+            read(path)

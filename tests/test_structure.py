@@ -58,7 +58,7 @@ class TestPredicates:
         assert res.ok and all(c == 1 for c in res.constants.values())
         res = af.is_completely_additive(af.make("nu", sieve1000), sieve1000)
         assert not res.ok and res.witness == (2, 2)
-        res = af.is_completely_additive(af.ArithFn.zeros(100))
+        res = af.is_completely_additive(af.ArithFn.zeros(100), sieve1000)
         assert res.ok and all(c == 0 for c in res.constants.values())
 
     def test_wrong_unit_value_witness(self):
@@ -80,12 +80,13 @@ class TestPredicates:
 
     def test_complex_prime_power_overflow_is_non_finite(self):
         # the pair scan passes at N = 4; a(2)**2 and 2 a(2) leave the floats
+        sieve = af.build_sieve(4)
         big = af.ArithFn.from_values([1, 1e200, 1, 1e200], af.COMPLEX)
         with pytest.raises(NonFiniteError):
-            af.is_completely_multiplicative(big)
+            af.is_completely_multiplicative(big, sieve)
         big = af.ArithFn.from_values([0, 1e308, 0, 1e308], af.COMPLEX)
         with pytest.raises(NonFiniteError):
-            af.is_completely_additive(big)
+            af.is_completely_additive(big, sieve)
 
 
 class TestMobiusAdditivityTest:
@@ -116,10 +117,10 @@ class TestMobiusAdditivityTest:
         n = 256
         for _ in range(20):
             a = rand_additive(rng, sieve1000, n)
-            assert af.mobius_additivity_test(a).ok == af.is_additive(a).ok == True  # noqa: E712
+            assert af.mobius_additivity_test(a, sieve1000).ok == af.is_additive(a).ok == True  # noqa: E712
         for _ in range(20):
             a = rand_exact_fn(rng, n)
-            assert af.mobius_additivity_test(a).ok == af.is_additive(a).ok
+            assert af.mobius_additivity_test(a, sieve1000).ok == af.is_additive(a).ok
 
 
 class TestBellDecomposition:
@@ -207,6 +208,22 @@ class TestBellDecomposition:
         assert af.bell_reconstruct_mult(af.BellDecomposition(8, af.RATIONAL, series), sieve100) == (
             af.make("u", sieve100, bound=8)
         )
+
+    def test_series_must_sit_at_the_primes(self, sieve100, sieve1000):
+        # at N = 50, 4**3 and 53**2 exceed N, so only the prime check can
+        # reject those series; each error names the prime as its witness
+        u = af.bell_decompose_mult(af.make("u", sieve100, bound=50), sieve100).series
+        cases = [
+            (u + (af.BellSeries(4, (1, 5, 5)),), 4),
+            (u + (af.BellSeries(53, (1, 1)),), 53),
+            ((af.BellSeries(1, (1,)),) + u, 1),
+            (tuple(s for s in u if s.prime not in (5, 7)), 5),
+        ]
+        for series, witness in cases:
+            for sieve in (sieve100, sieve1000):
+                with pytest.raises(StructureError, match=rf"\b{witness}\b") as err:
+                    af.bell_reconstruct_mult(af.BellDecomposition(50, af.RATIONAL, series), sieve)
+                assert err.value.witness == witness
 
     def test_random_series_reconstruct_multiplicative(self, sieve1000):
         rng = random.Random(41)
@@ -301,6 +318,42 @@ class TestPrimeSupport:
         assert obj[0] == {"p": 2, "k": 1, "value": "1"}
         back = af.PrimeSupport.from_json_obj(obj, 100, af.RATIONAL)
         assert back == g
+
+
+class _Unreadable:
+    """Stands in for a sieve's tables: any read fails the test."""
+
+    def __getitem__(self, *args):
+        raise AssertionError("the sieve was read")
+
+    __iter__ = __len__ = __getitem__
+
+
+def test_every_entry_point_rejects_a_smaller_sieve(sieve100):
+    phi, nu = af.make("phi", sieve100, bound=20), af.make("nu", sieve100, bound=20)
+    dec, g = af.bell_decompose_mult(phi, sieve100), af.additive_decompose(nu, sieve100)
+    calls = [
+        lambda s: af.is_completely_multiplicative(phi, s),
+        lambda s: af.is_completely_multiplicative(nu, s),  # fails the pair scan
+        lambda s: af.is_completely_additive(nu, s),
+        lambda s: af.is_completely_additive(phi, s, 1e-9),  # not additive
+        lambda s: af.mobius_additivity_test(nu, s),
+        lambda s: af.bell_decompose_mult(phi, s),
+        lambda s: af.bell_decompose_mult(nu, s),  # not multiplicative
+        lambda s: af.bell_reconstruct_mult(dec, s),
+        lambda s: af.additive_decompose(nu, s),
+        lambda s: af.additive_decompose(phi, s),  # not additive
+        lambda s: af.additive_reconstruct(g, s),
+    ]
+    for call in calls:
+        for small in (af.build_sieve(19), af.SpfSieve(19, _Unreadable(), _Unreadable())):
+            with pytest.raises(ValueError) as err:
+                call(small)
+            assert str(err.value) == "sieve bound 19 < required 20"
+        try:  # the bound itself is enough; the three rejected inputs raise
+            call(af.build_sieve(20))
+        except StructureError as e:
+            assert e.witness == (2, 3)
 
 
 # Sizes covering tables with no coprime pair (N < 6), both sides of a

@@ -1,5 +1,5 @@
-"""Print one sha256 digest per (op, input, N) and per CLI call of the
-arithfn found in SRC_DIR.
+"""Print one sha256 digest per (op, input, N), per (structure call,
+input, N) and per CLI call of the arithfn found in SRC_DIR.
 
 Usage:  python3 tools/digest.py SRC_DIR > digests.txt
 
@@ -13,6 +13,14 @@ with a fixed partner), scale, dump_csv and dump_json.  dlog and psi get
 the input divided by a(1); dexp and psi_inv get it with a(1) set to 0.
 Inputs: the catalogue, 2 . u, u + I, seeded tables shaped like the
 rational-series benchmark operands, 1/n, sigma_6, and complex phi and mu.
+
+Structure calls, on the same inputs and on each exact one converted to
+the complex backend: the five predicates (ok, kind, witness,
+witness_kind and constants), ``bell_decompose_mult`` and
+``additive_decompose`` (every series or entry) and the reconstruction
+of each decomposition, all given the sieve explicitly.  Complex values
+also digest their bits.  Four malformed decompositions at N = 50 close
+the structure lines.
 
 CLI calls: one digest of (exit code, stdout, stderr) per ``cli.main``
 call, run in process from a temporary working directory with relative
@@ -57,8 +65,8 @@ def _series_table(af, seed: int, n: int, first):
     return af.ArithFn.from_values(vals)
 
 
-def _inputs(af, n: int) -> dict:
-    sieve = af.build_sieve(n)
+def _inputs(af, sieve) -> dict:
+    n = sieve.bound
     u, one = af.ArithFn.ones(n), af.ArithFn.identity(n)
     tables = {name: af.make(name, sieve) for name in af.catalogue.NAMES if name not in ("mangoldt", "sigma")}
     tables.update({
@@ -97,15 +105,73 @@ def _ops(af, a, partner):
     }
 
 
+def _structure(af, a, sieve) -> dict:
+    """The five predicates of a, its two decompositions and their
+    reconstructions, each with the sieve passed explicitly."""
+    return {
+        "multiplicative": lambda: af.is_multiplicative(a),
+        "additive": lambda: af.is_additive(a),
+        "completely-multiplicative": lambda: af.is_completely_multiplicative(a, sieve),
+        "completely-additive": lambda: af.is_completely_additive(a, sieve),
+        "additive-mobius": lambda: af.mobius_additivity_test(a, sieve),
+        "bell": lambda: af.bell_decompose_mult(a, sieve),
+        "bell_rec": lambda: af.bell_reconstruct_mult(af.bell_decompose_mult(a, sieve), sieve),
+        "support": lambda: af.additive_decompose(a, sieve),
+        "support_rec": lambda: af.additive_reconstruct(af.additive_decompose(a, sieve), sieve),
+    }
+
+
+def _malformed(af, sieve) -> dict:
+    """Reconstructions of decompositions that break their invariants: a
+    Bell series at a composite, one missing, one above the bound (at
+    N = 50, where 4**3 and 53**2 pass the length check), and a prime
+    support with a composite base."""
+    u = af.bell_decompose_mult(af.ArithFn.ones(50), sieve).series
+
+    def bell(series):
+        return lambda: af.bell_reconstruct_mult(af.BellDecomposition(50, af.RATIONAL, series), sieve)
+
+    return {
+        "bell_at_composite": bell(u + (af.BellSeries(4, (1, 5, 5)),)),
+        "bell_missing_prime": bell(tuple(s for s in u if s.prime != 5)),
+        "bell_above_bound": bell(u + (af.BellSeries(53, (1, 1)),)),
+        "support_at_composite": lambda: af.additive_reconstruct(
+            af.PrimeSupport(50, af.RATIONAL, {(2, 1): 1, (6, 1): 1}), sieve),
+    }
+
+
+def _complex_bits(values) -> bytes:
+    return np.array([v for v in values if isinstance(v, complex)], dtype=np.complex128).view(
+        np.uint64).tobytes()
+
+
 def _digest(af, result) -> str:
     h = hashlib.sha256()
     if isinstance(result, str):
         h.update(result.encode())
+    elif isinstance(result, af.CheckResult):
+        r = result
+        h.update(repr((r.ok, r.kind, r.witness, r.witness_kind, r.constants)).encode())
+        h.update(_complex_bits((r.constants or {}).values()))
+    elif isinstance(result, af.BellDecomposition):
+        h.update(repr([(s.prime, s.coeffs) for s in result.series]).encode())
+        h.update(_complex_bits(c for s in result.series for c in s.coeffs))
+    elif isinstance(result, af.PrimeSupport):
+        h.update(repr(result.items()).encode())
+        h.update(_complex_bits(v for _, v in result.items()))
     else:
         h.update(repr(result.values()).encode())
         if result.backend is af.COMPLEX:
             h.update(np.ascontiguousarray(result._v).view(np.uint64).tobytes())
     return h.hexdigest()
+
+
+def _outcome(af, run, errors) -> str:
+    """The digest of run(), or of the error it raises: an error is a result too."""
+    try:
+        return _digest(af, run())
+    except errors as e:
+        return "error " + hashlib.sha256(f"{type(e).__name__}: {e}".encode()).hexdigest()
 
 
 def _cli_calls(wl) -> list:
@@ -190,15 +256,22 @@ def main(argv) -> int:
     import arithfn.io  # noqa: F401
 
     for n in BOUNDS:
-        tables = _inputs(af, n)
+        sieve = af.build_sieve(n)
+        tables = _inputs(af, sieve)
         partners = {af.RATIONAL: tables["series_1"], af.COMPLEX: tables["complex_mu"]}
         for name, a in tables.items():
             for op, run in _ops(af, a, partners[a.backend]).items():
-                try:
-                    line = _digest(af, run())
-                except af.ArithfnError as e:  # an error is a result too
-                    line = "error " + hashlib.sha256(f"{type(e).__name__}: {e}".encode()).hexdigest()
-                print(f"{op}\t{name}\t{n}\t{line}", flush=True)
+                print(f"{op}\t{name}\t{n}\t{_outcome(af, run, af.ArithfnError)}", flush=True)
+        for name, a in tables.items():
+            both = [(name, a)] if a.backend is af.COMPLEX else [
+                (name, a), (f"complex({name})", a.to_backend(af.COMPLEX))]
+            for label, b in both:
+                for op, run in _structure(af, b, sieve).items():
+                    print(f"structure\t{op}\t{label}\t{n}\t{_outcome(af, run, ValueError)}",
+                          flush=True)
+    sieve = af.build_sieve(50)
+    for name, run in _malformed(af, sieve).items():
+        print(f"structure\t{name}\t50\t{_outcome(af, run, ValueError)}", flush=True)
     _cli_digests()
     return 0
 

@@ -376,8 +376,14 @@ def _store(vals, backend, den: int = 1) -> tuple[np.ndarray, int]:
         arr = vals
     else:
         vals = vals.tolist() if isinstance(vals, np.ndarray) else vals
-        # type() rather than isinstance(): Fraction's ABC check is slow
-        fractions = Fraction in set(map(type, vals))
+        # type() rather than isinstance(): Fraction's ABC check is slow, and bool is no value
+        types = set(map(type, vals))
+        if not types <= {int, Fraction}:
+            bad = next(x for x in vals if type(x) not in (int, Fraction))
+            raise UnsupportedBackendError(
+                f"rational backend cannot hold {type(bad).__name__} value {bad!r}"
+            )
+        fractions = Fraction in types
         if not fractions and den != 1:
             g = math.gcd(den, *vals)
             if g != 1:

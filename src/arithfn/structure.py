@@ -33,14 +33,19 @@ reconstructions walk the prime-power rows (p, k, p^k) of
 (``catalogue.verify_identities``) folds its closed-form values on those
 rows with :func:`_prime_power_fold` directly, with no decomposition
 object in between.
+
+Each decomposition is one map: prime -> coeffs (a :class:`BellSeries` is a
+(prime, coeffs) pair; a prime given twice is an error) or (p, k) -> g(p, k).
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import repeat
+from typing import NamedTuple
 
 import numpy as np
 
@@ -296,10 +301,9 @@ def mobius_additivity_test(a: ArithFn, sieve: SpfSieve, tol: float | None = None
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class BellSeries:
-    """Truncated per-prime power series: coeffs[k] is the coefficient of
-    x^k, i.e. the function's value at p^k; len(coeffs) = floor(log_p N) + 1."""
+class BellSeries(NamedTuple):
+    """Truncated per-prime power series as a (prime, coeffs) pair: coeffs[k] is
+    the function's value at p^k, the coefficient of x^k; len(coeffs) = floor(log_p N) + 1."""
 
     prime: int
     coeffs: tuple
@@ -309,20 +313,28 @@ class BellSeries:
 
 
 class BellDecomposition:
-    """One BellSeries per prime <= bound of a multiplicative function:
-    constant terms 1, values multiply across primes."""
+    """One map prime -> coeffs of the Bell series of a multiplicative function,
+    in the order given: constant terms 1, values multiply across primes.  Built from
+    (prime, coeffs) pairs, BellSeries among them; a prime given twice is a StructureError."""
 
-    __slots__ = ("bound", "backend", "series", "_by_prime")
+    __slots__ = ("bound", "backend", "_coeffs")
 
     def __init__(self, bound: int, backend, series):
         self.bound = bound
         self.backend = backend
-        self.series = tuple(series)
-        self._by_prime = {s.prime: s for s in self.series}
+        self._coeffs = {}
+        for p, coeffs in series:
+            if p in self._coeffs:
+                raise StructureError(f"two series at prime {p}", witness=p)
+            self._coeffs[p] = coeffs
+
+    @property
+    def series(self) -> tuple:
+        return tuple(map(BellSeries, self._coeffs, self._coeffs.values()))
 
     def series_for(self, p: int) -> BellSeries:
         try:
-            return self._by_prime[p]
+            return BellSeries(p, self._coeffs[p])
         except KeyError:
             raise StructureError(f"no series for prime {p}", witness=p) from None
 
@@ -332,11 +344,11 @@ class BellDecomposition:
         return (
             self.bound == other.bound
             and self.backend is other.backend
-            and self.series == other.series
+            and self._coeffs == other._coeffs
         )
 
     def __repr__(self) -> str:
-        return f"BellDecomposition(bound={self.bound}, primes={len(self.series)})"
+        return f"BellDecomposition(bound={self.bound}, primes={len(self._coeffs)})"
 
 
 def bell_decompose_mult(a: ArithFn, sieve: SpfSieve) -> BellDecomposition:
@@ -352,8 +364,8 @@ def bell_decompose_mult(a: ArithFn, sieve: SpfSieve) -> BellDecomposition:
     tail = int(np.searchsorted(p, math.isqrt(a.bound), side="right"))
     starts = np.flatnonzero(k[:tail] == 1).tolist() + [tail]
     one, vals, p = a.backend.one, _box(a._v[pk], a.den), p.tolist()
-    series = [BellSeries(p[i], (one, *vals[i:j])) for i, j in zip(starts, starts[1:])]
-    series += map(BellSeries, p[tail:], zip(repeat(one), vals[tail:]))
+    series = [(p[i], (one, *vals[i:j])) for i, j in zip(starts, starts[1:])]
+    series += zip(p[tail:], zip(repeat(one), vals[tail:]))
     return BellDecomposition(a.bound, a.backend, series)
 
 
@@ -366,25 +378,23 @@ def bell_reconstruct_mult(dec: BellDecomposition, sieve: SpfSieve) -> ArithFn:
     floor(log_p N) + 1 coefficients and constant term 1, else
     StructureError names the first bad series, else the least missing prime.
     """
-    backend = dec.backend
-    n = dec.bound
+    backend, n, coeffs = dec.backend, dec.bound, dec._coeffs
     p, k, pk = _prime_powers(sieve, n)
-    for s in dec.series:
-        if not (2 <= s.prime <= n and sieve._spf[s.prime] == s.prime):
+    primes = set(p[k == 1].tolist())
+    for q, c in coeffs.items():
+        if q not in primes:
+            raise StructureError(f"the series at {q} is not at a prime <= {n}", witness=q)
+        if q ** len(c) <= n:
+            raise StructureError(f"the series at prime {q} is too short for bound {n}", witness=q)
+        if c[0] != backend.one:
             raise StructureError(
-                f"the series at {s.prime} is not at a prime <= {n}", witness=s.prime
+                f"constant term of the series at prime {q} must be 1, "
+                f"got {backend.format(c[0])}",
+                witness=q,
             )
-        if s.prime ** len(s.coeffs) <= n:
-            raise StructureError(
-                f"the series at prime {s.prime} is too short for bound {n}", witness=s.prime
-            )
-        if s.coeffs[0] != backend.one:
-            raise StructureError(
-                f"constant term of the series at prime {s.prime} must be 1, "
-                f"got {backend.format(s.coeffs[0])}",
-                witness=s.prime,
-            )
-    vals = [dec.series_for(q).coeffs[j] for q, j in zip(p.tolist(), k.tolist())]
+    if len(coeffs) < len(primes):  # every series is at a prime, so one is missing
+        dec.series_for(min(primes.difference(coeffs)))  # raises for the least missing prime
+    vals = [coeffs[q][j] for q, j in zip(p.tolist(), k.tolist())]
     return _prime_power_fold(sieve, n, backend.one, pk, vals, backend, True)
 
 
@@ -397,7 +407,8 @@ class PrimeSupport:
     """Sparse table g(p, k) on prime powers p^k <= bound.
 
     Represents a function vanishing at 1 and at every index with two or
-    more distinct prime factors; missing keys read as zero.
+    more distinct prime factors; missing keys read as zero.  Keys are
+    read with operator.index; entries are kept sorted by (p, k).
     """
 
     __slots__ = ("bound", "backend", "_entries")
@@ -406,25 +417,30 @@ class PrimeSupport:
         self.bound = bound
         self.backend = backend
         table = {}
-        convert, zero = backend.convert, backend.zero
+        convert, zero, index = backend.convert, backend.zero, operator.index
+        bits = bound.bit_length()  # p >= 2, so p**k > bound once k >= bits: no power is formed
         for key, v in (entries or {}).items():
             p, k = key
-            if k < 1 or p < 2 or p**k > bound:
+            try:
+                p, k = index(p), index(k)
+            except TypeError:
+                raise StructureError(f"key {key!r} is not a pair of ints", witness=key) from None
+            if k < 1 or p < 2 or k >= bits or p**k > bound:
                 raise StructureError(
                     f"key ({p}, {k}) is not a prime power within bound {bound}",
                     witness=(p, k),
                 )
             v = convert(v)
             if v != zero:
-                table[key] = v
-        self._entries = table
+                table[p, k] = v
+        self._entries = table if list(table) == sorted(table) else dict(sorted(table.items()))
 
     def get(self, p: int, k: int):
         return self._entries.get((p, k), self.backend.zero)
 
     def items(self):
         """Entries sorted by (p, k)."""
-        return sorted(self._entries.items())
+        return list(self._entries.items())
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -448,10 +464,8 @@ class PrimeSupport:
 
     @classmethod
     def from_json_obj(cls, obj, bound: int, backend) -> "PrimeSupport":
-        entries = {}
-        for row in obj:
-            entries[(int(row["p"]), int(row["k"]))] = backend.from_json(row["value"])
-        return cls(bound, backend, entries)
+        rows = {(row["p"], row["k"]): backend.from_json(row["value"]) for row in obj}
+        return cls(bound, backend, rows)
 
     def __repr__(self) -> str:
         return f"PrimeSupport(bound={self.bound}, entries={len(self._entries)})"
@@ -475,14 +489,14 @@ def additive_reconstruct(g: PrimeSupport, sieve: SpfSieve) -> ArithFn:
     StructureError, found after the fold, which checks the sieve's bound
     before any read.
     """
-    items = g.items()
-    pks = [p**k for (p, k), _ in items]
-    vals = [v for _, v in items]
+    keys = list(g._entries)
+    pks = [p**k for p, k in keys]
+    vals = list(g._entries.values())
     a = _prime_power_fold(sieve, g.bound, g.backend.zero, pks, vals, g.backend, False)
-    bases = np.array([p for (p, _), _ in items], dtype=np.int64)
+    bases = np.array([p for p, _ in keys], dtype=np.int64)
     composite = np.flatnonzero(sieve._spf[bases] != bases)
     if len(composite):
-        p, k = items[composite[0]][0]
+        p, k = keys[composite[0]]
         raise StructureError(f"key ({p}, {k}): base {p} is not prime", witness=(p, k))
     return a
 

@@ -2,13 +2,14 @@
 
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 import arithfn as af
-from arithfn.errors import NonFiniteError, StructureError
+from arithfn.errors import NonFiniteError, StructureError, UnsupportedBackendError
 from conftest import (
     additive_decompose_oracle,
     additive_reconstruct_oracle,
@@ -225,6 +226,40 @@ class TestBellDecomposition:
                     af.bell_reconstruct_mult(af.BellDecomposition(50, af.RATIONAL, series), sieve)
                 assert err.value.witness == witness
 
+    def test_a_repeated_prime_is_an_error(self, sieve100):
+        # either copy first: a map per decomposition cannot keep both
+        u = af.bell_decompose_mult(af.make("u", sieve100, bound=50), sieve100).series
+        extra = (af.BellSeries(2, (1, 7, 7, 7, 7, 7)),)
+        for series in (u + extra, extra + u):
+            with pytest.raises(StructureError, match=r"\b2\b") as err:
+                af.BellDecomposition(50, af.RATIONAL, series)
+            assert err.value.witness == 2
+
+    def test_series_order_does_not_count(self, sieve100):
+        dec = af.bell_decompose_mult(af.make("phi", sieve100, bound=50), sieve100)
+        backwards = af.BellDecomposition(50, af.RATIONAL, reversed(dec.series))
+        assert backwards == dec
+        assert backwards.series == dec.series[::-1]
+        assert af.bell_reconstruct_mult(backwards, sieve100) == af.make("phi", sieve100, bound=50)
+
+    def test_plain_pairs_build_the_same_decomposition(self, sieve100):
+        dec = af.bell_decompose_mult(af.make("phi", sieve100, bound=50), sieve100)
+        pairs = [(p, coeffs) for p, coeffs in dec.series]
+        assert pairs == list(dec.series)
+        plain = af.BellDecomposition(50, af.RATIONAL, pairs)
+        assert plain == dec and plain.series == dec.series
+        assert plain.series_for(7) == af.BellSeries(7, (1, 6, 42))
+        assert repr(plain.series_for(7)) == "BellSeries(prime=7, coeffs=(1, 6, 42))"
+
+    def test_inexact_coefficients_are_rejected(self, sieve100):
+        # a float would truncate to int64 silently, so a(2) = 0.5 read as 0
+        for bad, name in ((0.5, "float"), ("x", "str"), (True, "bool")):
+            dec = af.BellDecomposition(
+                10, af.RATIONAL, [(2, (1, bad, 1, 1)), (3, (1, 1, 1)), (5, (1, 1)), (7, (1, 1))]
+            )
+            with pytest.raises(UnsupportedBackendError, match=f"cannot hold {name} value"):
+                af.bell_reconstruct_mult(dec, sieve100)
+
     def test_random_series_reconstruct_multiplicative(self, sieve1000):
         rng = random.Random(41)
         for _ in range(10):
@@ -311,6 +346,29 @@ class TestPrimeSupport:
         g = af.PrimeSupport(100, af.RATIONAL, {(6, 1): 1})  # composite base
         with pytest.raises(StructureError, match="not prime"):
             af.additive_reconstruct(g, sieve100)
+
+    def test_keys_are_integers(self):
+        with pytest.raises(StructureError, match="not a pair of ints") as err:
+            af.PrimeSupport(10, af.RATIONAL, {(2.0, 1): 1})
+        assert err.value.witness == (2.0, 1)
+        with pytest.raises(StructureError, match=r"2\.7"):
+            af.PrimeSupport.from_json_obj([{"p": 2.7, "k": 1, "value": "1"}], 10, af.RATIONAL)
+        g = af.PrimeSupport(10, af.RATIONAL, {(np.int64(3), np.int64(2)): 1, (2, 1): 1})
+        assert g.items() == [((2, 1), 1), ((3, 2), 1)]
+        assert all(type(x) is int for (p, k), _ in g.items() for x in (p, k))
+
+    def test_a_large_exponent_forms_no_power(self):
+        # 2**(10**8) alone would take 12.5 MB
+        tracemalloc.start()
+        try:
+            with pytest.raises(StructureError, match=r"\(2, 100000000\)"):
+                af.PrimeSupport.from_json_obj(
+                    [{"p": 2, "k": 10**8, "value": "1"}], 100, af.RATIONAL
+                )
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
     def test_json_round_trip(self, sieve100):
         g = af.additive_decompose(af.make("nu", sieve100), sieve100)

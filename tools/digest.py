@@ -19,8 +19,12 @@ the complex backend: the five predicates (ok, kind, witness,
 witness_kind and constants), ``bell_decompose_mult`` and
 ``additive_decompose`` (every series or entry) and the reconstruction
 of each decomposition, all given the sieve explicitly.  Complex values
-also digest their bits.  Four malformed decompositions at N = 50 close
-the structure lines.
+also digest their bits.  Eight malformed decompositions at N = 50 close
+the structure lines: a Bell series at a composite, above the bound,
+missing, or repeated (after and before the first), a float Bell
+coefficient, and a prime support with a composite base or a float key.
+Any exception they raise is digested, so a tree that fails with an
+IndexError on one of them still prints every line.
 
 CLI calls: one digest of (exit code, stdout, stderr) per ``cli.main``
 call, run in process from a temporary working directory with relative
@@ -122,21 +126,27 @@ def _structure(af, a, sieve) -> dict:
 
 
 def _malformed(af, sieve) -> dict:
-    """Reconstructions of decompositions that break their invariants: a
-    Bell series at a composite, one missing, one above the bound (at
-    N = 50, where 4**3 and 53**2 pass the length check), and a prime
-    support with a composite base."""
+    """Reconstructions of decompositions that break their invariants, at
+    N = 50, where 4**3 and 53**2 pass the length check; each is built
+    inside its call, so an error the constructor raises is its outcome."""
     u = af.bell_decompose_mult(af.ArithFn.ones(50), sieve).series
+    again = (af.BellSeries(2, (1, 7, 7, 7, 7, 7)),)
 
     def bell(series):
         return lambda: af.bell_reconstruct_mult(af.BellDecomposition(50, af.RATIONAL, series), sieve)
+
+    def support(entries):
+        return lambda: af.additive_reconstruct(af.PrimeSupport(50, af.RATIONAL, entries), sieve)
 
     return {
         "bell_at_composite": bell(u + (af.BellSeries(4, (1, 5, 5)),)),
         "bell_missing_prime": bell(tuple(s for s in u if s.prime != 5)),
         "bell_above_bound": bell(u + (af.BellSeries(53, (1, 1)),)),
-        "support_at_composite": lambda: af.additive_reconstruct(
-            af.PrimeSupport(50, af.RATIONAL, {(2, 1): 1, (6, 1): 1}), sieve),
+        "bell_repeated_prime_last": bell(u + again),
+        "bell_repeated_prime_first": bell(again + u),
+        "bell_float_coeff": bell((af.BellSeries(2, (1, 0.5, 1, 1, 1, 1)),) + u[1:]),
+        "support_at_composite": support({(2, 1): 1, (6, 1): 1}),
+        "support_float_key": support({(2.0, 1): 1}),
     }
 
 
@@ -271,7 +281,7 @@ def main(argv) -> int:
                           flush=True)
     sieve = af.build_sieve(50)
     for name, run in _malformed(af, sieve).items():
-        print(f"structure\t{name}\t50\t{_outcome(af, run, ValueError)}", flush=True)
+        print(f"structure\t{name}\t50\t{_outcome(af, run, Exception)}", flush=True)
     _cli_digests()
     return 0
 

@@ -1,8 +1,8 @@
 """Command-line interface.
 
 Exit codes: 0 success, 1 a check or identity verification failed,
-2 usage, parse, format, domain or file errors.  Diagnostics go to stderr;
-data goes to stdout.
+2 usage, parse, format, domain or file errors, or memory exhausted.
+Diagnostics go to stderr; data goes to stdout.
 """
 
 from __future__ import annotations
@@ -119,6 +119,10 @@ def main(argv=None) -> int:
         return _dispatch(args)
     except (ArithfnError, ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
+        return 2
+    except MemoryError:
+        where = f"reading {args.file}" if args.command == "import" else f"at bound {args.n or args.index}"
+        print(f"error: out of memory {where}", file=sys.stderr)
         return 2
 
 

@@ -306,10 +306,7 @@ class ArithFn:
                 "use the complex backend"
             )
         n = self.bound
-        logs = np.zeros(n + 1, dtype=np.complex128)
-        # math.log: np.log differs from it in the last bit on some n
-        logs.real[2:] = [math.log(k) for k in range(2, n + 1)]
-        out = _scaled(logs, self._v)  # rounds as a(n) * math.log(n) does
+        out = _scaled(_logs(n), self._v)  # rounds as a(n) * math.log(n) does
         out[1] = 0
         return ArithFn._wrap(n, COMPLEX, out)
 
@@ -365,6 +362,8 @@ def _store(vals, backend, den: int = 1) -> tuple[np.ndarray, int]:
     """The read-only storage and den (see the notes above) of the padded
     values vals[i] / den: a kernel result, or a sequence of values."""
     if backend is COMPLEX:
+        if not isinstance(vals, np.ndarray):
+            _check_types(vals, _COMPLEX_TYPES, backend)
         try:
             if den != 1:  # exact numerators: x / den rounds as complex(Fraction(x, den))
                 vals, den = [x / den for x in vals.tolist()], 1
@@ -376,14 +375,7 @@ def _store(vals, backend, den: int = 1) -> tuple[np.ndarray, int]:
         arr = vals
     else:
         vals = vals.tolist() if isinstance(vals, np.ndarray) else vals
-        # type() rather than isinstance(): Fraction's ABC check is slow, and bool is no value
-        types = set(map(type, vals))
-        if not types <= {int, Fraction}:
-            bad = next(x for x in vals if type(x) not in (int, Fraction))
-            raise UnsupportedBackendError(
-                f"rational backend cannot hold {type(bad).__name__} value {bad!r}"
-            )
-        fractions = Fraction in types
+        fractions = Fraction in _check_types(vals, _EXACT_TYPES, backend)
         if not fractions and den != 1:
             g = math.gcd(den, *vals)
             if g != 1:
@@ -410,6 +402,23 @@ def _store(vals, backend, den: int = 1) -> tuple[np.ndarray, int]:
             arr = _objects(vals)
     arr.flags.writeable = False
     return arr, den
+
+
+_EXACT_TYPES = frozenset((int, Fraction))
+_COMPLEX_TYPES = frozenset((int, float, complex, Fraction))
+
+
+def _check_types(vals, allowed: frozenset, backend) -> set:
+    """The set of types of vals, which must lie in ``allowed``, else
+    UnsupportedBackendError names the first value that does not."""
+    # type() rather than isinstance(): Fraction's ABC check is slow, and bool is no value
+    types = set(map(type, vals))
+    if not types <= allowed:
+        bad = next(x for x in vals if type(x) not in allowed)
+        raise UnsupportedBackendError(
+            f"{backend.name} backend cannot hold {type(bad).__name__} value {bad!r}"
+        )
+    return types
 
 
 def _objects(vals: list) -> np.ndarray:
@@ -444,6 +453,24 @@ def _check_finite(arr: np.ndarray) -> None:
     if arr.dtype == np.complex128 and not np.isfinite(arr).all():
         n = int(np.flatnonzero(~np.isfinite(arr))[0])
         raise NonFiniteError(f"non-finite complex value {complex(arr[n])!r} at n = {n}")
+
+
+_LOGS = np.zeros(2, dtype=np.complex128)
+
+
+def _logs(n: int) -> np.ndarray:
+    """math.log(k) at k = 0..n (0 at 0 and 1) as read-only complex128: a
+    slice of one table, extended when a larger n asks for it.  math.log,
+    since np.log differs from it in the last bit on some k."""
+    global _LOGS
+    have = len(_LOGS)
+    if have <= n:
+        logs = np.zeros(n + 1, dtype=np.complex128)
+        logs[:have] = _LOGS
+        logs.real[have:] = [math.log(k) for k in range(have, n + 1)]
+        logs.flags.writeable = False
+        _LOGS = logs
+    return _LOGS[: n + 1]
 
 
 def _scaled(w, x: np.ndarray) -> np.ndarray:

@@ -7,6 +7,8 @@ independently in test_transcend / test_catalogue.
 
 import gc
 import json
+import os
+import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -317,6 +319,23 @@ class TestCliBehavior:
     def test_exit_2_on_oversized_bound(self, capsys):
         code, _, err = run_cli(capsys, "table", "u", "--n", "100000000")
         assert code == 2 and "bound" in err
+
+    def test_exit_2_when_memory_runs_out(self):
+        resource = pytest.importorskip("resource")
+        # the address-space limit applies to the child process only
+        limit = 1_500_000_000
+
+        def cap_memory():
+            resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+        src = str(Path(af.__file__).resolve().parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-m", "arithfn", "table", "psi(phi)", "--n", "10000000"],
+            capture_output=True, text=True, timeout=300, preexec_fn=cap_memory,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert proc.stderr == "error: out of memory at bound 10000000\n"
 
     def test_deterministic_output(self, capsys):
         _, first, _ = run_cli(capsys, "table", "psi(phi)", "--n", "64")

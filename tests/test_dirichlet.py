@@ -779,6 +779,8 @@ class TestStorage:
             w = complex(r)
             assert same(a.scale(r), pointwise_loop(lambda x: w * x, pa))
         assert same(a.deriv(), deriv_loop_complex(pa))
+        af.ArithFn.ones(n + 50, af.COMPLEX).deriv()  # grows the shared log table past n
+        assert same(a.deriv(), deriv_loop_complex(pa))
         exact = [2**53 + 1, -(2**60) - 1, -(2**63), 2**70 + 1, Fraction(1, 3),
                  Fraction(-(10**30) - 1, 7), 0, 5][: n]
         ve = [0] + exact + [rng.integers(-9, 9).item() for _ in range(n - len(exact))]

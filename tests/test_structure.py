@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import arithfn as af
+from arithfn import structure
 from arithfn.errors import NonFiniteError, StructureError, UnsupportedBackendError
 from conftest import (
     additive_decompose_oracle,
@@ -252,13 +253,28 @@ class TestBellDecomposition:
         assert repr(plain.series_for(7)) == "BellSeries(prime=7, coeffs=(1, 6, 42))"
 
     def test_inexact_coefficients_are_rejected(self, sieve100):
-        # a float would truncate to int64 silently, so a(2) = 0.5 read as 0
-        for bad, name in ((0.5, "float"), ("x", "str"), (True, "bool")):
+        # a float would truncate to int64 silently, so a(2) = 0.5 read as 0;
+        # numpy would read the complex '3' as 3 and True as 1
+        cases = [(af.RATIONAL, bad, name) for bad, name in
+                 ((0.5, "float"), ("x", "str"), (True, "bool"))]
+        cases += [(af.COMPLEX, bad, name) for bad, name in
+                  (("3", "str"), (True, "bool"), ("x", "str"))]
+        for backend, bad, name in cases:
             dec = af.BellDecomposition(
-                10, af.RATIONAL, [(2, (1, bad, 1, 1)), (3, (1, 1, 1)), (5, (1, 1)), (7, (1, 1))]
+                10, backend, [(2, (1, bad, 1, 1)), (3, (1, 1, 1)), (5, (1, 1)), (7, (1, 1))]
             )
-            with pytest.raises(UnsupportedBackendError, match=f"cannot hold {name} value"):
+            with pytest.raises(UnsupportedBackendError,
+                               match=f"{backend.name} backend cannot hold {name} value"):
                 af.bell_reconstruct_mult(dec, sieve100)
+
+    def test_primes_are_integers(self, sieve100):
+        for bad in (2.0, "2", None):
+            with pytest.raises(StructureError, match="is not an int") as err:
+                af.BellDecomposition(10, af.RATIONAL, [(bad, (1, 1, 1, 1))])
+            assert err.value.witness == bad
+        dec = af.BellDecomposition(10, af.RATIONAL, [(np.int64(2), (1, 1, 1, 1))])
+        assert type(dec.series[0].prime) is int
+        assert dec.series[0].to_json_obj(af.RATIONAL)["prime"] == 2
 
     def test_random_series_reconstruct_multiplicative(self, sieve1000):
         rng = random.Random(41)
@@ -695,6 +711,112 @@ class TestAgainstScalarLoops:
         early = af.ArithFn.from_values(vals, af.COMPLEX)
         assert _outcome(af.is_multiplicative(early)) == predicate_oracle(early, "multiplicative")
         assert af.is_multiplicative(early).witness == (2, 3)
+
+
+def _plant(a, n, delta):
+    """a with delta added at index n."""
+    vals = list(a.values())
+    vals[n - 1] += delta
+    return af.ArithFn.from_values(vals, a.backend)
+
+
+def _chunk_pairs(n):
+    """The chunks of the pair scan at bound n as lists of (m, k)."""
+    return [list(zip(np.repeat(ms, counts).tolist(), k.tolist()))
+            for ms, counts, k in structure._coprime_pairs(n)]
+
+
+class TestChunkedPairScan:
+    """The pair scan reads the cached index of its bound in chunks of at most
+    PAIR_CHUNK pairs; verdicts and witnesses match the per-pair loop."""
+
+    # (PAIR_CHUNK, bound): many small chunks, and a few of the real size
+    CHUNKINGS = ((64, 1000), (structure.PAIR_CHUNK, 12000))
+
+    @pytest.mark.parametrize("chunk, n", CHUNKINGS + ((8, 17), (64, 5)))
+    def test_chunks_list_the_coprime_pairs_in_order(self, monkeypatch, chunk, n):
+        monkeypatch.setattr(structure, "PAIR_CHUNK", chunk)
+        chunks = _chunk_pairs(n)
+        assert all(0 < len(c) <= chunk for c in chunks)
+        want = [(m, k) for m in range(2, math.isqrt(n) + 1)
+                for k in range(m + 1, n // m + 1) if math.gcd(m, k) == 1]
+        assert sum(chunks, []) == want
+        if want:
+            assert chunks[0][0] == (2, 3)
+
+    @staticmethod
+    def _spots(n):
+        """Pairs at the chunk edges and at the first and last m."""
+        chunks = _chunk_pairs(n)
+        pairs = sum(chunks, [])
+        last_m = pairs[-1][0]
+        spots = {c[i] for c in (chunks[0], chunks[1], chunks[-1]) for i in (0, -1)}
+        spots |= {pairs[0], max(p for p in pairs if p[0] == 2), pairs[-1],
+                  next(p for p in pairs if p[0] == last_m)}
+        assert len(chunks) >= 3
+        return sorted(spots)
+
+    @staticmethod
+    def _tables(sieve, n):
+        """(table, law) pairs that pass, one per storage."""
+        phi, nu = af.make("phi", sieve, bound=n), af.make("nu", sieve, bound=n)
+        half_at_2 = [Fraction(1, k & -k) for k in range(1, n + 1)]  # 2**-v_2(k)
+        return [
+            (phi, "multiplicative"),  # int64
+            (nu, "additive"),
+            # int64 storage past the 2**62 product guard, then object storage
+            (af.ArithFn.from_values([k**6 for k in range(1, n + 1)]), "multiplicative"),
+            (af.ArithFn.from_values([k**7 for k in range(1, n + 1)]), "multiplicative"),
+            (af.ArithFn.from_values(half_at_2), "multiplicative"),  # den > 1
+            (phi.to_backend(af.COMPLEX), "multiplicative"),
+            (nu.to_backend(af.COMPLEX), "additive"),
+        ]
+
+    @pytest.mark.parametrize("chunk, n", CHUNKINGS)
+    def test_planted_violations_match_scalar_loop(self, monkeypatch, chunk, n):
+        monkeypatch.setattr(structure, "PAIR_CHUNK", chunk)
+        sieve = af.build_sieve(n)
+        scan = {"multiplicative": af.is_multiplicative, "additive": af.is_additive}
+        for base, kind in self._tables(sieve, n):
+            assert scan[kind](base).ok
+            if base.backend is af.COMPLEX:  # within tol = 1e-9, then past it
+                # (a passing table costs the loop every pair: only at the small bound)
+                steps = [(4e-10, True)] * (n <= 1000) + [(3e-9, False)]
+            else:
+                steps = [(1, False), (Fraction(1, 3), False)]
+            for m, k in self._spots(n) + [(1, 1)]:
+                for delta, ok in steps:
+                    a = _plant(base, m * k, delta)
+                    got = _outcome(scan[kind](a))
+                    assert got == predicate_oracle(a, kind), (kind, base.backend, m, k, delta)
+                    # a product also scales the step when m k is a factor of a larger pair
+                    if not ok or kind == "additive" or m * k > n // 2:
+                        assert got[0] == ok
+
+    @pytest.mark.parametrize("chunk, n, p, q", ((64, 1000, 23, 37), (structure.PAIR_CHUNK, 12000, 83, 139)))
+    def test_overflow_in_a_late_chunk_is_non_finite(self, monkeypatch, chunk, n, p, q):
+        # 1e200 where one of p, q divides k, else 1: every pair before (p, q)
+        # holds exactly, and a(p) a(q) overflows
+        monkeypatch.setattr(structure, "PAIR_CHUNK", chunk)
+        vals = [1e200 if (k % p == 0) != (k % q == 0) else 1.0 for k in range(1, n + 1)]
+        a = af.ArithFn.from_values(vals, af.COMPLEX)
+        assert (p, q) not in _chunk_pairs(n)[0] + _chunk_pairs(n)[1]
+        with pytest.raises(NonFiniteError):
+            af.is_multiplicative(a)
+        with pytest.raises(NonFiniteError):
+            predicate_oracle(a, "multiplicative")
+
+    def test_each_bound_reads_its_own_index(self, monkeypatch):
+        # a violation at (2, 499) lies beyond bound 300; bound 1000's index
+        # would read past the end of a table at 300
+        monkeypatch.setattr(structure, "PAIR_CHUNK", 64)
+        sieve = af.build_sieve(1000)
+        tables = {n: _plant(af.make("phi", sieve, bound=n), 998, 1) if n > 998 else
+                  af.make("phi", sieve, bound=n) for n in (300, 600, 1000)}
+        for n in (300, 1000, 300, 600, 1000, 300):
+            got = _outcome(af.is_multiplicative(tables[n]))
+            assert got == predicate_oracle(tables[n], "multiplicative")
+            assert got[0] == (n < 998)
 
 
 class TestSeriesHelpers:

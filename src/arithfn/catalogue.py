@@ -6,7 +6,12 @@ Every constructor computes from an elementary definition:
   recurrence f(k) = F(f(k / p), p, [p | k / p]) with p = spf(k)
   (Apostol, Introduction to Analytic Number Theory, ch. 2);
 - sigma_c by its divisor sum, the sum of d^c over the divisors d of n,
-  and d as sigma_0;
+  and d as sigma_0: one convolution N^c * u, each output summed in
+  ascending d.  A complex table rounds each power as CPython's
+  complex(d) ** c: for a finite real c other than an integer of
+  magnitude <= 100 that is libm's pow(d, c), so the powers are math.pow
+  values (np.power's vector code differs from libm in the last bit) and
+  the sum runs on reals; any other c keeps the per-d complex power;
 - Lambda as the prime-power indicator weighted by log p;
 - I, u and N as direct tables.
 
@@ -23,10 +28,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
+from itertools import repeat
 
 import numpy as np
 
-from .dirichlet import ArithFn
+from .dirichlet import ArithFn, _conv
 from .errors import NonFiniteError, UnsupportedBackendError
 from .numerics import COMPLEX, DEFAULT_TOL, RATIONAL
 from .sieve import SpfSieve, _prime_powers
@@ -54,9 +61,9 @@ def make(name: str, sieve: SpfSieve, backend=RATIONAL, c=None, bound: int | None
     """Build a catalogue function at ``bound`` (default: the sieve bound).
 
     ``c`` is the exponent for the divisor-power sum sigma_c; the exact
-    backend accepts integer c >= 0, the complex backend any real or
-    complex c.  The von Mangoldt function carries log-of-prime weights
-    and exists only in the complex backend.
+    backend accepts integer c >= 0, the complex backend any int, float,
+    complex or Fraction c (never a bool).  The von Mangoldt function
+    carries log-of-prime weights and exists only in the complex backend.
     """
     name = canonical_name(name)
     n = sieve.bound if bound is None else bound
@@ -119,10 +126,12 @@ def _make_sigma(sieve: SpfSieve, n: int, backend, c) -> ArithFn:
     if c is None:
         raise ValueError("sigma needs an exponent c")
     if backend is COMPLEX:
-        if not isinstance(c, (int, float, complex)):
-            c = complex(c)  # e.g. a Fraction exponent from the expression DSL
-        try:
-            powers = [0j] + [complex(d) ** c for d in range(1, n + 1)]
+        if isinstance(c, bool) or not isinstance(c, (int, float, complex, Fraction)):
+            raise UnsupportedBackendError(
+                f"sigma exponent must be a number, got {type(c).__name__} {c!r}"
+            )
+        try:  # a Fraction c (the DSL's sigma(1/2)) rounds as complex(c)
+            powers = _complex_powers(n, complex(c))
         except OverflowError:
             raise NonFiniteError(f"sigma with c = {c!r} overflows below n = {n}") from None
     elif not isinstance(c, int) or isinstance(c, bool) or c < 0:
@@ -135,8 +144,31 @@ def _make_sigma(sieve: SpfSieve, n: int, backend, c) -> ArithFn:
         powers[0] = 0
     # sigma_c = N^c * u, the sum of d^c over the divisors d of n: the
     # kernel sums each output in ascending d, and a product with 1 is
-    # exact, as in a plain divisor sum
-    return ArithFn._wrap(n, backend, powers) * ArithFn.ones(n, backend)
+    # exact, as in a plain divisor sum; a float64 sum is stored as the
+    # real part of the complex table
+    return ArithFn._wrap(n, backend, _conv(powers, np.ones(n + 1, powers.dtype), n))
+
+
+def _complex_powers(n: int, c: complex) -> np.ndarray:
+    """d^c at d = 0..n (0 at 0), each rounded as CPython's complex(d) ** c:
+    float64 on libm's route below, else complex128.
+
+    CPython raises to an exponent with zero imaginary part and an integer
+    real part of magnitude <= 100 by repeated squaring, and to any other
+    exponent through libm: pow(|d|, Re c) times the cosine and sine of
+    the phase arg(d) Re c.  For d > 0 the phase is +-0, so a finite real
+    c gives (pow(d, c), +-0), and math.pow calls that same libm pow.  In
+    the divisor sum each product with 1 + 0j has imaginary part +0, so
+    the sum of the float64 powers is the real part, bit for bit.
+    np.power is no substitute: its vector code differs from libm's pow in
+    the last bit on some d.  A non-finite c keeps the complex powers,
+    whose NaNs the kernel reports.
+    """
+    if c.imag == 0 and math.isfinite(c.real) and not (c.real.is_integer() and abs(c.real) <= 100):
+        powers = np.zeros(n + 1)
+        powers[1:] = np.fromiter(map(math.pow, range(1, n + 1), repeat(c.real)), np.float64, n)
+        return powers
+    return np.array([0j] + [complex(d) ** c for d in range(1, n + 1)])
 
 
 # ---------------------------------------------------------------------------

@@ -100,7 +100,7 @@ def from_json_obj(obj) -> ArithFn:
         raise FormatError(f"bound {obj['bound']} != {len(values)} values")
     try:
         decoded = [backend.from_json(v) for v in values]
-    except (ValueError, TypeError, ZeroDivisionError) as e:
+    except (ValueError, TypeError, ZeroDivisionError, OverflowError) as e:
         raise FormatError(f"bad value: {e}") from None
     if not decoded:
         raise FormatError("empty value table")

@@ -82,7 +82,7 @@ class RationalBackend:
     def convert(self, x) -> Exact:
         """Accept int/Fraction (exact values only); reject floats."""
         if isinstance(x, bool):
-            raise TypeError("bool is not a coefficient value")
+            raise UnsupportedBackendError("bool is not a coefficient value")
         if isinstance(x, int):
             return x
         if isinstance(x, Fraction):
@@ -122,7 +122,7 @@ class ComplexBackend:
 
     def convert(self, x) -> complex:
         if isinstance(x, bool):
-            raise TypeError("bool is not a coefficient value")
+            raise UnsupportedBackendError("bool is not a coefficient value")
         if isinstance(x, (int, float, complex, Fraction)):
             return cfloat(complex(x).real, complex(x).imag)
         raise UnsupportedBackendError(
@@ -151,8 +151,9 @@ class ComplexBackend:
         return [z.real, z.imag]
 
     def from_json(self, j) -> complex:
-        if not (isinstance(j, (list, tuple)) and len(j) == 2):
-            raise TypeError(f"complex JSON value must be [re, im], got {j!r}")
+        # a part must be a JSON number: json reads true as a bool, "1" as a str
+        if not (isinstance(j, (list, tuple)) and len(j) == 2 and {type(x) for x in j} <= {int, float}):
+            raise TypeError(f"complex JSON value must be [re, im] of two numbers, got {j!r}")
         return cfloat(float(j[0]), float(j[1]))
 
     def __repr__(self) -> str:

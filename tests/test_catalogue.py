@@ -26,6 +26,15 @@ from conftest import (
 EDGE_BOUNDS = (1, 2, 3, 4, 7, 8, 9, 1023, 1024, 1025, 4099)
 
 
+#: one or more exponents for each route of complex sigma: libm's pow (a
+#: finite real c other than an integer of magnitude <= 100, Fractions
+#: included; -60.5 underflows at large d), CPython's repeated squaring
+#: (an integer-valued c with |c| <= 100; -100 underflows to 0 at large d)
+#: and a complex c
+SIGMA_EXPONENTS = (0.5, 1.5, 2.5, 1 / 3, Fraction(5, 2), -0.5, 101, -60.5,
+                   0, 2, 2.0, -3, 100, -100, 1j, 0.5 + 1j)
+
+
 def _int64_table(name, sieve, n, **kw):
     fn = af.make(name, sieve, bound=n, **kw)
     assert fn._v.dtype == np.int64, (name, n)
@@ -110,20 +119,35 @@ class TestDefinitionalValues:
         assert abs(neg[4] - 1.75) < 1e-12
 
 
-    @pytest.mark.parametrize("n", (1, 2, 3, 16, 17, 1000))
-    def test_complex_sigma_matches_divisor_loop_bitwise(self, sieve1000, n):
-        for c in (0.5, 1.5, 2.5, 1 / 3, Fraction(5, 2), -0.5, 2, 1j, 0.5 + 1j):
-            got = np.array(af.make("sigma", sieve1000, af.COMPLEX, c=c, bound=n)._v)
+    @pytest.mark.parametrize("n", (1, 2, 3, 16, 17, 1000, 1023, 1024, 1025, 4099))
+    def test_complex_sigma_matches_divisor_loop_bitwise(self, sieve5000, n):
+        for c in SIGMA_EXPONENTS:
             exponent = complex(c) if isinstance(c, Fraction) else c
+            if n == 4099 and c in (100, 101):  # 4099**100 > 1.8e308
+                with pytest.raises(OverflowError):
+                    sigma_loop_complex(exponent, n)
+                with pytest.raises(NonFiniteError):
+                    af.make("sigma", sieve5000, af.COMPLEX, c=c, bound=n)
+                continue
+            got = np.array(af.make("sigma", sieve5000, af.COMPLEX, c=c, bound=n)._v)
             want = np.array(sigma_loop_complex(exponent, n))
             assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), c
 
 
 class TestErrors:
-    def test_complex_sigma_never_returns_non_finite(self, sieve100):
-        for c in (float("nan"), 1000):
+    def test_complex_sigma_never_returns_non_finite(self, sieve100, sieve2048):
+        for c in (float("nan"), float("inf"), float("-inf"), 1000):
             with pytest.raises(NonFiniteError):
                 af.make("sigma", sieve100, af.COMPLEX, c=c)
+        with pytest.raises(NonFiniteError):  # 2000**100 > 1.8e308
+            af.make("sigma", sieve2048, af.COMPLEX, c=100, bound=2000)
+
+    def test_sigma_exponent_must_be_a_number(self, sieve100):
+        # neither backend reads a bool as 0 or 1, nor a string as a number
+        for backend in (af.RATIONAL, af.COMPLEX):
+            for c in (True, False, "0.5", "1"):
+                with pytest.raises(UnsupportedBackendError, match="sigma"):
+                    af.make("sigma", sieve100, backend, c=c)
 
     def test_mangoldt_requires_complex(self, sieve100):
         with pytest.raises(UnsupportedBackendError):

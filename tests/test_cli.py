@@ -423,6 +423,15 @@ class TestCliBehavior:
         code, _, err = run_cli(capsys, "import", str(path))
         assert code == 2 and "line 3" in err
 
+    def test_import_rejects_non_number_complex_parts(self, capsys, tmp_path):
+        for i, value in enumerate(([True, 0], ["1", "0"])):
+            path = tmp_path / f"b{i}.json"
+            obj = {"bound": 2, "backend": "complex", "values": [[1.0, 0.0], value]}
+            path.write_text(json.dumps(obj), encoding="utf-8")
+            code, out, err = run_cli(capsys, "import", str(path))
+            assert code == 2 and out == "", value
+            assert err.startswith("error:") and "bad value" in err, value
+
     def test_normalize_unit_flag(self, capsys, tmp_path):
         path = tmp_path / "scaled.csv"
         fn = af.ArithFn.ones(32, af.COMPLEX).scale(2.0)

@@ -105,6 +105,14 @@ class TestJson:
         with pytest.raises(ValueError):
             fnio.from_json_obj({"bound": 1, "backend": "decimal", "values": ["1"]})
 
+    def test_complex_parts_must_be_json_numbers(self):
+        # json reads true as a bool and "1" as a str; neither is a number
+        for value in ([True, 0], [0, False], ["1", "0"], [1, 10**400]):
+            with pytest.raises(FormatError, match="bad value"):
+                fnio.from_json_obj({"bound": 2, "backend": "complex", "values": [[1, 0], value]})
+        fn = fnio.from_json_obj({"bound": 2, "backend": "complex", "values": [[1, 0], [2.5, -1]]})
+        assert fn.values() == (1 + 0j, 2.5 - 1j)
+
     def test_invalid_json_file(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("{not json", encoding="utf-8")

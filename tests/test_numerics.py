@@ -45,6 +45,16 @@ class TestRationalConstruction:
         with pytest.raises(UnsupportedBackendError):
             af.RATIONAL.convert(0.5)
 
+    def test_convert_rejects_bools(self):
+        # an UnsupportedBackendError, which the CLI reports, not a TypeError
+        for backend in (af.RATIONAL, af.COMPLEX):
+            with pytest.raises(UnsupportedBackendError, match="bool"):
+                backend.convert(True)
+            with pytest.raises(UnsupportedBackendError, match="bool"):
+                af.ArithFn.from_values([True, 1], backend)
+            with pytest.raises(UnsupportedBackendError, match="bool"):
+                af.PrimeSupport(10, backend, {(2, 1): False})
+
 
 rationals = st.fractions(
     min_value=Fraction(-10_000), max_value=Fraction(10_000), max_denominator=1000
@@ -105,6 +115,12 @@ class TestComplexFloat:
     def test_json_form_is_re_im_pair(self):
         assert af.COMPLEX.to_json(1.5 + 2j) == [1.5, 2.0]
         assert af.COMPLEX.from_json([1.5, 2.0]) == 1.5 + 2j
+        assert af.COMPLEX.from_json([3, -1]) == 3 - 1j
+
+    def test_json_parts_must_be_numbers(self):
+        for j in ([True, 0], [1, False], ["1", "0"], [1.0, None], [[1], 0], [1], [1, 2, 3], 1.5):
+            with pytest.raises(TypeError, match=r"\[re, im\]"):
+                af.COMPLEX.from_json(j)
 
 
 def test_get_backend():

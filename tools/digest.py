@@ -6,7 +6,8 @@ Usage:  python3 tools/digest.py SRC_DIR > digests.txt
 Running it on two source trees and diffing the outputs checks that a
 change keeps every result: a digest covers ``repr(values())``, so value
 types count, and for complex tables also the bits of the stored array.
-An op that raises digests its exception type and message instead.
+An op that raises digests its exception type and message instead, after
+the type's name.
 
 Ops: inv, dlog, dexp, psi, psi_inv, * and + (with the table itself and
 with a fixed partner), scale, dump_csv and dump_json.  dlog and psi get
@@ -25,6 +26,11 @@ missing, or repeated (after and before the first), a float Bell
 coefficient, and a prime support with a composite base or a float key.
 Any exception they raise is digested, so a tree that fails with an
 IndexError on one of them still prints every line.
+
+Complex sigma: one digest of ``make("sigma", sieve, COMPLEX, c=c)`` per
+exponent c in SIGMA_EXPONENTS (one or more per route: libm's pow,
+CPython's repeated squaring, a complex c, and the non-finite cases, which
+raise) at each bound in SIGMA_BOUNDS.
 
 CLI calls: one digest of (exit code, stdout, stderr) per ``cli.main``
 call, run in process from a temporary working directory with relative
@@ -57,6 +63,10 @@ import numpy as np
 
 BOUNDS = (1, 2, 17, 1023, 1024, 1025, 4099)
 CLI_N = "10000"
+SIGMA_BOUNDS = (1, 1024, 4099, 10**5)
+SIGMA_EXPONENTS = (0.5, 1.5, 2.5, 1 / 3, Fraction(1, 3), Fraction(5, 2), -0.5, 101, -60.5,
+                   0, 2, 2.0, -3, 100, -100, 1j, 0.5 + 1j,
+                   float("nan"), float("inf"), float("-inf"), 1000)
 
 
 def _series_table(af, seed: int, n: int, first):
@@ -181,7 +191,8 @@ def _outcome(af, run, errors) -> str:
     try:
         return _digest(af, run())
     except errors as e:
-        return "error " + hashlib.sha256(f"{type(e).__name__}: {e}".encode()).hexdigest()
+        name = type(e).__name__
+        return f"error {name} " + hashlib.sha256(f"{name}: {e}".encode()).hexdigest()
 
 
 def _cli_calls(wl) -> list:
@@ -282,6 +293,11 @@ def main(argv) -> int:
     sieve = af.build_sieve(50)
     for name, run in _malformed(af, sieve).items():
         print(f"structure\t{name}\t50\t{_outcome(af, run, Exception)}", flush=True)
+    sieve = af.build_sieve(max(SIGMA_BOUNDS))
+    for n in SIGMA_BOUNDS:
+        for c in SIGMA_EXPONENTS:
+            run = lambda: af.make("sigma", sieve, af.COMPLEX, c=c, bound=n)  # noqa: E731
+            print(f"sigma\t{c!r}\t{n}\t{_outcome(af, run, af.ArithfnError)}", flush=True)
     _cli_digests()
     return 0
 

@@ -11,7 +11,9 @@ Every constructor computes from an elementary definition:
   complex(d) ** c: for a finite real c other than an integer of
   magnitude <= 100 that is libm's pow(d, c), so the powers are math.pow
   values (np.power's vector code differs from libm in the last bit) and
-  the sum runs on reals; any other c keeps the per-d complex power;
+  the sum runs on reals; any other c keeps the per-d complex power,
+  save a NaN of CPython's repeated squaring to a negative integer c,
+  which takes libm's pow(d, c);
 - Lambda as the prime-power indicator weighted by log p;
 - I, u and N as direct tables.
 
@@ -163,12 +165,21 @@ def _complex_powers(n: int, c: complex) -> np.ndarray:
     np.power is no substitute: its vector code differs from libm's pow in
     the last bit on some d.  A non-finite c keeps the complex powers,
     whose NaNs the kernel reports.
+
+    Repeated squaring to a negative c gives nan+nanj once a square of d
+    overflows (inf times the imaginary 0; from d = 65536 at c = -64),
+    where the true power is 0 or subnormal: those entries take libm's
+    pow(d, c) instead, and every finite one keeps CPython's bits.
     """
     if c.imag == 0 and math.isfinite(c.real) and not (c.real.is_integer() and abs(c.real) <= 100):
         powers = np.zeros(n + 1)
         powers[1:] = np.fromiter(map(math.pow, range(1, n + 1), repeat(c.real)), np.float64, n)
         return powers
-    return np.array([0j] + [complex(d) ** c for d in range(1, n + 1)])
+    powers = np.array([0j] + [complex(d) ** c for d in range(1, n + 1)])
+    if c.imag == 0 and -100 <= c.real < 0:  # a negative integer, by the test above
+        lost = np.flatnonzero(~np.isfinite(powers))
+        powers[lost] = [math.pow(d, c.real) for d in lost.tolist()]
+    return powers
 
 
 # ---------------------------------------------------------------------------
@@ -244,7 +255,7 @@ def verify_identities(sieve: SpfSieve, *, tol: float = DEFAULT_TOL) -> IdentityR
     entries = []
     for name, (ctor, c, product, closed_form) in _CLOSED_FORMS.items():
         vals = closed_form(p, k, pk)
-        rhs = _prime_power_fold(sieve, n, int(product), pk, vals, RATIONAL, product)
+        rhs = _prime_power_fold(sieve, n, pk, vals, RATIONAL, product)
         entries.append(_compare_exact(name, n, make(ctor, sieve, c=c), rhs))
     entries.insert(4, _lambda_entry(sieve, n, tol))  # the report lists Lambda after lambda
     return IdentityReport(tuple(entries))

@@ -15,8 +15,8 @@ from pathlib import Path
 from . import io as fnio
 from .catalogue import verify_identities
 from .errors import ArithfnError
-from .expr import Apply, EvalOptions, eval_expr, parse_expr
-from .numerics import DEFAULT_EPS, DEFAULT_TOL, get_backend
+from .expr import Apply, eval_expr, parse_expr
+from .numerics import DEFAULT_TOL, get_backend
 from .sieve import build_sieve
 from .structure import (
     CheckResult,
@@ -46,10 +46,6 @@ def _add_common(p, *, default_n: int, n_help: str | None = None):
                    help=n_help or f"truncation bound (default {default_n}, max {MAX_BOUND})")
     p.add_argument("--backend", choices=("rational", "complex"), default="rational",
                    help="coefficient backend (default: rational; exact)")
-    p.add_argument("--eps", type=float, default=DEFAULT_EPS,
-                   help=f"float threshold below which a value counts as zero (default {DEFAULT_EPS})")
-    p.add_argument("--normalize-unit", action="store_true",
-                   help="let log/psi divide the input by a(1) instead of rejecting a(1) != 1")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -81,8 +77,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("op", choices=("exp", "log", "psi", "psiinv"))
     p.add_argument("expr")
     p.add_argument("--out", required=True, help="output file (.json -> JSON, otherwise CSV)")
-    p.add_argument("--format", choices=("csv", "json"), default=None,
-                   help="force the output format instead of inferring from the extension")
     _add_common(p, default_n=1000)
 
     p = sub.add_parser("bell", help="print the per-prime series of EXPR at one prime as JSON")
@@ -152,8 +146,7 @@ def _dispatch(args) -> int:
     node = parse_expr(args.expr)
     if cmd == "transform":
         node = Apply(args.op, node)
-    options = EvalOptions(normalize_unit=args.normalize_unit, eps=args.eps)
-    fn = eval_expr(node, sieve, get_backend(args.backend), options=options)
+    fn = eval_expr(node, sieve, get_backend(args.backend))
     if cmd not in ("check", "bell"):
         del sieve  # free it before the output step, where a large table peaks in memory
 
@@ -179,8 +172,7 @@ def _dispatch(args) -> int:
         else:
             sys.stdout.write("".join(f"{n}\t{s}\n" for n, s in enumerate(fn._formatted(), 1)))
     elif cmd == "transform":
-        fmt = args.format or ("json" if Path(args.out).suffix.lower() == ".json" else "csv")
-        if fmt == "json":
+        if Path(args.out).suffix.lower() == ".json":
             fnio.write_json(fn, args.out)
         else:
             fnio.write_csv(fn, args.out)

@@ -84,11 +84,12 @@ class ArithFn:
 
     @classmethod
     def from_values(cls, values, backend=RATIONAL):
-        """Build from the sequence [a(1), a(2), ..., a(N)]."""
-        vals = [backend.convert(x) for x in values]
-        if not vals:
+        """Build from the sequence [a(1), a(2), ..., a(N)]; :func:`_store`
+        checks each value's type and, in the complex backend, finiteness."""
+        padded = [backend.zero, *values]
+        if len(padded) == 1:
             raise ValueError("an arithmetical function needs bound >= 1")
-        return cls._wrap(len(vals), backend, [backend.zero] + vals)
+        return cls._wrap(len(padded) - 1, backend, padded)
 
     @classmethod
     def _constant(cls, bound, backend, first, rest):
@@ -264,16 +265,16 @@ class ArithFn:
             return self.scale(other)
         return NotImplemented
 
-    def inv(self, eps: float = DEFAULT_EPS) -> "ArithFn":
+    def inv(self) -> "ArithFn":
         """Dirichlet inverse b with (a * b) = I on 1..N.
 
-        Requires a(1) != 0 (float backend: |a(1)| > eps).
+        Requires a(1) != 0 (float backend: |a(1)| > DEFAULT_EPS).
         """
         a1 = self[1]
         if self.backend is COMPLEX:
-            if abs(a1) <= eps:
+            if abs(a1) <= DEFAULT_EPS:
                 raise NotInvertibleError(
-                    f"a(1) = {a1!r} is within eps={eps} of zero; no Dirichlet inverse"
+                    f"a(1) = {a1!r} is within eps={DEFAULT_EPS} of zero; no Dirichlet inverse"
                 )
         elif a1 == 0:
             raise NotInvertibleError("a(1) = 0; no Dirichlet inverse")
@@ -310,15 +311,15 @@ class ArithFn:
         out[1] = 0
         return ArithFn._wrap(n, COMPLEX, out)
 
-    def valuation(self, eps: float = DEFAULT_EPS) -> int | None:
+    def valuation(self) -> int | None:
         """Least n with a(n) != 0, or None for the zero function."""
-        support = self.support(eps)
+        support = self.support()
         return support[0] if support else None
 
-    def support(self, eps: float = DEFAULT_EPS) -> list[int]:
-        """Ascending list of all n <= N with a(n) != 0 (float backend: |a(n)| > eps)."""
+    def support(self) -> list[int]:
+        """Ascending list of all n <= N with a(n) != 0 (float backend: |a(n)| > DEFAULT_EPS)."""
         v = self._v[1:]
-        nonzero = np.hypot(v.real, v.imag) > eps if self.backend is COMPLEX else v != 0
+        nonzero = np.hypot(v.real, v.imag) > DEFAULT_EPS if self.backend is COMPLEX else v != 0
         return (np.flatnonzero(nonzero) + 1).tolist()
 
 

@@ -16,6 +16,8 @@ pointwise `+`; a scalar prefix `r . e` binds tighter still)::
 Numbers are exact: "3" is an integer, "-1/2" and "0.25" are rationals.
 Parse errors carry the byte offset and the token set that would have
 been accepted there.  ``eval_expr`` evaluates at its sieve's bound.
+log and psi need a(1) = 1: a table e with a(1) = r enters them as
+``log(1/r . e)``.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from . import io as fnio
 from .catalogue import canonical_name, make
 from .dirichlet import ArithFn
 from .errors import ArithfnError, ExprEvalError, ExprSyntaxError, UnsupportedBackendError
-from .numerics import DEFAULT_EPS, RATIONAL, _canonical_exact
+from .numerics import RATIONAL, _canonical_exact
 from .sieve import SpfSieve
 from .transcend import dexp, dlog, psi, psi_inv
 
@@ -345,17 +347,7 @@ def _first_complex_only_node(node: Expr) -> Optional[Expr]:
     return None
 
 
-@dataclass
-class EvalOptions:
-    """Evaluation knobs read by every node of one evaluation."""
-
-    normalize_unit: bool = False  # let log/psi rescale inputs with a(1) != 1
-    eps: float = DEFAULT_EPS  # float-backend "is zero" threshold
-
-
-def eval_expr(
-    node: Expr, sieve: SpfSieve, backend=RATIONAL, *, options: EvalOptions | None = None
-) -> ArithFn:
+def eval_expr(node: Expr, sieve: SpfSieve, backend=RATIONAL) -> ArithFn:
     """Evaluate an AST bottom-up at the sieve's bound in the given backend.
 
     Expressions that need floats fail fast under the rational backend,
@@ -363,7 +355,6 @@ def eval_expr(
     ``file("...")`` that cannot be read, are re-raised with the source
     span of the node that caused them.
     """
-    options = options or EvalOptions()
     bound = sieve.bound
     if backend is RATIONAL:
         offender = _first_complex_only_node(node)
@@ -395,13 +386,13 @@ def eval_expr(
             if isinstance(node, Apply):
                 inner = ev(node.expr)
                 if node.op == "inv":
-                    return inner.inv(eps=options.eps)
+                    return inner.inv()
                 if node.op == "log":
-                    return dlog(inner, normalize_unit=options.normalize_unit)
+                    return dlog(inner)
                 if node.op == "exp":
                     return dexp(inner)
                 if node.op == "psi":
-                    return psi(inner, normalize_unit=options.normalize_unit)
+                    return psi(inner)
                 if node.op == "psiinv":
                     return psi_inv(inner)
                 if node.op == "deriv":

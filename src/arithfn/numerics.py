@@ -2,7 +2,7 @@
 
 Tables store their values in numpy arrays (see :mod:`arithfn.dirichlet`)
 and hand them out as the Python scalars below; the backend objects decide
-how single values are converted, tested for zero and serialized.
+how single values are converted and serialized.
 
 Two backends exist:
 
@@ -27,8 +27,8 @@ from typing import Union
 
 from .errors import NonFiniteError, UnsupportedBackendError
 
-#: Default threshold under which a float coefficient counts as zero
-#: (support, valuation, invertibility tests).  Overridable per call.
+#: Threshold under which a float coefficient counts as zero (support,
+#: valuation, invertibility tests).
 DEFAULT_EPS = 1e-12
 
 #: Default comparison tolerance for float-backend identities.
@@ -91,9 +91,6 @@ class RationalBackend:
             f"rational backend cannot hold {type(x).__name__} value {x!r}"
         )
 
-    def is_zero(self, v, eps: float = DEFAULT_EPS) -> bool:
-        return v == 0
-
     def format(self, v) -> str:
         return str(v)
 
@@ -128,9 +125,6 @@ class ComplexBackend:
         raise UnsupportedBackendError(
             f"complex backend cannot hold {type(x).__name__} value {x!r}"
         )
-
-    def is_zero(self, v, eps: float = DEFAULT_EPS) -> bool:
-        return abs(v) <= eps
 
     def format(self, v) -> str:
         z = complex(v)

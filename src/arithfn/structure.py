@@ -98,10 +98,11 @@ def _require(check: CheckResult) -> None:
 
 
 @np.errstate(over="ignore", invalid="ignore")  # _store reports it
-def _prime_power_fold(sieve, n, first, pks, vals, backend, product) -> ArithFn:
-    """f on 1..n with f(1) = ``first`` and f(k) = first x at[p1^a1] x ...
-    (``product``) or first + at[p1] + ... + at[p1^a1] + at[p2] + ... over
-    the primes of k ascending, where at[pks[i]] = vals[i], else 0.
+def _prime_power_fold(sieve, n, pks, vals, backend, product) -> ArithFn:
+    """f on 1..n with f(1) = 1 and f(k) = at[p1^a1] x at[p2^a2] x ...
+    (``product``), or f(1) = 0 and f(k) = at[p1] + ... + at[p1^a1] +
+    at[p2] + ... over the primes of k ascending, where at[pks[i]] =
+    vals[i], else 0.
 
     With p = spf(k), m = k / p, the largest prime factor P(k) is
     max(p, P(m)) and r(k) = k / P(k)^v is 1 if P(m) <= p, else p r(m); so
@@ -118,7 +119,7 @@ def _prime_power_fold(sieve, n, first, pks, vals, backend, product) -> ArithFn:
     at = np.zeros(n + 1, dtype=stored.dtype)
     at[pks] = stored
     out = np.zeros(n + 1, dtype=at.dtype)
-    out[1] = first * den
+    out[1] = int(product)  # the unit of the fold; a product runs with den = 1
     big = np.ones(n + 1, dtype=np.int64)  # P(k)
     rest = np.ones(n + 1, dtype=np.int64)  # r(k)
     lo = 2
@@ -454,7 +455,7 @@ def bell_reconstruct_mult(dec: BellDecomposition, sieve: SpfSieve) -> ArithFn:
     if len(coeffs) < len(primes):  # every series is at a prime, so one is missing
         dec.series_for(min(primes.difference(coeffs)))  # raises for the least missing prime
     vals = [coeffs[q][j] for q, j in zip(p.tolist(), k.tolist())]
-    return _prime_power_fold(sieve, n, backend.one, pk, vals, backend, True)
+    return _prime_power_fold(sieve, n, pk, vals, backend, True)
 
 
 # ---------------------------------------------------------------------------
@@ -551,7 +552,7 @@ def additive_reconstruct(g: PrimeSupport, sieve: SpfSieve) -> ArithFn:
     keys = list(g._entries)
     pks = [p**k for p, k in keys]
     vals = list(g._entries.values())
-    a = _prime_power_fold(sieve, g.bound, g.backend.zero, pks, vals, g.backend, False)
+    a = _prime_power_fold(sieve, g.bound, pks, vals, g.backend, False)
     bases = np.array([p for p, _ in keys], dtype=np.int64)
     composite = np.flatnonzero(sieve._spf[bases] != bases)
     if len(composite):

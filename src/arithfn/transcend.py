@@ -39,7 +39,6 @@ complex backend runs the same loop with the float coefficients p / q.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 
 import numpy as np
 
@@ -57,20 +56,13 @@ def _require_unit_value(a: ArithFn, want, op: str) -> None:
         )
 
 
-def dlog(a: ArithFn, *, normalize_unit: bool = False) -> ArithFn:
+def dlog(a: ArithFn) -> ArithFn:
     """Formal logarithm; domain a(1) = 1, image has value 0 at index 1.
 
-    ``normalize_unit`` divides the input pointwise by a(1) first instead
-    of rejecting a(1) != 1 (off by default: silently normalizing would
-    mask data errors).
+    Any other a(1) = r is a DomainError; for r != 0 the caller rescales
+    first, ``dlog(a.scale(Fraction(1) / r))`` or ``log(1/r . e)`` in the DSL.
     """
-    if normalize_unit and a[1] != a.backend.one:
-        if a.backend.is_zero(a[1]):
-            raise DomainError("cannot normalize: a(1) = 0", value=a[1])
-        # a(1)/a(1) can miss 1.0 by an ulp in floats; b(1) = 0 below anyway
-        a = a.scale((1.0 if a.backend is COMPLEX else Fraction(1, 1)) / a[1])
-    else:
-        _require_unit_value(a, a.backend.one, "dlog")
+    _require_unit_value(a, a.backend.one, "dlog")
     b = a._v.copy()  # stored tables are read-only
     b[1] = 0
     return _series(a, b, a.den, 0, [((-1) ** (k - 1), k) for k in range(1, a.bound.bit_length())])
@@ -109,11 +101,11 @@ def _series(a: ArithFn, b: np.ndarray, den: int, unit: int, coeffs) -> ArithFn:
     return ArithFn._wrap(n, a.backend, acc, big_d)
 
 
-def psi(a: ArithFn, *, normalize_unit: bool = False) -> ArithFn:
+def psi(a: ArithFn) -> ArithFn:
     """u * dlog(a): takes convolution of functions with a(1) = 1 to
     pointwise sum; multiplicative inputs land on additive outputs."""
     u = ArithFn.ones(a.bound, a.backend)
-    return u * dlog(a, normalize_unit=normalize_unit)
+    return u * dlog(a)
 
 
 def psi_inv(a: ArithFn) -> ArithFn:

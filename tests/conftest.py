@@ -12,6 +12,7 @@ alternating/factorial series.
 
 from __future__ import annotations
 
+import cmath
 import math
 import random
 import sys
@@ -167,10 +168,20 @@ def inverse_loop_complex(a: np.ndarray, n: int) -> np.ndarray:
     return b
 
 
+def complex_power_oracle(d: int, c):
+    """complex(d) ** c as CPython rounds it, except where its repeated
+    squaring to a negative integer c gives NaN (a square of d overflows):
+    there the exact 1 / d**-c, rounded once."""
+    z = complex(d) ** c
+    if isinstance(c, int) and c < 0 and not cmath.isfinite(z):
+        return complex(float(Fraction(1, d**-c)))
+    return z
+
+
 def sigma_loop_complex(c, n: int) -> list:
     """sigma_c on 1..n by the divisor-sum loop the complex constructor
     replaced: every d adds d**c to its multiples, d ascending."""
-    powers = [complex(d) ** c for d in range(1, n + 1)]
+    powers = [complex_power_oracle(d, c) for d in range(1, n + 1)]
     out = [0j] * (n + 1)
     for d in range(1, n + 1):
         pd = powers[d - 1]

@@ -7,8 +7,10 @@ import numpy as np
 import pytest
 
 import arithfn as af
+from arithfn.catalogue import _complex_powers
 from arithfn.errors import NonFiniteError, UnsupportedBackendError
 from conftest import (
+    complex_power_oracle,
     divisors_brute,
     is_prime_power_brute,
     mangoldt_loop_complex,
@@ -132,6 +134,19 @@ class TestDefinitionalValues:
             got = np.array(af.make("sigma", sieve5000, af.COMPLEX, c=c, bound=n)._v)
             want = np.array(sigma_loop_complex(exponent, n))
             assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), c
+
+    @pytest.mark.parametrize("c", (-64, -65, -100))
+    def test_complex_sigma_past_squaring_overflow(self, c):
+        # from d = 2**16 on, CPython's repeated squaring to these c gives
+        # nan+nanj (65536**64 overflows), while the true power is 0 or
+        # subnormal: N = 65537 runs just past that edge
+        n = 65537
+        want = np.array([0j] + [complex_power_oracle(d, c) for d in range(1, n + 1)])
+        assert want[65536] == 2.0 ** (16 * c)  # 2**-1024 at c = -64: subnormal, exact
+        got = _complex_powers(n, complex(c))
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+        sigma = np.array(af.make("sigma", af.build_sieve(n), af.COMPLEX, c=c)._v)
+        assert np.array_equal(sigma.view(np.uint64), np.array(sigma_loop_complex(c, n)).view(np.uint64))
 
 
 class TestErrors:

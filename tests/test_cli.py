@@ -24,7 +24,6 @@ from arithfn.errors import ExprEvalError, ExprSyntaxError, UnsupportedBackendErr
 from arithfn.expr import (
     Add,
     Apply,
-    EvalOptions,
     FileRef,
     Mul,
     Named,
@@ -433,6 +432,7 @@ class TestCliBehavior:
             assert err.startswith("error:") and "bad value" in err, value
 
     def test_normalize_unit_flag(self, capsys, tmp_path):
+        # log and psi need a(1) = 1; the DSL rescales a table by r . e
         path = tmp_path / "scaled.csv"
         fn = af.ArithFn.ones(32, af.COMPLEX).scale(2.0)
         fnio.write_csv(fn, path)
@@ -441,18 +441,35 @@ class TestCliBehavior:
             capsys, "eval", f"log({expr})", "4", "--backend", "complex", "--n", "32"
         )
         assert code == 2 and "a(1)" in err
-        code, out, _ = run_cli(
-            capsys,
-            "eval",
-            f"log({expr})",
-            "4",
-            "--backend",
-            "complex",
-            "--n",
-            "32",
-            "--normalize-unit",
-        )
-        assert code == 0 and out == "0.5\n"
+        for op, want in (("log", "0.5\n"), ("psi", "1.5\n")):
+            code, out, _ = run_cli(
+                capsys, "eval", f"{op}(1/2 . {expr})", "4", "--backend", "complex", "--n", "32"
+            )
+            assert code == 0 and out == want, op
+        # exact: (u + I)(1) = 2; b = 1/2 . (u + I) - I is 1/2 off n = 1, so
+        # log at 4 is b(4) - b(2)**2 / 2 = 3/8 and psi adds log(2) = 1/2
+        for op, want in (("log", "3/8\n"), ("psi", "7/8\n")):
+            code, out, _ = run_cli(capsys, "eval", f"{op}(1/2 . (u + I))", "4", "--n", "32")
+            assert code == 0 and out == want, op
+
+    @pytest.mark.parametrize(
+        "argv",
+        [[*cmd, *flag] for cmd in (
+            ["eval", "u", "4"],
+            ["table", "u"],
+            ["check", "additive", "nu"],
+            ["transform", "psi", "phi", "--out", "x.csv"],
+            ["bell", "phi", "--prime", "2"],
+        ) for flag in (["--eps", "1e-9"], ["--normalize-unit"])]
+        + [["transform", "psi", "phi", "--n", "50", "--out", "x.csv", "--format", "json"]],
+    )
+    def test_removed_flags_are_usage_errors(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        out, err = capsys.readouterr()
+        assert exc.value.code == 2 and out == ""
+        assert err.startswith("usage: arithfn") and "unrecognized arguments" in err
+        assert "Traceback" not in err
 
     def test_eval_index_defines_bound(self, capsys):
         code, out, _ = run_cli(capsys, "eval", "u * u", "12")

@@ -195,7 +195,13 @@ class TestInverse:
         a = af.ArithFn.from_values([1e-14, 1.0], af.COMPLEX)
         with pytest.raises(NotInvertibleError):
             a.inv()
-        assert a.inv(eps=1e-16)[1] == 1e14
+        for a1, ok in ((af.DEFAULT_EPS, False), (2 * af.DEFAULT_EPS, True)):
+            a = af.ArithFn.from_values([a1, 1.0], af.COMPLEX)
+            if ok:
+                assert a.inv()[1] == 1 / a1
+            else:
+                with pytest.raises(NotInvertibleError):
+                    a.inv()
 
     def test_complex_inverse(self):
         rng = random.Random(10)
@@ -301,10 +307,10 @@ class TestValuationSupport:
             assert (a * b).valuation() == va * vb
 
     def test_float_support_uses_epsilon(self):
-        a = af.ArithFn.from_values([1e-15, 1.0, 1e-10], af.COMPLEX)
+        a = af.ArithFn.from_values([1e-15, 1.0, 1e-10, af.DEFAULT_EPS], af.COMPLEX)
         assert a.support() == [2, 3]
-        assert a.support(eps=1e-8) == [2]
         assert a.valuation() == 2
+        assert af.ArithFn.from_values([1e-15, af.DEFAULT_EPS], af.COMPLEX).valuation() is None
 
 
 # Sizes covering n < 4, the square-root split on both sides of a square
@@ -797,9 +803,10 @@ class TestNonFinite:
             a * a
 
     def test_inverse_overflow_raises(self):
-        a = af.ArithFn.from_values([1e-200, 1e200], af.COMPLEX)
+        # a(1) just above DEFAULT_EPS: -a(2) / a(1)**2 = -1e320
+        a = af.ArithFn.from_values([1e-10, 1e300], af.COMPLEX)
         with pytest.raises(NonFiniteError):
-            a.inv(eps=0.0)
+            a.inv()
 
     def test_pointwise_overflow_raises(self):
         big = af.ArithFn.from_values([1.0, 1e308, 1.7e308], af.COMPLEX)
@@ -808,6 +815,11 @@ class TestNonFinite:
         for op in ops:
             with pytest.raises(NonFiniteError):
                 op()
+
+    def test_from_values_overflow_raises(self):
+        for huge in (10**400, Fraction(10**400, 3), -(10**400)):
+            with pytest.raises(NonFiniteError):
+                af.ArithFn.from_values([1, huge], af.COMPLEX)
 
     def test_widening_overflow_raises(self):
         for huge in (10**400, Fraction(10**400, 3)):

@@ -4,6 +4,7 @@ import cmath
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -54,6 +55,12 @@ class TestRationalConstruction:
                 af.ArithFn.from_values([True, 1], backend)
             with pytest.raises(UnsupportedBackendError, match="bool"):
                 af.PrimeSupport(10, backend, {(2, 1): False})
+
+    def test_from_values_takes_python_numbers_only(self):
+        # one type check, in _store: a numpy scalar is no value, as in a Bell series
+        for x in (np.float64(1.0), np.complex128(1j), np.int64(1)):
+            with pytest.raises(UnsupportedBackendError, match=type(x).__name__):
+                af.ArithFn.from_values([1.0, x], af.COMPLEX)
 
 
 rationals = st.fractions(

@@ -37,9 +37,13 @@ call, run in process from a temporary working directory with relative
 paths, so two source trees print the same bytes.  They cover every
 subcommand, ``table`` in all three formats, the expressions of the
 ``cli`` benchmark workload (read from bench/workloads.py) at N = 10^4
-with its parse, domain and non-finite probes, and four file errors (a
+with its parse, domain and non-finite probes, four file errors (a
 missing file and a directory given to ``import``, a missing
-``file("...")``, and a ``transform --out`` into a missing directory).
+``file("...")``, and a ``transform --out`` into a missing directory),
+log and psi of a table with a(1) = 2 rescaled in the DSL by ``1/2 .``
+in both backends, and one call per removed option (``--eps``,
+``--normalize-unit``, ``transform --format``), a usage error (exit 2)
+where the option is gone.
 An exception that escapes ``main`` is digested as exit 1 with its type
 and message on stderr, which is what the interpreter would report after
 the traceback.
@@ -65,7 +69,7 @@ BOUNDS = (1, 2, 17, 1023, 1024, 1025, 4099)
 CLI_N = "10000"
 SIGMA_BOUNDS = (1, 1024, 4099, 10**5)
 SIGMA_EXPONENTS = (0.5, 1.5, 2.5, 1 / 3, Fraction(1, 3), Fraction(5, 2), -0.5, 101, -60.5,
-                   0, 2, 2.0, -3, 100, -100, 1j, 0.5 + 1j,
+                   0, 2, 2.0, -3, 100, -64, -100, 1j, 0.5 + 1j,
                    float("nan"), float("inf"), float("-inf"), 1000)
 
 
@@ -228,6 +232,12 @@ def _cli_calls(wl) -> list:
         ["import", "adir"],
         ["table", 'file("nope.csv")'],
         ["transform", "psi", "phi", "--out", "no/such/dir/x.csv"],
+        # a(1) = 2 rescaled in the DSL, then the removed options
+        *(["eval", f"{op}(1/2 . (u + I))", "6", "--n", "100", *backend]
+          for op in ("log", "psi") for backend in ([], ["--backend", "complex"])),
+        ["eval", "log(u + I)", "6", "--n", "100", "--normalize-unit"],
+        ["eval", "inv(u)", "6", "--n", "100", "--eps", "1e-9"],
+        ["transform", "psi", "phi", "--n", "50", "--out", "x.csv", "--format", "json"],
     ]
     return calls
 

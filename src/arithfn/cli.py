@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from pathlib import Path
 
 from . import io as fnio
 from .catalogue import verify_identities
@@ -172,10 +171,7 @@ def _dispatch(args) -> int:
         else:
             sys.stdout.write("".join(f"{n}\t{s}\n" for n, s in enumerate(fn._formatted(), 1)))
     elif cmd == "transform":
-        if Path(args.out).suffix.lower() == ".json":
-            fnio.write_json(fn, args.out)
-        else:
-            fnio.write_csv(fn, args.out)
+        fnio.write_function(fn, args.out)
     elif cmd == "bell":
         p = args.prime
         if not (2 <= p <= bound and sieve.is_prime(p)):

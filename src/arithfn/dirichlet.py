@@ -28,15 +28,18 @@ convolves numerators over the product of the two dens; the inverse of
 numerators A is an integer table over |A(1)|**(K+1), K = floor(log2 N)
 (see :func:`_inv`), times den.  Both kernels are calls to one push,
 :func:`_push`, which adds x(d) y(m) into out[d m] for a support of d by
-a d-loop or an m-loop, whichever is shorter.  The convolution pushes the
-support of a below and above sqrt(N) (Dirichlet's hyperbola method), so
-it takes about 2 sqrt(N) vector operations; the inverse pushes dyadic
-blocks [2**j, 2**(j+1)), each final once the earlier blocks are pushed.
+a d-loop or an m-loop, whichever is shorter.  A step of the m-loop over
+a support at least half full adds one strided slice, a sparser step
+scatters onto the support alone.  The convolution pushes the support of
+a below and above sqrt(N) (Dirichlet's hyperbola method), so it takes
+about 2 sqrt(N) vector operations; the inverse pushes dyadic blocks
+[2**j, 2**(j+1)), each final once the earlier blocks are pushed.
 
 Each output coefficient is a sum over its divisors in ascending order,
-of the same products a per-divisor loop forms.  In the float backend
-this makes every result bit-reproducible across runs.  A complex result
-with a NaN or infinite value raises :class:`NonFiniteError`.
+of the same products a per-divisor loop forms, plus, in strided steps,
+zero products that change no bit (see :func:`_push`).  In the float
+backend this makes every result bit-reproducible across runs.  A complex
+result with a NaN or infinite value raises :class:`NonFiniteError`.
 """
 
 from __future__ import annotations
@@ -284,7 +287,7 @@ class ArithFn:
 
     def __pow__(self, k: int) -> "ArithFn":
         """k-fold convolution power by binary exponentiation; a**0 = I."""
-        if not isinstance(k, int) or k < 0:
+        if not isinstance(k, int) or isinstance(k, bool) or k < 0:
             raise ValueError(f"convolution power needs an integer k >= 0, got {k!r}")
         result = ArithFn.identity(self.bound, self.backend)
         base = self
@@ -498,10 +501,22 @@ def _push(out: np.ndarray, x: np.ndarray, sup: np.ndarray, y: np.ndarray, n: int
     n // m.  It runs whichever takes fewer steps.  Either way each output
     receives its terms in ascending d (in the m-loop, a later and smaller
     m pairs with a larger d).
+
+    An m-step whose c support points d0 = sup[0] .. d1 cover at least half
+    of the run d0..d1 (2 c >= d1 - d0 + 1) adds x[d0:d1+1] y(m) onto the
+    strided slice out[d0 m : d1 m + 1 : m], through one product buffer per
+    push; a sparser step scatters x(D) y(m) onto sup[:c] m by np.add.at.
+    The strided step leaves every bit as the scatter does: each nonzero
+    x(d) gives the same array-times-scalar product, added in the same
+    order; a zero x(d) in the run gives an exact 0, or in complex128 a
+    +-0 in each part, since y is finite; and an accumulator, which starts
+    at +0, never becomes -0 under round-to-nearest, so adding +-0 to it
+    changes nothing.
     """
     if not len(sup):
         return
-    top = n // int(sup[0])
+    d0 = int(sup[0])
+    top = n // d0
     if len(sup) <= top - m0 + 1:
         for d in sup.tolist():
             out[m0 * d :: d] += x[d] * y[m0 : n // d + 1]
@@ -509,8 +524,16 @@ def _push(out: np.ndarray, x: np.ndarray, sup: np.ndarray, y: np.ndarray, n: int
         x_sup = x[sup]
         ms = np.arange(top, m0 - 1, -1)
         counts = np.searchsorted(sup, n // ms, side="right")  # >= 1, as m <= top
-        for m, c in zip(ms.tolist(), counts.tolist()):
-            np.add.at(out, sup[:c] * m, x_sup[:c] * y[m])
+        spans = sup[counts - 1] - d0 + 1
+        dense = 2 * counts >= spans
+        buf = np.empty(spans[dense].max(initial=0), dtype=out.dtype)
+        for m, c, span, strided in zip(ms.tolist(), counts.tolist(), spans.tolist(), dense.tolist()):
+            if strided:
+                out[d0 * m : (d0 + span - 1) * m + 1 : m] += np.multiply(
+                    x[d0 : d0 + span], y[m], out=buf[:span]
+                )
+            else:
+                np.add.at(out, sup[:c] * m, x_sup[:c] * y[m])
 
 
 @np.errstate(over="ignore", invalid="ignore")  # _check_finite reports it
@@ -520,8 +543,9 @@ def _conv(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
     Dirichlet's hyperbola split: every pair d * m <= n has d <= K or
     m <= n // (K + 1), K = floor(sqrt n).  One push takes the support of
     a in 1..K (a d-loop), one the support in (K, n] (an m-loop, unless
-    that support is sparse): about 2 sqrt(n) vector operations, and a
-    zero a(d) is never multiplied.
+    that support is sparse): about 2 sqrt(n) vector operations.  A zero
+    a(d) is multiplied only inside the dense runs of the m-loop's strided
+    steps, where its product adds nothing (see :func:`_push`).
     """
     if a.dtype != b.dtype or (
         a.dtype == np.int64 and not _fits_int64(_max_abs(a), _max_abs(b), n)

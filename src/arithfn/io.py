@@ -123,9 +123,21 @@ def read_json(path) -> ArithFn:
     return from_json_obj(obj)
 
 
+def _is_json(path) -> bool:
+    """The file-format rule: .json (any case) -> JSON, anything else -> CSV."""
+    return Path(path).suffix.lower() == ".json"
+
+
 def read_function(path, backend=RATIONAL) -> ArithFn:
-    """Load a table by extension: .json -> JSON, anything else -> CSV."""
+    """Load a table in the format its extension names (see :func:`_is_json`)."""
     p = Path(path)
-    if p.suffix.lower() == ".json":
-        return read_json(p)
-    return read_csv(p, backend)
+    return read_json(p) if _is_json(p) else read_csv(p, backend)
+
+
+def write_function(fn: ArithFn, path) -> None:
+    """Save a table in the format its extension names, which
+    :func:`read_function` reads back."""
+    if _is_json(path):
+        write_json(fn, path)
+    else:
+        write_csv(fn, path)

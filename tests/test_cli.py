@@ -386,6 +386,19 @@ class TestCliBehavior:
         sieve = af.build_sieve(64)
         assert fnio.read_csv(back) == af.make("phi", sieve)
 
+    @pytest.mark.parametrize("name, is_json", [("t.json", True), ("t.JSON", True), ("t.csv", False), ("t", False)])
+    def test_transform_output_reads_back_by_import(self, capsys, tmp_path, name, is_json):
+        # transform writes by the --out extension, the rule import reads by
+        out = tmp_path / name
+        code, _, _ = run_cli(capsys, "transform", "psi", "phi", "--n", "50", "--out", str(out))
+        assert code == 0
+        assert out.read_text(encoding="utf-8").startswith("{" if is_json else "n,value\n")
+        want = af.psi(af.make("phi", af.build_sieve(50)))
+        code, text, err = run_cli(capsys, "import", str(out))
+        assert (code, err) == (0, "")
+        assert text == f"bound=50 backend=rational nonzero={len(want.support())}\n"
+        assert fnio.read_function(out) == want
+
     def test_transform_domain_error_carries_span(self, capsys, tmp_path):
         out = tmp_path / "psi_nu.csv"
         code, _, err = run_cli(capsys, "transform", "psi", "nu", "--n", "20", "--out", str(out))

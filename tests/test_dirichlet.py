@@ -238,6 +238,12 @@ class TestPower:
         with pytest.raises(ValueError):
             af.ArithFn.ones(10) ** -1
 
+    @pytest.mark.parametrize("k", (True, False))
+    def test_bool_power_rejected(self, k):
+        # a bool is no more an exponent than it is a coefficient
+        with pytest.raises(ValueError, match="integer k >= 0"):
+            af.ArithFn.ones(10) ** k
+
 
 class TestDerivative:
     def test_derivative_of_identity_vanishes(self):
@@ -355,6 +361,32 @@ def _sparse_tables(rng, n, dtype):
     return [unit, single, sparse, high, no_one]
 
 
+def _mixed_table(rng, n, dtype):
+    """A padded table whose pushes take both m-loop branches: a(1) = 1,
+    a(2) = 2, random values on (K, 3K], K = floor(sqrt n), and every
+    fourth prime above 3K.  The upper push of a convolution strides while
+    n // m stays in the dense run and scatters at the small m that reach
+    the primes; at n = 1000 and 4099 the inverse has a block that does
+    both.  A complex table has -0.0 parts in values and in zeros of the
+    run."""
+    k = math.isqrt(n)
+    run = np.arange(k + 1, 3 * k + 1)
+    primes = [p for p in primes_brute(n) if p > 3 * k][::4]
+    t = np.zeros(n + 1, dtype=dtype)
+    t[1], t[2] = 1, 2
+    if dtype == np.complex128:
+        t[run] = rng.standard_normal(len(run)) + 1j * rng.standard_normal(len(run))
+        t[primes] = rng.standard_normal(len(primes)) - 1j
+        t.real[run[::7]] = -0.0
+        t.imag[run[3::7]] = -0.0
+        t[run[5::11]] = complex(-0.0, 0.0)
+        t[run[8::11]] = complex(-0.0, -0.0)
+    else:
+        t[run] = rng.integers(1, 10, len(run)) * rng.choice([-1, 1], len(run))
+        t[primes] = rng.integers(1, 10, len(primes))
+    return t
+
+
 def _guard_edge(n):
     """Largest M with M * M * (2 floor(sqrt n) + 1) < 2**62."""
     return math.isqrt((2**62 - 1) // (2 * math.isqrt(n) + 1))
@@ -423,6 +455,51 @@ class TestKernels:
                 want = inverse_loop_exact(t.tolist(), n)
                 assert _inverse_values(t, n) == want
                 assert _inverse_values(t.astype(object), n) == want
+
+    @pytest.mark.parametrize("n", (1000, 4099))
+    def test_mixed_density_pushes_match_loops(self, n):
+        rng = np.random.default_rng(n + 2)
+        t, r = _mixed_table(rng, n, np.complex128), _rand_padded_complex(rng, n)
+        for x, y in ((t, r), (r, t), (t, t)):
+            assert _same_bits(_conv(x, y, n), convolve_loop_complex(x, y, n))
+        for a1 in (1.0, 0.75 - 0.5j):
+            t[1] = a1
+            got, den = _inv(t, n)
+            assert den == 1 and _same_bits(got, inverse_loop_complex(t, n))
+        t, c = _mixed_table(rng, n, np.int64), _rand_padded_int(rng, n)
+        for x, y in ((t, c), (c, t), (t, t)):
+            want = convolve_loop_exact(x.tolist(), y.tolist(), n)
+            assert _conv(x, y, n).tolist() == want
+            assert _conv(x.astype(object), y.astype(object), n).tolist() == want
+        for a1 in (1, -1, 2):
+            t[1] = a1
+            want = inverse_loop_exact(t.tolist(), n)
+            assert _inverse_values(t, n) == want
+            assert _inverse_values(t.astype(object), n) == want
+
+    def test_mixed_density_fractions_above_cap(self):
+        # 1/d on the mixed support: the denominators' lcm passes the cap,
+        # so the table, its products and its inverse keep their Fractions
+        n = 4099
+        support = np.flatnonzero(_mixed_table(np.random.default_rng(0), n, np.int64))
+        av = [0] * (n + 1)
+        for d in support.tolist():
+            av[d] = Fraction(1, d) if d > 1 else 1
+        t = af.ArithFn.from_values(av[1:])
+        assert t.den == 1 and t._v.dtype == object
+        u = af.ArithFn.ones(n)
+
+        def typed(vals):
+            return [(type(v), v) for v in vals]
+
+        def canonical(vals):
+            return [v.numerator if type(v) is Fraction and v.denominator == 1 else v for v in vals]
+
+        for y, yv in ((t, av), (u, [0] + [1] * n)):
+            want = canonical(convolve_loop_exact(av, yv, n))[1:]
+            assert typed((t * y).values()) == typed(want)
+            assert typed((y * t).values()) == typed(canonical(convolve_loop_exact(yv, av, n))[1:])
+        assert typed(t.inv().values()) == typed(inverse_loop_exact(av, n)[1:])
 
     def test_storage_choice(self):
         half, den = _store([0, 1, Fraction(3, 2)], af.RATIONAL)

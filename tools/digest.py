@@ -27,6 +27,9 @@ coefficient, and a prime support with a composite base or a float key.
 Any exception they raise is digested, so a tree that fails with an
 IndexError on one of them still prints every line.
 
+Powers: one digest of ``u ** k`` at N = 17 per k in POWERS, bools
+included (a bool is no exponent, so it raises).
+
 Complex sigma: one digest of ``make("sigma", sieve, COMPLEX, c=c)`` per
 exponent c in SIGMA_EXPONENTS (one or more per route: libm's pow,
 CPython's repeated squaring, a complex c, and the non-finite cases, which
@@ -40,6 +43,8 @@ subcommand, ``table`` in all three formats, the expressions of the
 with its parse, domain and non-finite probes, four file errors (a
 missing file and a directory given to ``import``, a missing
 ``file("...")``, and a ``transform --out`` into a missing directory),
+``transform --out`` to a ``.JSON`` and to an unsuffixed path, each read
+back by ``import``,
 log and psi of a table with a(1) = 2 rescaled in the DSL by ``1/2 .``
 in both backends, and one call per removed option (``--eps``,
 ``--normalize-unit``, ``transform --format``), a usage error (exit 2)
@@ -71,6 +76,7 @@ SIGMA_BOUNDS = (1, 1024, 4099, 10**5)
 SIGMA_EXPONENTS = (0.5, 1.5, 2.5, 1 / 3, Fraction(1, 3), Fraction(5, 2), -0.5, 101, -60.5,
                    0, 2, 2.0, -3, 100, -64, -100, 1j, 0.5 + 1j,
                    float("nan"), float("inf"), float("-inf"), 1000)
+POWERS = (0, 1, 2, True, False)
 
 
 def _series_table(af, seed: int, n: int, first):
@@ -232,6 +238,11 @@ def _cli_calls(wl) -> list:
         ["import", "adir"],
         ["table", 'file("nope.csv")'],
         ["transform", "psi", "phi", "--out", "no/such/dir/x.csv"],
+        # the output format follows the --out suffix, as import reads it
+        ["transform", "psi", "phi", "--n", "50", "--out", "up.JSON"],
+        ["import", "up.JSON"],
+        ["transform", "psi", "phi", "--n", "50", "--out", "plain"],
+        ["import", "plain"],
         # a(1) = 2 rescaled in the DSL, then the removed options
         *(["eval", f"{op}(1/2 . (u + I))", "6", "--n", "100", *backend]
           for op in ("log", "psi") for backend in ([], ["--backend", "complex"])),
@@ -303,6 +314,9 @@ def main(argv) -> int:
     sieve = af.build_sieve(50)
     for name, run in _malformed(af, sieve).items():
         print(f"structure\t{name}\t50\t{_outcome(af, run, Exception)}", flush=True)
+    u = af.ArithFn.ones(17)
+    for k in POWERS:
+        print(f"pow\t{k!r}\tu\t17\t{_outcome(af, lambda: u**k, ValueError)}", flush=True)
     sieve = af.build_sieve(max(SIGMA_BOUNDS))
     for n in SIGMA_BOUNDS:
         for c in SIGMA_EXPONENTS:

@@ -255,7 +255,7 @@ def verify_identities(sieve: SpfSieve, *, tol: float = DEFAULT_TOL) -> IdentityR
     entries = []
     for name, (ctor, c, product, closed_form) in _CLOSED_FORMS.items():
         vals = closed_form(p, k, pk)
-        rhs = _prime_power_fold(sieve, n, pk, vals, RATIONAL, product)
+        rhs = _prime_power_fold(sieve, n, pk, vals, 1, RATIONAL, product)
         entries.append(_compare_exact(name, n, make(ctor, sieve, c=c), rhs))
     entries.insert(4, _lambda_entry(sieve, n, tol))  # the report lists Lambda after lambda
     return IdentityReport(tuple(entries))

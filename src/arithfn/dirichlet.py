@@ -521,11 +521,11 @@ def _push(out: np.ndarray, x: np.ndarray, sup: np.ndarray, y: np.ndarray, n: int
         for d in sup.tolist():
             out[m0 * d :: d] += x[d] * y[m0 : n // d + 1]
     else:
-        x_sup = x[sup]
         ms = np.arange(top, m0 - 1, -1)
         counts = np.searchsorted(sup, n // ms, side="right")  # >= 1, as m <= top
         spans = sup[counts - 1] - d0 + 1
         dense = 2 * counts >= spans
+        x_sup = None if dense.all() else x[sup]  # only a scattered step reads it
         buf = np.empty(spans[dense].max(initial=0), dtype=out.dtype)
         for m, c, span, strided in zip(ms.tolist(), counts.tolist(), spans.tolist(), dense.tolist()):
             if strided:

@@ -14,6 +14,21 @@ identity suite all read them from here.
 
 Memory is the only practical limit: the table is a single int64 numpy
 array, so N = 10**7 costs ~80 MB and builds in well under a second.
+
+Besides the table, a sieve caches what the prime-power fold
+(``structure._prime_power_fold``) and its callers read, each built on
+first use, never at build time, and only as far as the largest bound
+asked for (not to the sieve's own bound):
+
+- the fold index (:meth:`SpfSieve._fold_index`): the largest prime
+  factor P(k) and the cofactor r(k) = k / P(k)^v, where P(k)^v exactly
+  divides k, as two read-only int32 arrays over 0..n, 8 bytes per index
+  (0.8 MB at n = 10^5); a smaller n reads a slice, a larger one extends
+  them;
+- the prime-power rows of the largest bound asked for (three int64
+  arrays, 24 bytes per row, about 9.7k rows at 10^5 and 78.7k at
+  10^6); a smaller bound filters them by p^k <= bound, which keeps
+  their (p, k) order.
 """
 
 from __future__ import annotations
@@ -30,14 +45,45 @@ class SpfSieve:
     Attributes:
         bound:  the sieve limit N (inclusive).
         primes: ordered list of all primes <= N (p_1 = 2, p_2 = 3, ...).
+
+    The fold index and the prime-power rows are cached on the sieve as it
+    is read (see the module docstring).
     """
 
-    __slots__ = ("bound", "primes", "_spf")
+    __slots__ = ("bound", "primes", "_spf", "_big", "_rest", "_rows")
 
     def __init__(self, bound: int, spf: np.ndarray, primes: list[int]):
         self.bound = bound
         self.primes = primes
         self._spf = spf
+        self._big = self._rest = np.ones(2, dtype=np.int32)  # P(k), r(k) at k = 0, 1
+        self._rows = None  # (p, k, p^k) of the largest bound asked for
+
+    def _fold_index(self, n: int) -> tuple[np.ndarray, np.ndarray]:
+        """P(k) and r(k) on 0..n (1 at 0 and 1), read-only int32, for
+        n <= bound.
+
+        With p = spf(k) and m = k / p, P(k) = max(p, P(m)) and r(k) is 1
+        if P(m) <= p, else p r(m): m <= k / 2, so each dyadic block of k
+        is one vector step on the blocks below it.
+        """
+        have = len(self._big)
+        if have <= n:
+            big = np.ones(n + 1, dtype=np.int32)
+            rest = np.ones(n + 1, dtype=np.int32)
+            big[:have], rest[:have] = self._big, self._rest
+            lo = max(have, 2)
+            while lo <= n:
+                hi = min(2 * lo, n + 1)
+                p = self._spf[lo:hi]
+                m = np.arange(lo, hi) // p
+                big_m = big[m]
+                big[lo:hi] = np.maximum(p, big_m)
+                rest[lo:hi] = np.where(big_m <= p, 1, p * rest[m])
+                lo = hi
+            big.flags.writeable = rest.flags.writeable = False
+            self._big, self._rest = big, rest
+        return self._big[: n + 1], self._rest[: n + 1]
 
     def _check_range(self, n: int, lo: int = 1) -> None:
         if not lo <= n <= self.bound:
@@ -118,11 +164,27 @@ def _prime_powers(sieve: SpfSieve, bound: int) -> tuple[np.ndarray, np.ndarray, 
     """int64 arrays (p, k, p**k) over every prime power p**k <= bound,
     sorted by (p, k).
 
+    The sieve keeps the rows of the largest bound asked for, read-only;
+    a smaller bound gets a copy of those with p**k <= bound, in the same
+    order.
+    """
+    _check_bound(sieve, bound)
+    if sieve._rows is None or sieve._rows[0] < bound:
+        sieve._rows = (bound, *_build_prime_powers(sieve, bound))
+    top, p, k, pk = sieve._rows
+    if top == bound:
+        return p, k, pk
+    keep = np.flatnonzero(pk[: np.searchsorted(p, bound, side="right")] <= bound)
+    return p[keep], k[keep], pk[keep]
+
+
+def _build_prime_powers(sieve: SpfSieve, bound: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The rows of :func:`_prime_powers` at ``bound``, read-only.
+
     Only the primes up to sqrt(bound) have a row with k >= 2.  p**k grows
     with p, so the primes with a k-th power <= bound are a prefix of them:
     one vector step per k counts the largest exponent ``cap`` of each.
     """
-    _check_bound(sieve, bound)
     primes = _primes(sieve, bound)
     p = np.fromiter(primes, dtype=np.int64, count=len(primes))
     root = bisect_right(primes, math.isqrt(bound))
@@ -135,4 +197,7 @@ def _prime_powers(sieve: SpfSieve, bound: int) -> tuple[np.ndarray, np.ndarray, 
     k = np.arange(1, len(head) + 1) - np.repeat(np.cumsum(cap) - cap, cap)
     tail = p[root:]  # k = 1 only
     ones = np.ones(len(tail), dtype=np.int64)
-    return np.concatenate((head, tail)), np.concatenate((k, ones)), np.concatenate((head**k, tail))
+    rows = np.concatenate((head, tail)), np.concatenate((k, ones)), np.concatenate((head**k, tail))
+    for row in rows:
+        row.flags.writeable = False
+    return rows

@@ -24,9 +24,10 @@ an equal finite pair passes without it.
 Both reconstructions are one fold over the exact prime powers of each
 index, under x or +, one vector op per dyadic block: a(k) is
 a(k / P^v) c_P[v] or a(k / P) + g(P, v), P^v the exact power of the
-largest prime factor of k.  So every value is formed in ascending primes
-(sums in ascending (p, k)), as a per-index loop over the factorization
-forms it, and complex results are bit-identical to that loop.
+largest prime factor of k, read off the sieve's cached fold index.  So
+every value is formed in ascending primes (sums in ascending (p, k)), as
+a per-index loop over the factorization forms it, and complex results
+are bit-identical to that loop.
 
 Every entry point that reads prime powers takes the caller's sieve,
 which must reach the table's bound: the two readers of the sieve,
@@ -38,8 +39,15 @@ reconstructions walk the prime-power rows (p, k, p^k) of
 rows with :func:`_prime_power_fold` directly, with no decomposition
 object in between.
 
-Each decomposition is one map: prime -> coeffs (a :class:`BellSeries` is a
-(prime, coeffs) pair; a prime given twice is an error) or (p, k) -> g(p, k).
+Each decomposition is a set of rows, not a map of Python tuples: a
+:class:`BellDecomposition` keeps its primes in the order given, one
+offset per series and one flat coefficient array; a :class:`PrimeSupport`
+keeps its keys (p, k), sorted, and their values.  The decompositions fill
+the rows by gathers of the table's storage at the prime-power rows, and
+the reconstructions check them by whole-array passes and hand the values
+straight to the fold, so a round trip does no per-prime Python.  A
+(prime, coeffs) pair (a :class:`BellSeries`; a prime given twice is an
+error) or a (p, k) -> g(p, k) entry is made only when a caller reads one.
 """
 
 from __future__ import annotations
@@ -47,16 +55,27 @@ from __future__ import annotations
 import functools
 import math
 import operator
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import repeat
+from itertools import chain
 from typing import NamedTuple
 
 import numpy as np
 
-from .dirichlet import ArithFn, _box, _max_abs, _objects, _scaled, _scratch, _store
+from .dirichlet import (
+    _COMPLEX_TYPES,
+    _EXACT_TYPES,
+    ArithFn,
+    _box,
+    _max_abs,
+    _objects,
+    _scaled,
+    _scratch,
+    _store,
+)
 from .errors import NonFiniteError, StructureError
-from .numerics import DEFAULT_TOL, _canonical_exact
+from .numerics import COMPLEX, DEFAULT_TOL, _canonical_exact
 from .sieve import SpfSieve, _check_bound, _prime_powers
 
 #: Rounding allowance of the complex comparisons: values match within
@@ -98,40 +117,35 @@ def _require(check: CheckResult) -> None:
 
 
 @np.errstate(over="ignore", invalid="ignore")  # _store reports it
-def _prime_power_fold(sieve, n, pks, vals, backend, product) -> ArithFn:
+def _prime_power_fold(sieve, n, pks, stored, den, backend, product) -> ArithFn:
     """f on 1..n with f(1) = 1 and f(k) = at[p1^a1] x at[p2^a2] x ...
     (``product``), or f(1) = 0 and f(k) = at[p1] + ... + at[p1^a1] +
     at[p2] + ... over the primes of k ascending, where at[pks[i]] =
-    vals[i], else 0.
+    stored[i] / den, else 0; ``stored`` and ``den`` are as :func:`_store`
+    gives them, or numerators over a multiple of the lcm of their
+    denominators.
 
-    With p = spf(k), m = k / p, the largest prime factor P(k) is
-    max(p, P(m)) and r(k) = k / P(k)^v is 1 if P(m) <= p, else p r(m); so
-    f(k) = f(r(k)) x at[k / r(k)] or f(k / P(k)) + at[k / r(k)] reads only
-    below k / 2, and each dyadic block is one vector op.  int64 runs while
-    max|left| x max|at| (or +) < 2**63; a block that fails moves to object.
-    The sum runs on the numerators over their den; a product over den > 1
-    would need den**omega(k), so it runs on the boxed values.
+    With P(k) the largest prime factor of k and r(k) = k / P(k)^v (the
+    sieve's fold index), f(k) = f(r(k)) x at[k / r(k)] or f(k / P(k)) +
+    at[k / r(k)] reads only below k / 2, so each dyadic block is one
+    vector op.  int64 runs while max|left| x max|at| (or +) < 2**63; a
+    block that fails moves to object.  The sum runs on the numerators
+    over their den; a product over den > 1 would need den**omega(k), so it
+    runs on the boxed values.
     """
     _check_bound(sieve, n)
-    stored, den = _store(vals, backend)
     if product and den > 1:
         stored, den = _objects(_box(stored, den)), 1
     at = np.zeros(n + 1, dtype=stored.dtype)
     at[pks] = stored
     out = np.zeros(n + 1, dtype=at.dtype)
     out[1] = int(product)  # the unit of the fold; a product runs with den = 1
-    big = np.ones(n + 1, dtype=np.int64)  # P(k)
-    rest = np.ones(n + 1, dtype=np.int64)  # r(k)
+    big, rest = sieve._fold_index(n)
     lo = 2
     while lo <= n:
         hi = min(2 * lo, n + 1)
         k = np.arange(lo, hi)
-        p = sieve._spf[lo:hi]
-        m = k // p
-        big_m = big[m]
-        big[lo:hi] = np.maximum(p, big_m)
-        r = np.where(big_m <= p, 1, p * rest[m])
-        rest[lo:hi] = r
+        r = rest[lo:hi]
         left = out[r] if product else out[k // big[lo:hi]]
         right = at[k // r]
         if out.dtype == np.int64:
@@ -337,9 +351,11 @@ def mobius_additivity_test(a: ArithFn, sieve: SpfSieve, tol: float | None = None
     """Additivity via convolution: mu * a must vanish at 1 and at every
     n with two or more distinct prime factors.  Agrees with
     :func:`is_additive` on every input; the witness is the least failing
-    index n."""
-    pk = _prime_powers(sieve, a.bound)[2]
-    mu = ArithFn.ones(a.bound, a.backend).inv()
+    index n.  mu is the fold of -1 at the primes and 0 at the higher
+    prime powers."""
+    _, k, pk = _prime_powers(sieve, a.bound)
+    at = np.where(k == 1, -1, 0).astype(np.complex128 if a.backend is COMPLEX else np.int64)
+    mu = _prime_power_fold(sieve, a.bound, pk, at, 1, a.backend, True)
     g = (mu * a)._v
     prime_power = np.zeros(a.bound + 1, dtype=bool)
     prime_power[0] = True  # dead padding slot
@@ -367,36 +383,93 @@ class BellSeries(NamedTuple):
         return {"prime": self.prime, "coeffs": [backend.to_json(c) for c in self.coeffs]}
 
 
-class BellDecomposition:
-    """One map prime -> coeffs of the Bell series of a multiplicative function,
-    in the order given: constant terms 1, values multiply across primes.  Built from
-    (prime, coeffs) pairs, BellSeries among them; primes are read with operator.index,
-    and a prime that is not an int, or is given twice, is a StructureError."""
+def _int_array(ints: list) -> np.ndarray:
+    """ints as an int64 array, or an object array if one is beyond int64."""
+    try:
+        return np.array(ints, dtype=np.int64)
+    except OverflowError:
+        return _objects(ints)
 
-    __slots__ = ("bound", "backend", "_coeffs")
+
+def _values(coeffs: np.ndarray, den) -> list:
+    """Python scalars of stored values over ``den``, or of values as given
+    (``den`` None)."""
+    return coeffs.tolist() if den is None else _box(coeffs, den)
+
+
+def _distinct_primes(keys: list) -> list:
+    """keys read with operator.index; StructureError names the first key
+    that is not an int or repeats one before it."""
+    primes, seen = [], set()
+    for key in keys:
+        try:
+            p = operator.index(key)
+        except TypeError:
+            raise StructureError(f"prime {key!r} is not an int", witness=key) from None
+        if p in seen:
+            raise StructureError(f"two series at prime {p}", witness=p)
+        seen.add(p)
+        primes.append(p)
+    return primes
+
+
+class BellDecomposition:
+    """The Bell series of a multiplicative function as rows: the primes in
+    the order given, and one flat sequence of all their coefficients, the
+    series of primes[i] at offsets[i]:offsets[i + 1] (its k-th coefficient
+    is the value at p^k).  Constant terms 1, values multiply across primes.
+
+    Built from (prime, coeffs) pairs, BellSeries among them: primes are
+    read with operator.index, and a prime that is not an int, or is given
+    twice, is a StructureError; the coefficients are kept as given and
+    checked by :func:`bell_reconstruct_mult`.  :func:`bell_decompose_mult`
+    fills the rows from the table's storage instead, numerators over its
+    den.  Per-prime tuples are made only when ``series``, ``series_for``,
+    ``==`` read them.
+    """
+
+    __slots__ = ("bound", "backend", "_primes", "_offsets", "_coeffs", "_den", "_lookup")
 
     def __init__(self, bound: int, backend, series):
-        self.bound = bound
-        self.backend = backend
-        self._coeffs = {}
-        for key, coeffs in series:
-            try:
-                p = operator.index(key)
-            except TypeError:
-                raise StructureError(f"prime {key!r} is not an int", witness=key) from None
-            if p in self._coeffs:
-                raise StructureError(f"two series at prime {p}", witness=p)
-            self._coeffs[p] = coeffs
+        pairs = [(key, coeffs) for key, coeffs in series]
+        keys, rows = (list(x) for x in zip(*pairs)) if pairs else ([], [])
+        if not set(map(type, keys)) <= {int} or len(set(keys)) < len(keys):
+            keys = _distinct_primes(keys)
+        offsets = np.cumsum([0, *map(len, rows)])
+        coeffs = _objects(list(chain.from_iterable(rows)))
+        self._set(bound, backend, _int_array(keys), offsets, coeffs, None)
+
+    def _set(self, bound, backend, primes, offsets, coeffs, den) -> None:
+        """``coeffs`` holds stored values over ``den``, or values as given
+        (``den`` None); every array is made read-only."""
+        self.bound, self.backend, self._den, self._lookup = bound, backend, den, None
+        self._primes, self._offsets, self._coeffs = primes, offsets, coeffs
+        for arr in (primes, offsets, coeffs):
+            arr.flags.writeable = False
+
+    def _tuples(self) -> list:
+        """The coefficient tuples, in the order given."""
+        vals, ends = _values(self._coeffs, self._den), self._offsets.tolist()
+        return [tuple(vals[i:j]) for i, j in zip(ends, ends[1:])]
 
     @property
     def series(self) -> tuple:
-        return tuple(map(BellSeries, self._coeffs, self._coeffs.values()))
+        return tuple(map(BellSeries, self._primes.tolist(), self._tuples()))
 
     def series_for(self, p: int) -> BellSeries:
+        """The series at p, found by bisection."""
+        if self._lookup is None:
+            order = np.argsort(self._primes, kind="stable")
+            self._lookup = self._primes[order].tolist(), order.tolist()
+        primes, order = self._lookup
         try:
-            return BellSeries(p, self._coeffs[p])
-        except KeyError:
-            raise StructureError(f"no series for prime {p}", witness=p) from None
+            i = bisect_left(primes, p)
+        except TypeError:  # no prime compares with p
+            i = len(primes)
+        if i == len(primes) or primes[i] != p:
+            raise StructureError(f"no series for prime {p}", witness=p)
+        lo, hi = self._offsets[order[i] : order[i] + 2].tolist()
+        return BellSeries(p, tuple(_values(self._coeffs[lo:hi], self._den)))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, BellDecomposition):
@@ -404,11 +477,12 @@ class BellDecomposition:
         return (
             self.bound == other.bound
             and self.backend is other.backend
-            and self._coeffs == other._coeffs
+            and dict(zip(self._primes.tolist(), self._tuples()))
+            == dict(zip(other._primes.tolist(), other._tuples()))
         )
 
     def __repr__(self) -> str:
-        return f"BellDecomposition(bound={self.bound}, primes={len(self._coeffs)})"
+        return f"BellDecomposition(bound={self.bound}, primes={len(self._primes)})"
 
 
 def bell_decompose_mult(a: ArithFn, sieve: SpfSieve) -> BellDecomposition:
@@ -416,17 +490,21 @@ def bell_decompose_mult(a: ArithFn, sieve: SpfSieve) -> BellDecomposition:
 
     Raises StructureError carrying the witness pair if the input is not
     multiplicative; a silent decomposition of a non-multiplicative input
-    would reconstruct into garbage.
+    would reconstruct into garbage.  The series are one gather of a's
+    storage at the prime-power rows, each after a constant term 1.
     """
     p, k, pk = _prime_powers(sieve, a.bound)
     _require(is_multiplicative(a))
-    # the primes above sqrt N are a tail of rows with k = 1 only
-    tail = int(np.searchsorted(p, math.isqrt(a.bound), side="right"))
-    starts = np.flatnonzero(k[:tail] == 1).tolist() + [tail]
-    one, vals, p = a.backend.one, _box(a._v[pk], a.den), p.tolist()
-    series = [(p[i], (one, *vals[i:j])) for i, j in zip(starts, starts[1:])]
-    series += zip(p[tail:], zip(repeat(one), vals[tail:]))
-    return BellDecomposition(a.bound, a.backend, series)
+    heads = np.flatnonzero(k == 1)  # the first row of each prime
+    offsets = np.append(heads + np.arange(len(heads)), len(k) + len(heads))
+    v, den = a._v, a.den
+    wide = v.dtype == np.int64 and den >= 2**63  # the constant term den needs objects
+    coeffs = np.empty(offsets[-1], dtype=object if wide else v.dtype)
+    coeffs[offsets[:-1]] = a.backend.one * den  # the constant term 1 as a numerator
+    coeffs[np.arange(len(k)) + np.cumsum(k == 1)] = v[pk]  # row i sits after its series' head
+    dec = BellDecomposition.__new__(BellDecomposition)
+    dec._set(a.bound, a.backend, p[heads], offsets, coeffs, den)
+    return dec
 
 
 def bell_reconstruct_mult(dec: BellDecomposition, sieve: SpfSieve) -> ArithFn:
@@ -437,25 +515,46 @@ def bell_reconstruct_mult(dec: BellDecomposition, sieve: SpfSieve) -> ArithFn:
     There must be one series per prime <= N and no other, each with its
     floor(log_p N) + 1 coefficients and constant term 1, else
     StructureError names the first bad series, else the least missing prime.
+    The checks are whole-array passes over the rows; a coefficient the
+    backend cannot hold raises when the values are stored.
     """
-    backend, n, coeffs = dec.backend, dec.bound, dec._coeffs
+    backend, n, coeffs, den = dec.backend, dec.bound, dec._coeffs, dec._den
     p, k, pk = _prime_powers(sieve, n)
-    primes = set(p[k == 1].tolist())
-    for q, c in coeffs.items():
-        if q not in primes:
-            raise StructureError(f"the series at {q} is not at a prime <= {n}", witness=q)
-        if q ** len(c) <= n:
-            raise StructureError(f"the series at prime {q} is too short for bound {n}", witness=q)
-        if c[0] != backend.one:
+    heads = np.flatnonzero(k == 1)
+    primes, caps = p[heads], np.diff(np.append(heads, len(k)))
+    q, starts = dec._primes, dec._offsets[:-1]
+    inside = (q >= 2) & (q <= n)
+    qi = np.where(inside, q, 0).astype(np.int64)
+    rank = np.searchsorted(primes, qi)
+    at_prime = inside & (np.append(primes, 0)[rank] == qi)
+    short = at_prime & (np.diff(dec._offsets) <= np.append(caps, 0)[rank])  # q**len <= n
+    not_one = np.zeros(len(q), dtype=bool)
+    sized = at_prime & ~short
+    not_one[sized] = coeffs[starts[sized]] != (backend.one if den is None else backend.one * den)
+    bad = ~at_prime | short | not_one
+    if bad.any():
+        i = int(bad.argmax())
+        prime = q.item(i)
+        if not at_prime[i]:
+            raise StructureError(f"the series at {prime} is not at a prime <= {n}", witness=prime)
+        if short[i]:
             raise StructureError(
-                f"constant term of the series at prime {q} must be 1, "
-                f"got {backend.format(c[0])}",
-                witness=q,
+                f"the series at prime {prime} is too short for bound {n}", witness=prime
             )
-    if len(coeffs) < len(primes):  # every series is at a prime, so one is missing
-        dec.series_for(min(primes.difference(coeffs)))  # raises for the least missing prime
-    vals = [coeffs[q][j] for q, j in zip(p.tolist(), k.tolist())]
-    return _prime_power_fold(sieve, n, pk, vals, backend, True)
+        raise StructureError(
+            f"constant term of the series at prime {prime} must be 1, "
+            f"got {backend.format(_values(coeffs[starts[i] : starts[i] + 1], den)[0])}",
+            witness=prime,
+        )
+    if len(q) < len(primes):  # every series is at a distinct prime, so one is missing
+        given = np.zeros(len(primes), dtype=bool)
+        given[rank] = True
+        dec.series_for(int(primes[np.argmin(given)]))  # raises for the least missing prime
+    series = np.empty(len(primes), dtype=np.int64)
+    series[rank] = np.arange(len(q))  # the series of each prime <= n
+    vals = coeffs[starts[series][np.cumsum(k == 1) - 1] + k]
+    stored, den = _store(vals.tolist(), backend) if den is None else (vals, den)
+    return _prime_power_fold(sieve, n, pk, stored, den, backend, True)
 
 
 # ---------------------------------------------------------------------------
@@ -463,23 +562,75 @@ def bell_reconstruct_mult(dec: BellDecomposition, sieve: SpfSieve) -> ArithFn:
 # ---------------------------------------------------------------------------
 
 
+def _outside(p: np.ndarray, k: np.ndarray, bound: int) -> np.ndarray:
+    """Per key, k < 1 or p < 2 or p**k > bound.  p**k is multiplied up
+    only while at most bound, and with p <= bound and k < bound.bit_length(),
+    so no power past bound**2 is formed."""
+    bits = bound.bit_length()
+    out = (k < 1) | (k >= bits) | (p < 2) | (p > bound)
+    rest = np.flatnonzero(~out)
+    base = p[rest].astype(np.int64 if bound < 2**31 else object)  # bound**2 < 2**62
+    exps, pk = k[rest], base.copy()
+    for j in range(2, int(exps.max(initial=1)) + 1):
+        pk = np.where(exps >= j, np.minimum(pk, bound + 1) * base, pk)
+    out[rest] = pk > bound
+    return out
+
+
+def _support_values(vals: list, backend) -> tuple[np.ndarray, int]:
+    """The storage and den of support values, each accepted exactly when
+    backend.convert accepts it: a value of another type, or one that is
+    not finite in the complex backend, is named by convert."""
+    allowed = _COMPLEX_TYPES if backend is COMPLEX else _EXACT_TYPES
+    if set(map(type, vals)) <= allowed:
+        try:
+            return _store(vals, backend)
+        except NonFiniteError:
+            pass
+    return _store(list(map(backend.convert, vals)), backend)  # raises at the first bad value
+
+
 class PrimeSupport:
-    """Sparse table g(p, k) on prime powers p^k <= bound.
+    """Sparse table g(p, k) on prime powers p^k <= bound, as rows: the keys
+    (p, k), sorted, and their nonzero values, stored as a table stores its
+    values (numerators over one den, or complex128).
 
     Represents a function vanishing at 1 and at every index with two or
     more distinct prime factors; missing keys read as zero.  Keys are
-    read with operator.index; entries are kept sorted by (p, k).
+    read with operator.index, and every key and value is checked at
+    construction: the first entry with a bad key or value raises, in
+    the order given.  :func:`additive_decompose` fills the rows from the
+    table's storage.  The (p, k) tuples are made only when ``items``,
+    ``get``, ``series_at``, JSON or ``==`` read them.
     """
 
-    __slots__ = ("bound", "backend", "_entries")
+    __slots__ = ("bound", "backend", "_p", "_k", "_vals", "_den", "_lookup")
 
     def __init__(self, bound: int, backend, entries: dict | None = None):
-        self.bound = bound
-        self.backend = backend
+        entries = entries or {}
+        keys, vals = list(entries), list(entries.values())
+        if (set(map(type, keys)) <= {tuple} and set(map(len, keys)) <= {2}
+                and set(map(type, chain.from_iterable(keys))) <= {int}):
+            p, k = (_int_array(list(x)) for x in zip(*keys)) if keys else (_int_array([]),) * 2
+            bad = _outside(p, k, bound)
+            i = int(bad.argmax()) if bad.any() else len(keys)
+            stored, den = _support_values(vals[:i], backend)  # the values before the bad key
+            if i < len(keys):
+                p, k = p.item(i), k.item(i)
+                raise StructureError(
+                    f"key ({p}, {k}) is not a prime power within bound {bound}", witness=(p, k)
+                )
+        else:
+            p, k, stored, den = self._walk(bound, backend, entries)
+        self._set(bound, backend, p, k, stored, den, stored != 0)
+
+    @staticmethod
+    def _walk(bound, backend, entries):
+        """Each entry in turn, as keys that are not plain int pairs need."""
         table = {}
-        convert, zero, index = backend.convert, backend.zero, operator.index
+        index = operator.index
         bits = bound.bit_length()  # p >= 2, so p**k > bound once k >= bits: no power is formed
-        for key, v in (entries or {}).items():
+        for key, v in entries.items():
             p, k = key
             try:
                 p, k = index(p), index(k)
@@ -490,20 +641,40 @@ class PrimeSupport:
                     f"key ({p}, {k}) is not a prime power within bound {bound}",
                     witness=(p, k),
                 )
-            v = convert(v)
-            if v != zero:
-                table[p, k] = v
-        self._entries = table if list(table) == sorted(table) else dict(sorted(table.items()))
+            table[p, k] = backend.convert(v)
+        p, k = (_int_array([key[i] for key in table]) for i in (0, 1))
+        return (p, k, *_store(list(table.values()), backend))
+
+    def _set(self, bound, backend, p, k, stored, den, keep) -> None:
+        """The rows of the ``keep`` entries, sorted by (p, k), read-only."""
+        keep = np.flatnonzero(keep)
+        rows = keep[np.lexsort((k[keep], p[keep]))]
+        self.bound, self.backend, self._den, self._lookup = bound, backend, den, None
+        self._p, self._k, self._vals = p[rows], k[rows], stored[rows]
+        for arr in (self._p, self._k, self._vals):
+            arr.flags.writeable = False
+
+    def _keys(self) -> list:
+        return list(zip(self._p.tolist(), self._k.tolist()))
 
     def get(self, p: int, k: int):
-        return self._entries.get((p, k), self.backend.zero)
+        """g(p, k), found by bisection; zero for a missing key."""
+        if self._lookup is None:
+            self._lookup = self._keys()
+        try:
+            i = bisect_left(self._lookup, (p, k))
+        except TypeError:  # no key compares with (p, k)
+            return self.backend.zero
+        if i == len(self._lookup) or self._lookup[i] != (p, k):
+            return self.backend.zero
+        return _box(self._vals[i : i + 1], self._den)[0]
 
     def items(self):
         """Entries sorted by (p, k)."""
-        return list(self._entries.items())
+        return list(zip(self._keys(), _box(self._vals, self._den)))
 
     def __len__(self) -> int:
-        return len(self._entries)
+        return len(self._p)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, PrimeSupport):
@@ -511,7 +682,7 @@ class PrimeSupport:
         return (
             self.bound == other.bound
             and self.backend is other.backend
-            and self._entries == other._entries
+            and self.items() == other.items()
         )
 
     def series_at(self, p: int, length: int) -> list:
@@ -528,18 +699,25 @@ class PrimeSupport:
         return cls(bound, backend, rows)
 
     def __repr__(self) -> str:
-        return f"PrimeSupport(bound={self.bound}, entries={len(self._entries)})"
+        return f"PrimeSupport(bound={self.bound}, entries={len(self._p)})"
 
 
+@np.errstate(over="ignore", invalid="ignore")  # convert reports it
 def additive_decompose(a: ArithFn, sieve: SpfSieve) -> PrimeSupport:
     """Difference the prime-power values of an additive function:
-    g(p, k) = a(p^k) - a(p^(k-1)); g equals mu * a on prime powers."""
+    g(p, k) = a(p^k) - a(p^(k-1)); g equals mu * a on prime powers.  One
+    vector difference of a's numerators at the prime-power rows."""
     p, k, pk = _prime_powers(sieve, a.bound)
     _require(is_additive(a))
-    # a(p^k) - a(p^(k-1)), a(p) - a(1) at k = 1, on numerators in Python
-    # scalars (object storage), so an int64 difference cannot wrap
-    diff = _box(a._v[pk].astype(object) - a._v[pk // p], a.den)
-    return PrimeSupport(a.bound, a.backend, dict(zip(zip(p.tolist(), k.tolist()), diff)))
+    v = a._v
+    # a(p^k) - a(p^(k-1)), a(p) - a(1) at k = 1; object if int64 could wrap
+    high = v[pk].astype(object) if v.dtype == np.int64 and _max_abs(v) >= 2**62 else v[pk]
+    diff = high - v[pk // p]
+    if diff.dtype == np.complex128 and not np.isfinite(diff).all():
+        a.backend.convert(complex(diff[np.argmin(np.isfinite(diff))]))  # raises, naming it
+    g = PrimeSupport.__new__(PrimeSupport)
+    g._set(a.bound, a.backend, p, k, diff, a.den, diff != 0)
+    return g
 
 
 def additive_reconstruct(g: PrimeSupport, sieve: SpfSieve) -> ArithFn:
@@ -549,14 +727,10 @@ def additive_reconstruct(g: PrimeSupport, sieve: SpfSieve) -> ArithFn:
     StructureError, found after the fold, which checks the sieve's bound
     before any read.
     """
-    keys = list(g._entries)
-    pks = [p**k for p, k in keys]
-    vals = list(g._entries.values())
-    a = _prime_power_fold(sieve, g.bound, pks, vals, g.backend, False)
-    bases = np.array([p for p, _ in keys], dtype=np.int64)
-    composite = np.flatnonzero(sieve._spf[bases] != bases)
+    a = _prime_power_fold(sieve, g.bound, g._p**g._k, g._vals, g._den, g.backend, False)
+    composite = np.flatnonzero(sieve._spf[g._p] != g._p)
     if len(composite):
-        p, k = keys[composite[0]]
+        p, k = g._p.item(composite[0]), g._k.item(composite[0])
         raise StructureError(f"key ({p}, {k}): base {p} is not prime", witness=(p, k))
     return a
 

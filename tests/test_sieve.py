@@ -113,3 +113,59 @@ def test_prime_powers_against_brute(sieve5000, bound):
     p, k, pk = _prime_powers(sieve5000, bound)
     assert p.dtype == k.dtype == pk.dtype == np.int64
     assert list(zip(p.tolist(), k.tolist(), pk.tolist())) == rows
+
+
+def _fold_index_brute(n):
+    """P(k), the largest prime factor, and r(k) = k / P(k)^v on 0..n by
+    trial division (1 at 0 and 1)."""
+    big, rest = [1, 1], [1, 1]
+    for k in range(2, n + 1):
+        p, v = factorize_brute(k)[-1]
+        big.append(p)
+        rest.append(k // p**v)
+    return big, rest
+
+
+FOLD_BOUNDS = [1, 2, 3, 4, 8, 9, 1023, 1024, 1025, 4099]
+
+
+@pytest.mark.parametrize("bound", FOLD_BOUNDS)
+def test_fold_index_and_rows_against_trial_division(sieve5000, bound):
+    big, rest = _fold_index_brute(bound)
+    factors = {n: factorize_brute(n) for n in range(2, bound + 1)}
+    rows = sorted((*fac[0], n) for n, fac in factors.items() if len(fac) == 1)
+    fresh = af.build_sieve(bound)
+    for sieve in (fresh, sieve5000):  # the rows of this bound, and a filter of larger ones
+        got_big, got_rest = sieve._fold_index(bound)
+        assert got_big.dtype == got_rest.dtype == np.int32
+        assert got_big.tolist() == big and got_rest.tolist() == rest
+        p, k, pk = _prime_powers(sieve, bound)
+        assert list(zip(p.tolist(), k.tolist(), pk.tolist())) == rows
+    assert len(fresh._big) == max(bound + 1, 2)  # built to the bound asked, no further
+
+
+def test_sieve_caches_grow_to_the_largest_bound_asked():
+    fresh = af.build_sieve(4099)
+    want_index = fresh._fold_index(4099)
+    want_rows = _prime_powers(fresh, 4099)
+    for first in (1, 2, 9, 1023, 1024):
+        sieve = af.build_sieve(4099)
+        small_index, small_rows = sieve._fold_index(first), _prime_powers(sieve, first)
+        assert len(sieve._big) == max(first + 1, 2)  # built to n, not to the sieve's bound
+        grown_index, grown_rows = sieve._fold_index(4099), _prime_powers(sieve, 4099)
+        for got, want in zip(grown_index + grown_rows, want_index + want_rows):
+            assert np.array_equal(got, want)
+        # a smaller bound still reads what it read before the sieve grew
+        for got, want in zip(sieve._fold_index(first) + _prime_powers(sieve, first),
+                             small_index + small_rows):
+            assert np.array_equal(got, want)
+
+
+def test_cached_arrays_are_read_only():
+    sieve = af.build_sieve(100)
+    arrays = [*sieve._fold_index(100), *_prime_powers(sieve, 100)]
+    arrays += [sieve._big, sieve._rest, *sieve._rows[1:]]
+    for arr in arrays:
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[1] = 0

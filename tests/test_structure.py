@@ -872,3 +872,95 @@ def test_bell_series_json_shape(sieve100):
     dec = af.bell_decompose_mult(af.make("mobius", sieve100), sieve100)
     obj = dec.series_for(2).to_json_obj(af.RATIONAL)
     assert obj == {"prime": 2, "coeffs": ["1", "-1", "0", "0", "0", "0", "0"]}
+
+
+def _bell_view(dec) -> tuple:
+    """Every accessor of a Bell decomposition, as reprs (value types and
+    the signs of complex zeros count)."""
+    primes = [s.prime for s in dec.series]
+    return (
+        repr(dec.series),
+        [repr(dec.series_for(p)) for p in primes],
+        [dec.series_for(p).to_json_obj(dec.backend) for p in primes],
+        len(dec.series),
+        repr(dec),
+    )
+
+
+def _support_view(g, primes) -> tuple:
+    """Every accessor of a prime support, as reprs."""
+    return (
+        repr(g.items()),
+        [repr(g.get(p, k)) for (p, k), _ in g.items()],
+        repr([g.get(p, 1) for p in primes] + [g.get(2, 64), g.get(4, 1)]),
+        repr([g.series_at(p, 4) for p in primes[:20]]),
+        len(g),
+        g.to_json_obj(),
+        repr(g),
+    )
+
+
+@pytest.mark.parametrize("n", (1023, 1024, 1025, 4099))
+def test_decompositions_agree_with_their_constructors(n):
+    # a decomposition filled from a table's storage and one built from the
+    # same pairs or dict read the same through every accessor
+    sieve = af.build_sieve(n)
+    rng = random.Random(n)
+    mult = [af.make(name, sieve) for name in ("u", "mobius", "phi", "liouville", "d", "N")]
+    mult += [af.make("sigma", sieve, c=1), rand_multiplicative(rng, sieve, n),
+             rand_multiplicative(rng, sieve, n).scale(Fraction(1, 1))]
+    add = [af.make("nu", sieve), af.make("Omega", sieve), rand_additive(rng, sieve, n),
+           af.make("nu", sieve).scale(Fraction(-2, 3)) + af.make("Omega", sieve)]
+    for backend in (af.RATIONAL, af.COMPLEX):
+        for a in (t.to_backend(backend) for t in mult):
+            dec = af.bell_decompose_mult(a, sieve)
+            built = af.BellDecomposition(n, backend, [(p, c) for p, c in dec.series])
+            reversed_ = af.BellDecomposition(n, backend, reversed(dec.series))
+            assert _bell_view(built) == _bell_view(dec)
+            assert built == dec and dec == built and reversed_ == dec
+            rec = af.bell_reconstruct_mult(dec, sieve)
+            assert af.bell_reconstruct_mult(built, sieve) == rec
+            assert rec == a or backend is af.COMPLEX  # complex sums round
+        for a in (t.to_backend(backend) for t in add):
+            g = af.additive_decompose(a, sieve)
+            built = af.PrimeSupport(n, backend, dict(reversed(g.items())))
+            assert _support_view(built, sieve.primes) == _support_view(g, sieve.primes)
+            assert built == g and g == built
+            rec = af.additive_reconstruct(g, sieve)
+            assert af.additive_reconstruct(built, sieve) == rec
+            assert rec == a or backend is af.COMPLEX
+
+
+def test_round_trip_makes_no_per_prime_calls(monkeypatch):
+    # the decompose -> reconstruct round trips read no value or key one
+    # at a time: no backend.convert, no operator.index
+    import operator
+
+    n = 4099
+    sieve = af.build_sieve(n)
+    inverses = af.ArithFn.from_values([Fraction(1, k) for k in range(1, n + 1)])  # den > 1
+    mult = [af.make("phi", sieve), inverses]
+    add = [af.make("nu", sieve).scale(Fraction(1, 2)) + af.make("Omega", sieve)]
+    cases = [(a.to_backend(backend), product) for backend in (af.RATIONAL, af.COMPLEX)
+             for tables, product in ((mult, True), (add, False)) for a in tables]
+    calls = []
+
+    def counted(fn):
+        def wrapper(*args):
+            calls.append(fn)
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(operator, "index", counted(operator.index))
+    for backend in (af.RATIONAL, af.COMPLEX):
+        monkeypatch.setattr(backend, "convert", counted(backend.convert))
+    for a, product in cases:
+        if product:
+            rec = af.bell_reconstruct_mult(af.bell_decompose_mult(a, sieve), sieve)
+        else:
+            rec = af.additive_reconstruct(af.additive_decompose(a, sieve), sieve)
+        assert rec == a or a.backend is af.COMPLEX  # complex products and sums round
+    assert calls == []
+    # the patches take effect: numpy-int keys are read one at a time
+    af.PrimeSupport(10, af.RATIONAL, {(np.int64(2), 1): 1})
+    assert calls

@@ -20,12 +20,15 @@ the complex backend: the five predicates (ok, kind, witness,
 witness_kind and constants), ``bell_decompose_mult`` and
 ``additive_decompose`` (every series or entry) and the reconstruction
 of each decomposition, all given the sieve explicitly.  Complex values
-also digest their bits.  Eight malformed decompositions at N = 50 close
-the structure lines: a Bell series at a composite, above the bound,
+also digest their bits.  Malformed decompositions close the structure
+lines, at N = 50: a Bell series at a composite, above the bound,
 missing, or repeated (after and before the first), a float Bell
-coefficient, and a prime support with a composite base or a float key.
-Any exception they raise is digested, so a tree that fails with an
-IndexError on one of them still prints every line.
+coefficient, a series too short, a constant term 2, two bad series in
+either order (the one given first is named), and Bell primes 10**30, -3
+and 1; a prime support with a composite base, a float key, the key
+10**30 or numpy-int keys; and at N = 100 the support keys (2, 0) and
+(2, 7).  Any exception they raise is digested, so a tree that fails
+with an IndexError on one of them still prints every line.
 
 Powers: one digest of ``u ** k`` at N = 17 per k in POWERS, bools
 included (a bool is no exponent, so it raises).
@@ -147,16 +150,27 @@ def _structure(af, a, sieve) -> dict:
 
 def _malformed(af, sieve) -> dict:
     """Reconstructions of decompositions that break their invariants, at
-    N = 50, where 4**3 and 53**2 pass the length check; each is built
-    inside its call, so an error the constructor raises is its outcome."""
+    N = 50, where 4**3 and 53**2 pass the length check (and at N = 100 on
+    a sieve to 100); each is built inside its call, so an error the
+    constructor raises is its outcome."""
     u = af.bell_decompose_mult(af.ArithFn.ones(50), sieve).series
     again = (af.BellSeries(2, (1, 7, 7, 7, 7, 7)),)
+    short = af.BellSeries(7, (1,))  # 7**2 <= 50 needs three coefficients
+    two = af.BellSeries(3, (2, 1, 1, 1))
+    sieve100 = af.build_sieve(100)
 
     def bell(series):
         return lambda: af.bell_reconstruct_mult(af.BellDecomposition(50, af.RATIONAL, series), sieve)
 
-    def support(entries):
-        return lambda: af.additive_reconstruct(af.PrimeSupport(50, af.RATIONAL, entries), sieve)
+    def replaced(bad):
+        """u with its series at bad.prime replaced by ``bad``."""
+        return tuple(bad if s.prime == bad.prime else s for s in u)
+
+    rest = tuple(s for s in u if s.prime not in (short.prime, two.prime))
+
+    def support(entries, n=50):
+        return lambda: af.additive_reconstruct(af.PrimeSupport(n, af.RATIONAL, entries),
+                                               sieve100 if n == 100 else sieve)
 
     return {
         "bell_at_composite": bell(u + (af.BellSeries(4, (1, 5, 5)),)),
@@ -165,8 +179,20 @@ def _malformed(af, sieve) -> dict:
         "bell_repeated_prime_last": bell(u + again),
         "bell_repeated_prime_first": bell(again + u),
         "bell_float_coeff": bell((af.BellSeries(2, (1, 0.5, 1, 1, 1, 1)),) + u[1:]),
+        "bell_too_short": bell(replaced(short)),
+        "bell_constant_term_2": bell(replaced(two)),
+        "bell_two_bad_short_first": bell((short, two) + rest),
+        "bell_two_bad_constant_first": bell((two, short) + rest),
+        "bell_prime_10**30": bell(u + (af.BellSeries(10**30, (1, 1)),)),
+        "bell_prime_-3": bell(u + (af.BellSeries(-3, (1, 1)),)),
+        "bell_prime_1": bell(u + (af.BellSeries(1, (1, 1)),)),
         "support_at_composite": support({(2, 1): 1, (6, 1): 1}),
         "support_float_key": support({(2.0, 1): 1}),
+        "support_key_(2,0)_at_100": support({(3, 1): 1, (2, 0): 1}, 100),
+        "support_key_(2,7)_at_100": support({(3, 1): 1, (2, 7): 1}, 100),
+        "support_key_10**30": support({(3, 1): 1, (10**30, 1): 1}),
+        "support_numpy_int_keys": support({(np.int64(3), np.int64(2)): 1, (2, 1): Fraction(1, 2),
+                                           (np.int32(5), 1): -4}),
     }
 
 

@@ -55,17 +55,13 @@ from __future__ import annotations
 import functools
 import math
 import operator
-from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain
 from typing import NamedTuple
 
 import numpy as np
 
 from .dirichlet import (
-    _COMPLEX_TYPES,
-    _EXACT_TYPES,
     ArithFn,
     _box,
     _max_abs,
@@ -397,11 +393,13 @@ def _values(coeffs: np.ndarray, den) -> list:
     return coeffs.tolist() if den is None else _box(coeffs, den)
 
 
-def _distinct_primes(keys: list) -> list:
-    """keys read with operator.index; StructureError names the first key
-    that is not an int or repeats one before it."""
-    primes, seen = [], set()
-    for key in keys:
+def _series_rows(series) -> tuple[list, list]:
+    """The primes and coefficient rows of (prime, coeffs) pairs, in the
+    order given; each prime is read with operator.index as its pair is
+    unpacked, and StructureError names the first that is not an int or
+    repeats one before it."""
+    primes, rows, seen = [], [], set()
+    for key, coeffs in series:
         try:
             p = operator.index(key)
         except TypeError:
@@ -410,7 +408,8 @@ def _distinct_primes(keys: list) -> list:
             raise StructureError(f"two series at prime {p}", witness=p)
         seen.add(p)
         primes.append(p)
-    return primes
+        rows.append(coeffs)
+    return primes, rows
 
 
 class BellDecomposition:
@@ -431,13 +430,10 @@ class BellDecomposition:
     __slots__ = ("bound", "backend", "_primes", "_offsets", "_coeffs", "_den", "_lookup")
 
     def __init__(self, bound: int, backend, series):
-        pairs = [(key, coeffs) for key, coeffs in series]
-        keys, rows = (list(x) for x in zip(*pairs)) if pairs else ([], [])
-        if not set(map(type, keys)) <= {int} or len(set(keys)) < len(keys):
-            keys = _distinct_primes(keys)
+        primes, rows = _series_rows(series)
         offsets = np.cumsum([0, *map(len, rows)])
-        coeffs = _objects(list(chain.from_iterable(rows)))
-        self._set(bound, backend, _int_array(keys), offsets, coeffs, None)
+        coeffs = _objects([c for row in rows for c in row])
+        self._set(bound, backend, _int_array(primes), offsets, coeffs, None)
 
     def _set(self, bound, backend, primes, offsets, coeffs, den) -> None:
         """``coeffs`` holds stored values over ``den``, or values as given
@@ -457,18 +453,13 @@ class BellDecomposition:
         return tuple(map(BellSeries, self._primes.tolist(), self._tuples()))
 
     def series_for(self, p: int) -> BellSeries:
-        """The series at p, found by bisection."""
+        """The series at p, by a prime -> row map built on first use."""
         if self._lookup is None:
-            order = np.argsort(self._primes, kind="stable")
-            self._lookup = self._primes[order].tolist(), order.tolist()
-        primes, order = self._lookup
-        try:
-            i = bisect_left(primes, p)
-        except TypeError:  # no prime compares with p
-            i = len(primes)
-        if i == len(primes) or primes[i] != p:
+            self._lookup = dict(zip(self._primes.tolist(), range(len(self._primes))))
+        i = self._lookup.get(p)
+        if i is None:
             raise StructureError(f"no series for prime {p}", witness=p)
-        lo, hi = self._offsets[order[i] : order[i] + 2].tolist()
+        lo, hi = self._offsets[i : i + 2].tolist()
         return BellSeries(p, tuple(_values(self._coeffs[lo:hi], self._den)))
 
     def __eq__(self, other) -> bool:
@@ -562,34 +553,6 @@ def bell_reconstruct_mult(dec: BellDecomposition, sieve: SpfSieve) -> ArithFn:
 # ---------------------------------------------------------------------------
 
 
-def _outside(p: np.ndarray, k: np.ndarray, bound: int) -> np.ndarray:
-    """Per key, k < 1 or p < 2 or p**k > bound.  p**k is multiplied up
-    only while at most bound, and with p <= bound and k < bound.bit_length(),
-    so no power past bound**2 is formed."""
-    bits = bound.bit_length()
-    out = (k < 1) | (k >= bits) | (p < 2) | (p > bound)
-    rest = np.flatnonzero(~out)
-    base = p[rest].astype(np.int64 if bound < 2**31 else object)  # bound**2 < 2**62
-    exps, pk = k[rest], base.copy()
-    for j in range(2, int(exps.max(initial=1)) + 1):
-        pk = np.where(exps >= j, np.minimum(pk, bound + 1) * base, pk)
-    out[rest] = pk > bound
-    return out
-
-
-def _support_values(vals: list, backend) -> tuple[np.ndarray, int]:
-    """The storage and den of support values, each accepted exactly when
-    backend.convert accepts it: a value of another type, or one that is
-    not finite in the complex backend, is named by convert."""
-    allowed = _COMPLEX_TYPES if backend is COMPLEX else _EXACT_TYPES
-    if set(map(type, vals)) <= allowed:
-        try:
-            return _store(vals, backend)
-        except NonFiniteError:
-            pass
-    return _store(list(map(backend.convert, vals)), backend)  # raises at the first bad value
-
-
 class PrimeSupport:
     """Sparse table g(p, k) on prime powers p^k <= bound, as rows: the keys
     (p, k), sorted, and their nonzero values, stored as a table stores its
@@ -607,26 +570,13 @@ class PrimeSupport:
     __slots__ = ("bound", "backend", "_p", "_k", "_vals", "_den", "_lookup")
 
     def __init__(self, bound: int, backend, entries: dict | None = None):
-        entries = entries or {}
-        keys, vals = list(entries), list(entries.values())
-        if (set(map(type, keys)) <= {tuple} and set(map(len, keys)) <= {2}
-                and set(map(type, chain.from_iterable(keys))) <= {int}):
-            p, k = (_int_array(list(x)) for x in zip(*keys)) if keys else (_int_array([]),) * 2
-            bad = _outside(p, k, bound)
-            i = int(bad.argmax()) if bad.any() else len(keys)
-            stored, den = _support_values(vals[:i], backend)  # the values before the bad key
-            if i < len(keys):
-                p, k = p.item(i), k.item(i)
-                raise StructureError(
-                    f"key ({p}, {k}) is not a prime power within bound {bound}", witness=(p, k)
-                )
-        else:
-            p, k, stored, den = self._walk(bound, backend, entries)
+        p, k, stored, den = self._walk(bound, backend, entries or {})
         self._set(bound, backend, p, k, stored, den, stored != 0)
 
     @staticmethod
     def _walk(bound, backend, entries):
-        """Each entry in turn, as keys that are not plain int pairs need."""
+        """The keys and stored values of ``entries``, each entry checked in
+        turn: the first with a bad key or value raises."""
         table = {}
         index = operator.index
         bits = bound.bit_length()  # p >= 2, so p**k > bound once k >= bits: no power is formed
@@ -658,14 +608,12 @@ class PrimeSupport:
         return list(zip(self._p.tolist(), self._k.tolist()))
 
     def get(self, p: int, k: int):
-        """g(p, k), found by bisection; zero for a missing key."""
+        """g(p, k), by a (p, k) -> row map built on first use; zero for a
+        missing key."""
         if self._lookup is None:
-            self._lookup = self._keys()
-        try:
-            i = bisect_left(self._lookup, (p, k))
-        except TypeError:  # no key compares with (p, k)
-            return self.backend.zero
-        if i == len(self._lookup) or self._lookup[i] != (p, k):
+            self._lookup = dict(zip(self._keys(), range(len(self._p))))
+        i = self._lookup.get((p, k))
+        if i is None:
             return self.backend.zero
         return _box(self._vals[i : i + 1], self._den)[0]
 

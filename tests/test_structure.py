@@ -276,6 +276,15 @@ class TestBellDecomposition:
         assert type(dec.series[0].prime) is int
         assert dec.series[0].to_json_obj(af.RATIONAL)["prime"] == 2
 
+    def test_each_pair_is_checked_as_it_is_read(self):
+        # a bad prime is named before a later pair that does not unpack
+        with pytest.raises(StructureError, match="prime 'x' is not an int"):
+            af.BellDecomposition(10, af.RATIONAL, [("x", (1,)), (2, 1, 1)])
+        with pytest.raises(StructureError, match="two series at prime 2"):
+            af.BellDecomposition(10, af.RATIONAL, [(2, (1,)), (2, (1,)), (3,)])
+        with pytest.raises(ValueError, match="unpack"):
+            af.BellDecomposition(10, af.RATIONAL, [(2, (1,)), (3, 1, 1), ("x", (1,))])
+
     def test_random_series_reconstruct_multiplicative(self, sieve1000):
         rng = random.Random(41)
         for _ in range(10):

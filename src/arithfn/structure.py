@@ -39,15 +39,19 @@ reconstructions walk the prime-power rows (p, k, p^k) of
 rows with :func:`_prime_power_fold` directly, with no decomposition
 object in between.
 
-Each decomposition is a set of rows, not a map of Python tuples: a
-:class:`BellDecomposition` keeps its primes in the order given, one
-offset per series and one flat coefficient array; a :class:`PrimeSupport`
-keeps its keys (p, k), sorted, and their values.  The decompositions fill
-the rows by gathers of the table's storage at the prime-power rows, and
-the reconstructions check them by whole-array passes and hand the values
-straight to the fold, so a round trip does no per-prime Python.  A
-(prime, coeffs) pair (a :class:`BellSeries`; a prime given twice is an
-error) or a (p, k) -> g(p, k) entry is made only when a caller reads one.
+Both decompositions are views of one row value (:class:`_Rows`): the
+function's values at the rows (p, k), sorted by (p, k), stored as a
+table stores its values.  :func:`bell_decompose_mult` keeps a(p^k), the
+constant terms 1 implied; :func:`additive_decompose` keeps the nonzero
+a(p^k) - a(p^(k-1)).  Each is one gather of the table's storage, and
+rows at a bound are the same whatever sieve made them, so a
+reconstruction folds them with no validation pass and a round trip does
+no per-prime Python.  Input given to the public constructors is checked
+instead: (prime, coeffs) pairs (a :class:`BellSeries`; a prime given
+twice is an error) by a walk in :func:`bell_reconstruct_mult`, (p, k)
+keys as they are read.  Every support's bases are checked prime at
+reconstruction, by one gather of the sieve.  A pair or a
+(p, k) -> g(p, k) entry of a view is made only when a caller reads one.
 """
 
 from __future__ import annotations
@@ -364,8 +368,33 @@ def mobius_additivity_test(a: ArithFn, sieve: SpfSieve, tol: float | None = None
 
 
 # ---------------------------------------------------------------------------
-# Bell decompositions (multiplicative side)
+# decompositions: values on the prime-power rows
 # ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True, eq=False)
+class _Rows:
+    """A function's values at prime powers p^k: int64 ``p`` and ``k``,
+    sorted by (p, k), the values stored as :func:`_store` keeps them
+    (numerators, or complex128) and their ``den``; every array read-only.
+    Rows at a bound are the same whatever sieve made them."""
+
+    p: np.ndarray
+    k: np.ndarray
+    vals: np.ndarray
+    den: int
+
+    def __post_init__(self):
+        for arr in (self.p, self.k, self.vals):
+            arr.flags.writeable = False
+
+    def boxed(self, lo: int = 0, hi: int | None = None) -> list:
+        """The values of rows lo:hi as Python scalars."""
+        return _box(self.vals[lo:hi], self.den)
+
+    def fold(self, sieve, n, backend, product) -> ArithFn:
+        """:func:`_prime_power_fold` of the rows on 1..n."""
+        return _prime_power_fold(sieve, n, self.p**self.k, self.vals, self.den, backend, product)
 
 
 class BellSeries(NamedTuple):
@@ -379,88 +408,73 @@ class BellSeries(NamedTuple):
         return {"prime": self.prime, "coeffs": [backend.to_json(c) for c in self.coeffs]}
 
 
-def _int_array(ints: list) -> np.ndarray:
-    """ints as an int64 array, or an object array if one is beyond int64."""
-    try:
-        return np.array(ints, dtype=np.int64)
-    except OverflowError:
-        return _objects(ints)
-
-
-def _values(coeffs: np.ndarray, den) -> list:
-    """Python scalars of stored values over ``den``, or of values as given
-    (``den`` None)."""
-    return coeffs.tolist() if den is None else _box(coeffs, den)
-
-
-def _series_rows(series) -> tuple[list, list]:
-    """The primes and coefficient rows of (prime, coeffs) pairs, in the
-    order given; each prime is read with operator.index as its pair is
-    unpacked, and StructureError names the first that is not an int or
-    repeats one before it."""
-    primes, rows, seen = [], [], set()
-    for key, coeffs in series:
-        try:
-            p = operator.index(key)
-        except TypeError:
-            raise StructureError(f"prime {key!r} is not an int", witness=key) from None
-        if p in seen:
-            raise StructureError(f"two series at prime {p}", witness=p)
-        seen.add(p)
-        primes.append(p)
-        rows.append(coeffs)
-    return primes, rows
-
-
 class BellDecomposition:
-    """The Bell series of a multiplicative function as rows: the primes in
-    the order given, and one flat sequence of all their coefficients, the
-    series of primes[i] at offsets[i]:offsets[i + 1] (its k-th coefficient
-    is the value at p^k).  Constant terms 1, values multiply across primes.
+    """The Bell series of a multiplicative function: per prime p the
+    coefficients c_p[k], the values at p^k, with constant term 1; values
+    multiply across primes.
 
-    Built from (prime, coeffs) pairs, BellSeries among them: primes are
-    read with operator.index, and a prime that is not an int, or is given
-    twice, is a StructureError; the coefficients are kept as given and
-    checked by :func:`bell_reconstruct_mult`.  :func:`bell_decompose_mult`
-    fills the rows from the table's storage instead, numerators over its
-    den.  Per-prime tuples are made only when ``series``, ``series_for``,
-    ``==`` read them.
+    :func:`bell_decompose_mult` makes it a view of the table's values on
+    the prime-power rows, the constant terms 1 implied.  Built from
+    (prime, coeffs) pairs, BellSeries among them, it keeps the pairs in
+    the order given: primes are read with operator.index as the pairs
+    are, a prime that is not an int, or is given twice, is a
+    StructureError, and every coeffs must have a len(); the coefficients
+    are checked by :func:`bell_reconstruct_mult`.  The tuples of a view
+    are made only when ``series``, ``series_for`` or ``==`` read them.
     """
 
-    __slots__ = ("bound", "backend", "_primes", "_offsets", "_coeffs", "_den", "_lookup")
+    __slots__ = ("bound", "backend", "_pairs", "_rows", "_lookup")
 
     def __init__(self, bound: int, backend, series):
-        primes, rows = _series_rows(series)
-        offsets = np.cumsum([0, *map(len, rows)])
-        coeffs = _objects([c for row in rows for c in row])
-        self._set(bound, backend, _int_array(primes), offsets, coeffs, None)
+        pairs = {}
+        for key, coeffs in series:
+            try:
+                p = operator.index(key)
+            except TypeError:
+                raise StructureError(f"prime {key!r} is not an int", witness=key) from None
+            if p in pairs:
+                raise StructureError(f"two series at prime {p}", witness=p)
+            pairs[p] = coeffs
+        for coeffs in pairs.values():
+            len(coeffs)  # TypeError for a series without len(), once every prime is read
+        self.bound, self.backend, self._rows, self._lookup = bound, backend, None, None
+        self._pairs = {p: tuple(coeffs) for p, coeffs in pairs.items()}
 
-    def _set(self, bound, backend, primes, offsets, coeffs, den) -> None:
-        """``coeffs`` holds stored values over ``den``, or values as given
-        (``den`` None); every array is made read-only."""
-        self.bound, self.backend, self._den, self._lookup = bound, backend, den, None
-        self._primes, self._offsets, self._coeffs = primes, offsets, coeffs
-        for arr in (primes, offsets, coeffs):
-            arr.flags.writeable = False
+    @classmethod
+    def _view(cls, bound: int, backend, rows: _Rows) -> "BellDecomposition":
+        """The decomposition whose series are ``rows``, constant terms 1 implied."""
+        dec = cls.__new__(cls)
+        dec.bound, dec.backend, dec._rows = bound, backend, rows
+        dec._pairs = dec._lookup = None
+        return dec
 
-    def _tuples(self) -> list:
-        """The coefficient tuples, in the order given."""
-        vals, ends = _values(self._coeffs, self._den), self._offsets.tolist()
-        return [tuple(vals[i:j]) for i, j in zip(ends, ends[1:])]
+    def _heads(self) -> dict:
+        """prime -> its first row in the view's rows, built on first use."""
+        if self._lookup is None:
+            heads = np.flatnonzero(self._rows.k == 1)
+            self._lookup = dict(zip(self._rows.p[heads].tolist(), heads.tolist()))
+        return self._lookup
 
     @property
     def series(self) -> tuple:
-        return tuple(map(BellSeries, self._primes.tolist(), self._tuples()))
+        if self._rows is None:
+            return tuple(map(BellSeries, self._pairs, self._pairs.values()))
+        one, vals, heads = self.backend.one, self._rows.boxed(), self._heads()
+        ends = [*list(heads.values())[1:], len(vals)]
+        return tuple(BellSeries(p, (one, *vals[lo:hi])) for (p, lo), hi in zip(heads.items(), ends))
 
     def series_for(self, p: int) -> BellSeries:
-        """The series at p, by a prime -> row map built on first use."""
-        if self._lookup is None:
-            self._lookup = dict(zip(self._primes.tolist(), range(len(self._primes))))
-        i = self._lookup.get(p)
-        if i is None:
+        """The series at p; a view boxes only p's rows."""
+        if self._rows is None:
+            coeffs = self._pairs.get(p)
+        elif (lo := self._heads().get(p)) is None:
+            coeffs = None
+        else:
+            hi = np.searchsorted(self._rows.p, self._rows.p[lo], side="right")
+            coeffs = (self.backend.one, *self._rows.boxed(lo, hi))
+        if coeffs is None:
             raise StructureError(f"no series for prime {p}", witness=p)
-        lo, hi = self._offsets[i : i + 2].tolist()
-        return BellSeries(p, tuple(_values(self._coeffs[lo:hi], self._den)))
+        return BellSeries(p, coeffs)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, BellDecomposition):
@@ -468,12 +482,12 @@ class BellDecomposition:
         return (
             self.bound == other.bound
             and self.backend is other.backend
-            and dict(zip(self._primes.tolist(), self._tuples()))
-            == dict(zip(other._primes.tolist(), other._tuples()))
+            and dict(self.series) == dict(other.series)
         )
 
     def __repr__(self) -> str:
-        return f"BellDecomposition(bound={self.bound}, primes={len(self._primes)})"
+        primes = len(self._pairs if self._rows is None else self._heads())
+        return f"BellDecomposition(bound={self.bound}, primes={primes})"
 
 
 def bell_decompose_mult(a: ArithFn, sieve: SpfSieve) -> BellDecomposition:
@@ -482,20 +496,11 @@ def bell_decompose_mult(a: ArithFn, sieve: SpfSieve) -> BellDecomposition:
     Raises StructureError carrying the witness pair if the input is not
     multiplicative; a silent decomposition of a non-multiplicative input
     would reconstruct into garbage.  The series are one gather of a's
-    storage at the prime-power rows, each after a constant term 1.
+    storage at the prime-power rows.
     """
     p, k, pk = _prime_powers(sieve, a.bound)
     _require(is_multiplicative(a))
-    heads = np.flatnonzero(k == 1)  # the first row of each prime
-    offsets = np.append(heads + np.arange(len(heads)), len(k) + len(heads))
-    v, den = a._v, a.den
-    wide = v.dtype == np.int64 and den >= 2**63  # the constant term den needs objects
-    coeffs = np.empty(offsets[-1], dtype=object if wide else v.dtype)
-    coeffs[offsets[:-1]] = a.backend.one * den  # the constant term 1 as a numerator
-    coeffs[np.arange(len(k)) + np.cumsum(k == 1)] = v[pk]  # row i sits after its series' head
-    dec = BellDecomposition.__new__(BellDecomposition)
-    dec._set(a.bound, a.backend, p[heads], offsets, coeffs, den)
-    return dec
+    return BellDecomposition._view(a.bound, a.backend, _Rows(p, k, a._v[pk], a.den))
 
 
 def bell_reconstruct_mult(dec: BellDecomposition, sieve: SpfSieve) -> ArithFn:
@@ -503,49 +508,35 @@ def bell_reconstruct_mult(dec: BellDecomposition, sieve: SpfSieve) -> ArithFn:
     product 1 * c_p1[a1] * c_p2[a2] * ... in ascending primes; a(1) = 1
     (empty product).
 
-    There must be one series per prime <= N and no other, each with its
-    floor(log_p N) + 1 coefficients and constant term 1, else
-    StructureError names the first bad series, else the least missing prime.
-    The checks are whole-array passes over the rows; a coefficient the
-    backend cannot hold raises when the values are stored.
+    A view folds its rows as they are.  The pairs of a decomposition
+    built from them are walked in the order given: there must be one
+    series per prime <= N and no other, each with its floor(log_p N) + 1
+    coefficients and constant term 1, else StructureError names the first
+    bad series, else the least missing prime; a coefficient the backend
+    cannot hold raises when the values are stored.
     """
-    backend, n, coeffs, den = dec.backend, dec.bound, dec._coeffs, dec._den
+    n, backend = dec.bound, dec.backend
+    if dec._rows is not None:
+        return dec._rows.fold(sieve, n, backend, True)
     p, k, pk = _prime_powers(sieve, n)
     heads = np.flatnonzero(k == 1)
-    primes, caps = p[heads], np.diff(np.append(heads, len(k)))
-    q, starts = dec._primes, dec._offsets[:-1]
-    inside = (q >= 2) & (q <= n)
-    qi = np.where(inside, q, 0).astype(np.int64)
-    rank = np.searchsorted(primes, qi)
-    at_prime = inside & (np.append(primes, 0)[rank] == qi)
-    short = at_prime & (np.diff(dec._offsets) <= np.append(caps, 0)[rank])  # q**len <= n
-    not_one = np.zeros(len(q), dtype=bool)
-    sized = at_prime & ~short
-    not_one[sized] = coeffs[starts[sized]] != (backend.one if den is None else backend.one * den)
-    bad = ~at_prime | short | not_one
-    if bad.any():
-        i = int(bad.argmax())
-        prime = q.item(i)
-        if not at_prime[i]:
-            raise StructureError(f"the series at {prime} is not at a prime <= {n}", witness=prime)
-        if short[i]:
+    caps = dict(zip(p[heads].tolist(), np.diff(np.append(heads, len(k))).tolist()))
+    for q, coeffs in dec._pairs.items():
+        if q not in caps:
+            raise StructureError(f"the series at {q} is not at a prime <= {n}", witness=q)
+        if len(coeffs) <= caps[q]:
+            raise StructureError(f"the series at prime {q} is too short for bound {n}", witness=q)
+        if coeffs[0] != backend.one:
             raise StructureError(
-                f"the series at prime {prime} is too short for bound {n}", witness=prime
+                f"constant term of the series at prime {q} must be 1, "
+                f"got {backend.format(coeffs[0])}",
+                witness=q,
             )
-        raise StructureError(
-            f"constant term of the series at prime {prime} must be 1, "
-            f"got {backend.format(_values(coeffs[starts[i] : starts[i] + 1], den)[0])}",
-            witness=prime,
-        )
-    if len(q) < len(primes):  # every series is at a distinct prime, so one is missing
-        given = np.zeros(len(primes), dtype=bool)
-        given[rank] = True
-        dec.series_for(int(primes[np.argmin(given)]))  # raises for the least missing prime
-    series = np.empty(len(primes), dtype=np.int64)
-    series[rank] = np.arange(len(q))  # the series of each prime <= n
-    vals = coeffs[starts[series][np.cumsum(k == 1) - 1] + k]
-    stored, den = _store(vals.tolist(), backend) if den is None else (vals, den)
-    return _prime_power_fold(sieve, n, pk, stored, den, backend, True)
+    if len(dec._pairs) < len(caps):  # every series is at a distinct prime, so one is missing
+        q = next(q for q in caps if q not in dec._pairs)
+        raise StructureError(f"no series for prime {q}", witness=q)
+    vals = [c for q, cap in caps.items() for c in dec._pairs[q][1 : cap + 1]]
+    return _prime_power_fold(sieve, n, pk, *_store(vals, backend), backend, True)
 
 
 # ---------------------------------------------------------------------------
@@ -554,33 +545,41 @@ def bell_reconstruct_mult(dec: BellDecomposition, sieve: SpfSieve) -> ArithFn:
 
 
 class PrimeSupport:
-    """Sparse table g(p, k) on prime powers p^k <= bound, as rows: the keys
-    (p, k), sorted, and their nonzero values, stored as a table stores its
-    values (numerators over one den, or complex128).
+    """Sparse table g(p, k) on prime powers p^k <= bound: the rows of its
+    nonzero values, sorted by (p, k).
 
     Represents a function vanishing at 1 and at every index with two or
     more distinct prime factors; missing keys read as zero.  Keys are
     read with operator.index, and every key and value is checked at
     construction: the first entry with a bad key or value raises, in
-    the order given.  :func:`additive_decompose` fills the rows from the
-    table's storage.  The (p, k) tuples are made only when ``items``,
-    ``get``, ``series_at``, JSON or ``==`` read them.
+    the order given.  :func:`additive_decompose` makes it a view of the
+    table's differences on the prime-power rows.  The (p, k) tuples are
+    made only when ``items``, ``get``, ``series_at``, JSON or ``==`` read
+    them.
     """
 
-    __slots__ = ("bound", "backend", "_p", "_k", "_vals", "_den", "_lookup")
+    __slots__ = ("bound", "backend", "_rows", "_lookup")
 
     def __init__(self, bound: int, backend, entries: dict | None = None):
-        p, k, stored, den = self._walk(bound, backend, entries or {})
-        self._set(bound, backend, p, k, stored, den, stored != 0)
+        self.bound, self.backend, self._lookup = bound, backend, None
+        self._rows = self._walk(bound, backend, (entries or {}).items())
+
+    @classmethod
+    def _view(cls, bound: int, backend, rows: _Rows) -> "PrimeSupport":
+        """The support whose nonzero values are ``rows``."""
+        g = cls.__new__(cls)
+        g.bound, g.backend, g._rows, g._lookup = bound, backend, rows, None
+        return g
 
     @staticmethod
-    def _walk(bound, backend, entries):
-        """The keys and stored values of ``entries``, each entry checked in
-        turn: the first with a bad key or value raises."""
+    def _walk(bound, backend, entries) -> _Rows:
+        """The rows of the nonzero values of (key, value) ``entries``,
+        each checked in turn: the first with a bad or repeated key or a
+        bad value raises."""
         table = {}
         index = operator.index
         bits = bound.bit_length()  # p >= 2, so p**k > bound once k >= bits: no power is formed
-        for key, v in entries.items():
+        for key, v in entries:
             p, k = key
             try:
                 p, k = index(p), index(k)
@@ -591,38 +590,34 @@ class PrimeSupport:
                     f"key ({p}, {k}) is not a prime power within bound {bound}",
                     witness=(p, k),
                 )
+            if (p, k) in table:
+                raise StructureError(f"two entries at key ({p}, {k})", witness=(p, k))
             table[p, k] = backend.convert(v)
-        p, k = (_int_array([key[i] for key in table]) for i in (0, 1))
-        return (p, k, *_store(list(table.values()), backend))
-
-    def _set(self, bound, backend, p, k, stored, den, keep) -> None:
-        """The rows of the ``keep`` entries, sorted by (p, k), read-only."""
-        keep = np.flatnonzero(keep)
-        rows = keep[np.lexsort((k[keep], p[keep]))]
-        self.bound, self.backend, self._den, self._lookup = bound, backend, den, None
-        self._p, self._k, self._vals = p[rows], k[rows], stored[rows]
-        for arr in (self._p, self._k, self._vals):
-            arr.flags.writeable = False
+        keys = sorted(table)
+        stored, den = _store([table[key] for key in keys], backend)
+        keep = stored != 0
+        p, k = (np.array([key[i] for key in keys], dtype=np.int64)[keep] for i in (0, 1))
+        return _Rows(p, k, stored[keep], den)
 
     def _keys(self) -> list:
-        return list(zip(self._p.tolist(), self._k.tolist()))
+        return list(zip(self._rows.p.tolist(), self._rows.k.tolist()))
 
     def get(self, p: int, k: int):
         """g(p, k), by a (p, k) -> row map built on first use; zero for a
         missing key."""
         if self._lookup is None:
-            self._lookup = dict(zip(self._keys(), range(len(self._p))))
+            self._lookup = dict(zip(self._keys(), range(len(self))))
         i = self._lookup.get((p, k))
         if i is None:
             return self.backend.zero
-        return _box(self._vals[i : i + 1], self._den)[0]
+        return self._rows.boxed(i, i + 1)[0]
 
     def items(self):
         """Entries sorted by (p, k)."""
-        return list(zip(self._keys(), _box(self._vals, self._den)))
+        return list(zip(self._keys(), self._rows.boxed()))
 
     def __len__(self) -> int:
-        return len(self._p)
+        return len(self._rows.p)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, PrimeSupport):
@@ -643,11 +638,13 @@ class PrimeSupport:
 
     @classmethod
     def from_json_obj(cls, obj, bound: int, backend) -> "PrimeSupport":
-        rows = {(row["p"], row["k"]): backend.from_json(row["value"]) for row in obj}
-        return cls(bound, backend, rows)
+        """The support of JSON rows {"p", "k", "value"}; a key given twice
+        is a StructureError."""
+        entries = [((row["p"], row["k"]), backend.from_json(row["value"])) for row in obj]
+        return cls._view(bound, backend, cls._walk(bound, backend, entries))
 
     def __repr__(self) -> str:
-        return f"PrimeSupport(bound={self.bound}, entries={len(self._p)})"
+        return f"PrimeSupport(bound={self.bound}, entries={len(self)})"
 
 
 @np.errstate(over="ignore", invalid="ignore")  # convert reports it
@@ -663,9 +660,8 @@ def additive_decompose(a: ArithFn, sieve: SpfSieve) -> PrimeSupport:
     diff = high - v[pk // p]
     if diff.dtype == np.complex128 and not np.isfinite(diff).all():
         a.backend.convert(complex(diff[np.argmin(np.isfinite(diff))]))  # raises, naming it
-    g = PrimeSupport.__new__(PrimeSupport)
-    g._set(a.bound, a.backend, p, k, diff, a.den, diff != 0)
-    return g
+    keep = diff != 0
+    return PrimeSupport._view(a.bound, a.backend, _Rows(p[keep], k[keep], diff[keep], a.den))
 
 
 def additive_reconstruct(g: PrimeSupport, sieve: SpfSieve) -> ArithFn:
@@ -675,10 +671,11 @@ def additive_reconstruct(g: PrimeSupport, sieve: SpfSieve) -> ArithFn:
     StructureError, found after the fold, which checks the sieve's bound
     before any read.
     """
-    a = _prime_power_fold(sieve, g.bound, g._p**g._k, g._vals, g._den, g.backend, False)
-    composite = np.flatnonzero(sieve._spf[g._p] != g._p)
+    rows = g._rows
+    a = rows.fold(sieve, g.bound, g.backend, False)
+    composite = np.flatnonzero(sieve._spf[rows.p] != rows.p)
     if len(composite):
-        p, k = g._p.item(composite[0]), g._k.item(composite[0])
+        p, k = rows.p.item(composite[0]), rows.k.item(composite[0])
         raise StructureError(f"key ({p}, {k}): base {p} is not prime", witness=(p, k))
     return a
 

@@ -402,6 +402,17 @@ class TestPrimeSupport:
         back = af.PrimeSupport.from_json_obj(obj, 100, af.RATIONAL)
         assert back == g
 
+    def test_json_key_given_twice_is_an_error(self):
+        # a dict of the rows would keep the last value silently
+        rows = [{"p": 2, "k": 1, "value": "1"}, {"p": 2, "k": 1, "value": "5"}]
+        with pytest.raises(StructureError, match=r"two entries at key \(2, 1\)") as err:
+            af.PrimeSupport.from_json_obj(rows, 10, af.RATIONAL)
+        assert err.value.witness == (2, 1)
+        # each row's key is checked before it is compared with the others
+        rows[1]["p"] = 2.0
+        with pytest.raises(StructureError, match="not a pair of ints"):
+            af.PrimeSupport.from_json_obj(rows, 10, af.RATIONAL)
+
 
 class _Unreadable:
     """Stands in for a sieve's tables: any read fails the test."""
@@ -973,3 +984,55 @@ def test_round_trip_makes_no_per_prime_calls(monkeypatch):
     # the patches take effect: numpy-int keys are read one at a time
     af.PrimeSupport(10, af.RATIONAL, {(np.int64(2), 1): 1})
     assert calls
+
+
+def _same_bits(x: af.ArithFn, y: af.ArithFn) -> bool:
+    if x.backend is af.COMPLEX:
+        return np.array_equal(x._v.view(np.uint64), y._v.view(np.uint64))
+    return x == y
+
+
+@pytest.mark.parametrize("n", (1023, 1024, 1025, 4099))
+def test_decompositions_reconstruct_on_another_sieve(n):
+    # the rows at a bound are the same whatever sieve made them: a
+    # decomposition made on a sieve to n or to 4n reconstructs on either to
+    # the same bits; the larger sieve has served its own bound first
+    rng = random.Random(n)
+    small, large = af.build_sieve(n), af.build_sieve(4 * n)
+    af.additive_reconstruct(af.additive_decompose(af.make("Omega", large), large), large)
+    mult = [af.make("phi", small), af.make("sigma", small, c=1), rand_multiplicative(rng, small, n),
+            af.ArithFn.from_values([Fraction(1, k) for k in range(1, n + 1)])]
+    add = [af.make("Omega", small), rand_additive(rng, small, n),
+           af.make("nu", small).scale(Fraction(-2, 3))]
+    sides = ((mult, af.bell_decompose_mult, af.bell_reconstruct_mult),
+             (add, af.additive_decompose, af.additive_reconstruct))
+    for backend in (af.RATIONAL, af.COMPLEX):
+        for tables, decompose, reconstruct in sides:
+            for a in (t.to_backend(backend) for t in tables):
+                want = reconstruct(decompose(a, small), small)
+                assert want == a or backend is af.COMPLEX  # complex products and sums round
+                for made, other in ((small, large), (large, small), (large, large)):
+                    assert _same_bits(reconstruct(decompose(a, made), other), want)
+
+
+def test_series_for_boxes_only_its_rows(monkeypatch):
+    # one lookup boxes the values of p's rows and no other
+    n = 4099
+    sieve = af.build_sieve(n)
+    inverses = af.ArithFn.from_values([Fraction(1, k) for k in range(1, n + 1)])  # den > 1
+    decs = [af.bell_decompose_mult(a, sieve)
+            for a in (af.make("phi", sieve), inverses, af.make("phi", sieve, af.COMPLEX))]
+    want = [dict(dec.series) for dec in decs]
+    boxed = []
+    box = structure._box
+
+    def counted(nums, den):
+        boxed.append(len(nums))
+        return box(nums, den)
+
+    monkeypatch.setattr(structure, "_box", counted)
+    for dec, series in zip(decs, want):
+        for p in (2, 3, 61, 67, 4099):
+            boxed.clear()
+            assert dec.series_for(p) == (p, series[p])
+            assert sum(boxed) == sieve.prime_power_cap(p)

@@ -24,11 +24,14 @@ also digest their bits.  Malformed decompositions close the structure
 lines, at N = 50: a Bell series at a composite, above the bound,
 missing, or repeated (after and before the first), a float Bell
 coefficient, a series too short, a constant term 2, two bad series in
-either order (the one given first is named), and Bell primes 10**30, -3
-and 1; a prime support with a composite base, a float key, the key
-10**30 or numpy-int keys; and at N = 100 the support keys (2, 0) and
-(2, 7).  Any exception they raise is digested, so a tree that fails
-with an IndexError on one of them still prints every line.
+either order (the one given first is named), Bell primes 10**30, -3
+and 1, a series longer than needed (accepted), an empty series, prime 3
+missing with a constant term 2 at 11 (11 is named) and list-typed
+coefficients (accepted); a prime support with a composite base, a float
+key, the key 10**30, numpy-int keys or, from JSON, one key given twice;
+and at N = 100 the support keys (2, 0) and (2, 7).  Any exception they
+raise is digested, so a tree that fails with an IndexError on one of
+them still prints every line.
 
 Powers: one digest of ``u ** k`` at N = 17 per k in POWERS, bools
 included (a bool is no exponent, so it raises).
@@ -186,6 +189,11 @@ def _malformed(af, sieve) -> dict:
         "bell_prime_10**30": bell(u + (af.BellSeries(10**30, (1, 1)),)),
         "bell_prime_-3": bell(u + (af.BellSeries(-3, (1, 1)),)),
         "bell_prime_1": bell(u + (af.BellSeries(1, (1, 1)),)),
+        "bell_longer_than_needed": bell(replaced(af.BellSeries(7, (1, 2, 3, 4, 5)))),
+        "bell_empty_coeffs": bell(replaced(af.BellSeries(3, ()))),
+        "bell_missing_3_constant_2_at_11": bell(
+            tuple(s for s in replaced(af.BellSeries(11, (2, 1))) if s.prime != 3)),
+        "bell_list_coeffs": bell(tuple((s.prime, list(s.coeffs)) for s in u)),
         "support_at_composite": support({(2, 1): 1, (6, 1): 1}),
         "support_float_key": support({(2.0, 1): 1}),
         "support_key_(2,0)_at_100": support({(3, 1): 1, (2, 0): 1}, 100),
@@ -193,6 +201,8 @@ def _malformed(af, sieve) -> dict:
         "support_key_10**30": support({(3, 1): 1, (10**30, 1): 1}),
         "support_numpy_int_keys": support({(np.int64(3), np.int64(2)): 1, (2, 1): Fraction(1, 2),
                                            (np.int32(5), 1): -4}),
+        "support_json_repeated_key": lambda: af.additive_reconstruct(af.PrimeSupport.from_json_obj(
+            [{"p": 2, "k": 1, "value": "1"}, {"p": 2, "k": 1, "value": "5"}], 50, af.RATIONAL), sieve),
     }
 
 

@@ -35,7 +35,7 @@ from itertools import repeat
 
 import numpy as np
 
-from .dirichlet import ArithFn, _conv
+from .dirichlet import ArithFn, _conv, _modulus
 from .errors import NonFiniteError, UnsupportedBackendError
 from .numerics import COMPLEX, DEFAULT_TOL, RATIONAL
 from .sieve import SpfSieve, _prime_powers
@@ -270,8 +270,7 @@ def _lambda_entry(sieve: SpfSieve, n: int, tol: float) -> IdentityCheck:
     lam = make("mangoldt", sieve, COMPLEX)
     d1 = (u * lam)._v - logs._v
     d2 = (make("mobius", sieve, COMPLEX) * logs)._v - lam._v
-    # np.hypot rounds as Python's abs(complex) does; np.abs does not
-    dev = np.maximum(np.hypot(d1.real, d1.imag), np.hypot(d2.real, d2.imag))[1:]
+    dev = np.maximum(_modulus(d1), _modulus(d2))[1:]
     fails = np.flatnonzero(dev > tol)
     first_fail = int(fails[0]) + 1 if len(fails) else None
     return IdentityCheck("Lambda", n, "complex", first_fail is None, first_fail, float(dev.max()))

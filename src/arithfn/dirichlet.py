@@ -171,9 +171,7 @@ class ArithFn:
             return self == other
         if not tol > 0:
             raise ValueError(f"tolerance must be positive, got {tol!r}")
-        diff = self._v - other._v
-        # np.hypot rounds as Python's abs(complex) does; np.abs does not
-        return bool((np.hypot(diff.real, diff.imag) <= tol).all())
+        return bool((_modulus(self._v - other._v) <= tol).all())
 
     def __repr__(self) -> str:
         head = ", ".join(map(self.backend.format, _box(self._v[1 : min(self.bound, 8) + 1], self.den)))
@@ -322,7 +320,7 @@ class ArithFn:
     def support(self) -> list[int]:
         """Ascending list of all n <= N with a(n) != 0 (float backend: |a(n)| > DEFAULT_EPS)."""
         v = self._v[1:]
-        nonzero = np.hypot(v.real, v.imag) > DEFAULT_EPS if self.backend is COMPLEX else v != 0
+        nonzero = _modulus(v) > DEFAULT_EPS if self.backend is COMPLEX else v != 0
         return (np.flatnonzero(nonzero) + 1).tolist()
 
 
@@ -442,6 +440,12 @@ def _scratch(length: int, backend) -> np.ndarray:
     """Writable zeros for a table built up in place, then stored by _store:
     complex128, or object for exact values, whose sums may leave int64."""
     return np.zeros(length, dtype=np.complex128 if backend is COMPLEX else object)
+
+
+def _modulus(z: np.ndarray) -> np.ndarray:
+    """|z| of a complex array, rounded as Python's abs(complex) rounds it:
+    np.hypot of the parts (np.abs of the array can differ in the last bit)."""
+    return np.hypot(z.real, z.imag)
 
 
 def _max_abs(x: np.ndarray) -> int:

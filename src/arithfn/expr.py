@@ -22,6 +22,7 @@ log and psi need a(1) = 1: a table e with a(1) = r enters them as
 
 from __future__ import annotations
 
+import operator
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -37,7 +38,11 @@ from .transcend import dexp, dlog, psi, psi_inv
 
 Scalar = Union[int, Fraction]
 
-UNARY_OPS = ("inv", "log", "exp", "psi", "psiinv", "deriv")
+# unary op -> its function; inv and deriv look the method up at each call,
+# so a method replaced on ArithFn (a wrapper that times it, say) is the one run
+_UNARY = {"inv": operator.methodcaller("inv"), "log": dlog, "exp": dexp, "psi": psi,
+          "psiinv": psi_inv, "deriv": operator.methodcaller("deriv")}
+UNARY_OPS = tuple(_UNARY)
 
 # canonical catalogue name -> DSL surface name
 _SURFACE = {
@@ -355,55 +360,45 @@ def eval_expr(node: Expr, sieve: SpfSieve, backend=RATIONAL) -> ArithFn:
     ``file("...")`` that cannot be read, are re-raised with the source
     span of the node that caused them.
     """
-    bound = sieve.bound
     if backend is RATIONAL:
         offender = _first_complex_only_node(node)
         if offender is not None:
             raise UnsupportedBackendError(
                 f"`{to_text(offender)}` needs the complex backend (--backend complex)"
             )
+    return _eval(node, sieve, backend)
 
-    def ev(node: Expr) -> ArithFn:
-        try:
-            if isinstance(node, Named):
-                return make(node.name, sieve, backend, c=node.arg)
-            if isinstance(node, FileRef):
-                fn = fnio.read_function(node.path, backend=backend)
-                if fn.backend is not backend:
-                    fn = fn.to_backend(backend)  # exact -> complex widening only
-                if fn.bound < bound:
-                    raise ExprEvalError(f"file {node.path!r} holds {fn.bound} values "
-                                        f"but bound {bound} was requested")
-                return fn.truncate(bound) if fn.bound > bound else fn
-            if isinstance(node, Scale):
-                return ev(node.expr).scale(node.coeff)
-            if isinstance(node, Add):
-                return ev(node.left) + ev(node.right)
-            if isinstance(node, Mul):
-                return ev(node.left) * ev(node.right)
-            if isinstance(node, Pow):
-                return ev(node.expr) ** node.k
-            if isinstance(node, Apply):
-                inner = ev(node.expr)
-                if node.op == "inv":
-                    return inner.inv()
-                if node.op == "log":
-                    return dlog(inner)
-                if node.op == "exp":
-                    return dexp(inner)
-                if node.op == "psi":
-                    return psi(inner)
-                if node.op == "psiinv":
-                    return psi_inv(inner)
-                if node.op == "deriv":
-                    return inner.deriv()
-        except ExprEvalError:
-            raise
-        except (ArithfnError, OSError) as e:
-            raise ExprEvalError(str(e), span=to_text(node), position=node.pos) from e
-        raise TypeError(f"not an expression node: {node!r}")
 
+def _eval(node: Expr, sieve: SpfSieve, backend) -> ArithFn:
+    """The value of ``node``, its children evaluated first, left to right;
+    an error of the node's own op is re-raised with its span."""
+    args = []
+    for child in _children(node):  # a loop, not a comprehension: one frame per level
+        args.append(_eval(child, sieve, backend))
     try:
-        return ev(node)
-    finally:
-        del ev  # ev refers to itself: break the cycle, which would keep the sieve alive
+        if isinstance(node, Named):
+            return make(node.name, sieve, backend, c=node.arg)
+        if isinstance(node, FileRef):
+            bound = sieve.bound
+            fn = fnio.read_function(node.path, backend=backend)
+            if fn.backend is not backend:
+                fn = fn.to_backend(backend)  # exact -> complex widening only
+            if fn.bound < bound:
+                raise ExprEvalError(f"file {node.path!r} holds {fn.bound} values "
+                                    f"but bound {bound} was requested")
+            return fn.truncate(bound) if fn.bound > bound else fn
+        if isinstance(node, Scale):
+            return args[0].scale(node.coeff)
+        if isinstance(node, Add):
+            return args[0] + args[1]
+        if isinstance(node, Mul):
+            return args[0] * args[1]
+        if isinstance(node, Pow):
+            return args[0] ** node.k
+        if isinstance(node, Apply) and node.op in _UNARY:
+            return _UNARY[node.op](args[0])
+    except ExprEvalError:
+        raise
+    except (ArithfnError, OSError) as e:
+        raise ExprEvalError(str(e), span=to_text(node), position=node.pos) from e
+    raise TypeError(f"not an expression node: {node!r}")

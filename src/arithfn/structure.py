@@ -50,8 +50,8 @@ no per-prime Python.  Input given to the public constructors is checked
 instead: (prime, coeffs) pairs (a :class:`BellSeries`; a prime given
 twice is an error) by a walk in :func:`bell_reconstruct_mult`, (p, k)
 keys as they are read.  Every support's bases are checked prime at
-reconstruction, by one gather of the sieve.  A pair or a
-(p, k) -> g(p, k) entry of a view is made only when a caller reads one.
+reconstruction, by one gather of the sieve.  A lookup binary-searches
+the sorted rows (:meth:`_Rows.span`) and boxes only the rows it finds.
 """
 
 from __future__ import annotations
@@ -69,6 +69,7 @@ from .dirichlet import (
     ArithFn,
     _box,
     _max_abs,
+    _modulus,
     _objects,
     _scaled,
     _scratch,
@@ -167,8 +168,7 @@ def _first_mismatch(lhs: np.ndarray, rhs: np.ndarray, tol: float | None) -> int 
     :func:`approx_eq`: tol must be positive, and a NaN or infinite value at
     or before the first mismatch raises NonFiniteError.  Only the positions
     with lhs != rhs or lhs not finite are tested, since equal finite values
-    match for every tol > 0.  Moduli use np.hypot, which rounds as
-    Python's abs(complex) does (np.abs of a complex array does not).
+    match for every tol > 0.  Moduli are :func:`dirichlet._modulus`.
     """
     if lhs.dtype != np.complex128:
         at, bad = None, lhs != rhs
@@ -179,9 +179,8 @@ def _first_mismatch(lhs: np.ndarray, rhs: np.ndarray, tol: float | None) -> int 
         at = np.flatnonzero((lhs != rhs) | ~np.isfinite(lhs))
         lhs, rhs = lhs[at], rhs[at]
         finite = np.isfinite(lhs) & np.isfinite(rhs)
-        diff = lhs - rhs
-        allowed = tol + _SLACK * (np.hypot(lhs.real, lhs.imag) + np.hypot(rhs.real, rhs.imag))
-        bad = ~(finite & (np.hypot(diff.real, diff.imag) <= allowed))
+        allowed = tol + _SLACK * (_modulus(lhs) + _modulus(rhs))
+        bad = ~(finite & (_modulus(lhs - rhs) <= allowed))
     if not bad.any():
         return None
     i = int(bad.argmax())
@@ -388,6 +387,20 @@ class _Rows:
         for arr in (self.p, self.k, self.vals):
             arr.flags.writeable = False
 
+    def span(self, *key) -> tuple[int, int]:
+        """Rows lo:hi of a prime (p,) or a key (p, k), empty if none: binary
+        searches of column p, then of k in p's rows.  A part x matches int i
+        as a dict key does, iff hash(x) == x == i (a row's 1 <= i < 2**61 - 1
+        hashes to itself): 2.0 and np.int64(2) match 2, '2' and 2.5 nothing.
+        numpy reads hash(x), never x; every part is hashed before a search."""
+        ints = [hash(x) for x in key]
+        lo, hi = 0, len(self.p)
+        if not all(h == x for h, x in zip(ints, key)):
+            return lo, lo
+        for col, h in zip((self.p, self.k), ints):
+            lo, hi = (lo + col[lo:hi].searchsorted((h, h + 1))).tolist()
+        return lo, hi
+
     def boxed(self, lo: int = 0, hi: int | None = None) -> list:
         """The values of rows lo:hi as Python scalars."""
         return _box(self.vals[lo:hi], self.den)
@@ -423,7 +436,7 @@ class BellDecomposition:
     are made only when ``series``, ``series_for`` or ``==`` read them.
     """
 
-    __slots__ = ("bound", "backend", "_pairs", "_rows", "_lookup")
+    __slots__ = ("bound", "backend", "_pairs", "_rows")
 
     def __init__(self, bound: int, backend, series):
         pairs = {}
@@ -437,7 +450,7 @@ class BellDecomposition:
             pairs[p] = coeffs
         for coeffs in pairs.values():
             len(coeffs)  # TypeError for a series without len(), once every prime is read
-        self.bound, self.backend, self._rows, self._lookup = bound, backend, None, None
+        self.bound, self.backend, self._rows = bound, backend, None
         self._pairs = {p: tuple(coeffs) for p, coeffs in pairs.items()}
 
     @classmethod
@@ -445,33 +458,25 @@ class BellDecomposition:
         """The decomposition whose series are ``rows``, constant terms 1 implied."""
         dec = cls.__new__(cls)
         dec.bound, dec.backend, dec._rows = bound, backend, rows
-        dec._pairs = dec._lookup = None
+        dec._pairs = None
         return dec
-
-    def _heads(self) -> dict:
-        """prime -> its first row in the view's rows, built on first use."""
-        if self._lookup is None:
-            heads = np.flatnonzero(self._rows.k == 1)
-            self._lookup = dict(zip(self._rows.p[heads].tolist(), heads.tolist()))
-        return self._lookup
 
     @property
     def series(self) -> tuple:
         if self._rows is None:
             return tuple(map(BellSeries, self._pairs, self._pairs.values()))
-        one, vals, heads = self.backend.one, self._rows.boxed(), self._heads()
-        ends = [*list(heads.values())[1:], len(vals)]
-        return tuple(BellSeries(p, (one, *vals[lo:hi])) for (p, lo), hi in zip(heads.items(), ends))
+        rows, one, vals = self._rows, self.backend.one, self._rows.boxed()
+        heads = np.flatnonzero(rows.k == 1).tolist()  # each prime's first row
+        spans = zip(rows.p[heads].tolist(), heads, [*heads[1:], len(vals)])
+        return tuple(BellSeries(p, (one, *vals[lo:hi])) for p, lo, hi in spans)
 
     def series_for(self, p: int) -> BellSeries:
         """The series at p; a view boxes only p's rows."""
         if self._rows is None:
             coeffs = self._pairs.get(p)
-        elif (lo := self._heads().get(p)) is None:
-            coeffs = None
         else:
-            hi = np.searchsorted(self._rows.p, self._rows.p[lo], side="right")
-            coeffs = (self.backend.one, *self._rows.boxed(lo, hi))
+            lo, hi = self._rows.span(p)
+            coeffs = (self.backend.one, *self._rows.boxed(lo, hi)) if lo < hi else None
         if coeffs is None:
             raise StructureError(f"no series for prime {p}", witness=p)
         return BellSeries(p, coeffs)
@@ -486,7 +491,7 @@ class BellDecomposition:
         )
 
     def __repr__(self) -> str:
-        primes = len(self._pairs if self._rows is None else self._heads())
+        primes = len(self._pairs) if self._rows is None else np.count_nonzero(self._rows.k == 1)
         return f"BellDecomposition(bound={self.bound}, primes={primes})"
 
 
@@ -554,21 +559,21 @@ class PrimeSupport:
     construction: the first entry with a bad key or value raises, in
     the order given.  :func:`additive_decompose` makes it a view of the
     table's differences on the prime-power rows.  The (p, k) tuples are
-    made only when ``items``, ``get``, ``series_at``, JSON or ``==`` read
-    them.
+    made only when ``items``, JSON or ``==`` read them; ``get`` and
+    ``series_at`` find their rows by :meth:`_Rows.span`.
     """
 
-    __slots__ = ("bound", "backend", "_rows", "_lookup")
+    __slots__ = ("bound", "backend", "_rows")
 
     def __init__(self, bound: int, backend, entries: dict | None = None):
-        self.bound, self.backend, self._lookup = bound, backend, None
+        self.bound, self.backend = bound, backend
         self._rows = self._walk(bound, backend, (entries or {}).items())
 
     @classmethod
     def _view(cls, bound: int, backend, rows: _Rows) -> "PrimeSupport":
         """The support whose nonzero values are ``rows``."""
         g = cls.__new__(cls)
-        g.bound, g.backend, g._rows, g._lookup = bound, backend, rows, None
+        g.bound, g.backend, g._rows = bound, backend, rows
         return g
 
     @staticmethod
@@ -599,22 +604,15 @@ class PrimeSupport:
         p, k = (np.array([key[i] for key in keys], dtype=np.int64)[keep] for i in (0, 1))
         return _Rows(p, k, stored[keep], den)
 
-    def _keys(self) -> list:
-        return list(zip(self._rows.p.tolist(), self._rows.k.tolist()))
-
     def get(self, p: int, k: int):
-        """g(p, k), by a (p, k) -> row map built on first use; zero for a
-        missing key."""
-        if self._lookup is None:
-            self._lookup = dict(zip(self._keys(), range(len(self))))
-        i = self._lookup.get((p, k))
-        if i is None:
-            return self.backend.zero
-        return self._rows.boxed(i, i + 1)[0]
+        """g(p, k), zero for a missing key; p and k match as the ints of a
+        dict's (p, k) keys would."""
+        lo, hi = self._rows.span(p, k)
+        return self._rows.boxed(lo, hi)[0] if lo < hi else self.backend.zero
 
     def items(self):
         """Entries sorted by (p, k)."""
-        return list(zip(self._keys(), self._rows.boxed()))
+        return list(zip(zip(self._rows.p.tolist(), self._rows.k.tolist()), self._rows.boxed()))
 
     def __len__(self) -> int:
         return len(self._rows.p)
@@ -629,8 +627,11 @@ class PrimeSupport:
         )
 
     def series_at(self, p: int, length: int) -> list:
-        """Coefficient vector [0, g(p,1), g(p,2), ...] of given length."""
-        return [self.backend.zero] + [self.get(p, k) for k in range(1, length)]
+        """Coefficient vector [0, g(p,1), g(p,2), ...] of ``length`` entries
+        (none at length <= 0), from p's rows; p matches as in :meth:`get`."""
+        rows, (lo, hi) = self._rows, self._rows.span(p)
+        at = dict(zip(rows.k[lo:hi].tolist(), rows.boxed(lo, hi)))
+        return [at.get(k, self.backend.zero) for k in range(length)]
 
     def to_json_obj(self) -> list:
         enc = self.backend.to_json

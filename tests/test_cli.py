@@ -217,6 +217,27 @@ class TestEvalExpr:
             gc.enable()
         assert after == before
 
+    def test_methods_are_looked_up_when_called(self, monkeypatch):
+        # inv and deriv run the ArithFn method the class holds at call time,
+        # so a wrapper put on the class after import sees every DSL call
+        calls = []
+
+        def counted(name):
+            method = getattr(af.ArithFn, name)
+
+            def wrapper(self):
+                calls.append(name)
+                return method(self)
+            return wrapper
+
+        for name in ("inv", "deriv"):
+            monkeypatch.setattr(af.ArithFn, name, counted(name))
+        sieve = af.build_sieve(50)
+        fn = eval_expr(parse_expr("inv(u) * deriv(u)"), sieve, af.COMPLEX)
+        assert sorted(calls) == ["deriv", "inv"]
+        u = af.ArithFn.ones(50, af.COMPLEX)
+        assert fn.approx_eq(af.make("mobius", sieve, af.COMPLEX) * u.deriv(), 1e-12)
+
     def test_options_are_keyword_only(self, sieve100):
         # the bound is the sieve's, so a stale positional bound is an error
         with pytest.raises(TypeError):

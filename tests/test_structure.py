@@ -1036,3 +1036,91 @@ def test_series_for_boxes_only_its_rows(monkeypatch):
             boxed.clear()
             assert dec.series_for(p) == (p, series[p])
             assert sum(boxed) == sieve.prime_power_cap(p)
+
+
+# keys as a dict of int keys reads them: each of these equals 2 and hashes to 2
+_EQUAL_TO_2 = (2, 2.0, np.int64(2), Fraction(2), 2 + 0j)
+_NOT_A_KEY = ("2", 2.5, None, -2, 10**30)
+_PRIMES = (*_EQUAL_TO_2, *_NOT_A_KEY, True, 3, 4, 97, 4099, [2], np.array([2]))
+_EXPONENTS = (1, 2, 3, True, 1.0, np.int64(2), Fraction(1), 1 + 0j, "1", 1.5, None, -1, 0,
+              10**30, [1])
+
+
+def _outcome_of(call) -> tuple:
+    """What a lookup returns or raises, as reprs."""
+    try:
+        return ("value", repr(call()))
+    except (StructureError, TypeError) as e:
+        return (type(e).__name__, str(e), repr(getattr(e, "witness", None)))
+
+
+def _dict_series_for(pairs: dict, p):
+    coeffs = pairs.get(p)
+    if coeffs is None:
+        raise StructureError(f"no series for prime {p}", witness=p)
+    return af.BellSeries(p, coeffs)
+
+
+@pytest.mark.parametrize("n", (100, 4099))
+@pytest.mark.parametrize("backend", (af.RATIONAL, af.COMPLEX), ids=("rational", "complex"))
+def test_lookups_match_keys_as_a_dict_does(n, backend):
+    # series_for, get and series_at, on views and on constructor-built
+    # decompositions, find exactly what a dict of the (p, k) ints finds
+    sieve = af.build_sieve(n)
+    rng = random.Random(n)
+    dec = af.bell_decompose_mult(rand_multiplicative(rng, sieve, n).to_backend(backend), sieve)
+    g = af.additive_decompose(rand_additive(rng, sieve, n).to_backend(backend), sieve)
+    decs = (dec, af.BellDecomposition(n, backend, dec.series))
+    supports = (g, af.PrimeSupport(n, backend, dict(g.items())))
+    pairs, entries, zero = dict(dec.series), dict(g.items()), backend.zero
+    assert all(pairs.get(x) == pairs[2] for x in _EQUAL_TO_2)
+    assert all(pairs.get(x) is None for x in _NOT_A_KEY)
+    assert any(k > 1 and (p, k - 1) not in entries for p, k in entries)  # a row skips a k
+    for d in decs:
+        for p in _PRIMES:
+            assert _outcome_of(lambda: d.series_for(p)) == _outcome_of(
+                lambda: _dict_series_for(pairs, p)), (d, p)
+    for s in supports:
+        for p in _PRIMES:
+            for k in _EXPONENTS:
+                assert _outcome_of(lambda: s.get(p, k)) == _outcome_of(
+                    lambda: entries.get((p, k), zero)), (s, p, k)
+            for length in (2, 5, 14):
+                assert _outcome_of(lambda: s.series_at(p, length)) == _outcome_of(
+                    lambda: [zero] + [entries.get((p, k), zero) for k in range(1, length)]), (s, p)
+        assert s.get(2, True) == entries.get((2, 1), zero)
+
+
+def test_series_at_has_length_entries():
+    g = af.PrimeSupport(100, af.RATIONAL, {(2, 1): 1, (2, 3): Fraction(-1, 2), (3, 2): 5})
+    assert g.series_at(2, 6) == [0, 1, 0, Fraction(-1, 2), 0, 0]
+    assert g.series_at(2, 3) == [0, 1, 0]
+    assert g.series_at(2, 1) == [0]
+    assert g.series_at(2, 0) == [] and g.series_at(2, -3) == []
+    assert g.series_at(5, 4) == [0, 0, 0, 0]
+    gc = af.PrimeSupport(100, af.COMPLEX, {(3, 2): 5})
+    assert gc.series_at(3, 0) == [] and gc.series_at(3, 3) == [0, 0, 5 + 0j]
+
+
+@pytest.mark.parametrize("backend", (af.RATIONAL, af.COMPLEX), ids=("rational", "complex"))
+def test_first_lookup_builds_no_index(backend):
+    # the rows are their own index: the first lookup on a fresh view at
+    # 10^5 allocates a few KiB, not a map over every row
+    n = 10**5
+    sieve = af.build_sieve(n)
+    phi, omega = af.make("phi", sieve, backend), af.make("Omega", sieve, backend)
+    lookups = (
+        lambda dec: dec.series_for(99991),
+        lambda g: g.get(99991, 1),
+        lambda g: g.series_at(317, 3),
+    )
+    views = (af.bell_decompose_mult(phi, sieve), af.additive_decompose(omega, sieve),
+             af.additive_decompose(omega, sieve))
+    for lookup, view in zip(lookups, views):
+        tracemalloc.start()
+        try:
+            lookup(view)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024, (view, peak)

@@ -33,6 +33,14 @@ and at N = 100 the support keys (2, 0) and (2, 7).  Any exception they
 raise is digested, so a tree that fails with an IndexError on one of
 them still prints every line.
 
+Lookups: per key p in LOOKUP_KEYS, one digest of ``series_for(p)``,
+of ``get(p, k)`` over every k in LOOKUP_EXPONENTS and of
+``series_at(p, length)`` over LOOKUP_LENGTHS, at N = 4099 in both
+backends, on the decompositions of phi and of a sparse additive table
+and on the same ones rebuilt by the public constructors.  A key reads
+as a dict key of ints does: equal to an int and hashing to it finds it,
+anything else misses, and an unhashable key raises TypeError.
+
 Powers: one digest of ``u ** k`` at N = 17 per k in POWERS, bools
 included (a bool is no exponent, so it raises).
 
@@ -83,6 +91,14 @@ SIGMA_EXPONENTS = (0.5, 1.5, 2.5, 1 / 3, Fraction(1, 3), Fraction(5, 2), -0.5, 1
                    0, 2, 2.0, -3, 100, -64, -100, 1j, 0.5 + 1j,
                    float("nan"), float("inf"), float("-inf"), 1000)
 POWERS = (0, 1, 2, True, False)
+# (label, key): labels, not reprs, so the lines do not depend on numpy's repr
+LOOKUP_KEYS = (("2", 2), ("2.0", 2.0), ("int64(2)", np.int64(2)), ("Fraction(2)", Fraction(2)),
+               ("2+0j", 2 + 0j), ("True", True), ("'2'", "2"), ("2.5", 2.5), ("None", None),
+               ("-2", -2), ("10**30", 10**30), ("3", 3), ("4", 4), ("4093", 4093),
+               ("4099", 4099), ("[2]", [2]), ("array([2])", np.array([2])))
+LOOKUP_EXPONENTS = (1, 2, 3, 11, True, 1.0, np.int64(2), Fraction(1), 1 + 0j, "1", 1.5, None,
+                    -1, 0, 10**30, [1])
+LOOKUP_LENGTHS = (2, 5, 14)  # >= 2: below that, a tree need not read the key p at all
 
 
 def _series_table(af, seed: int, n: int, first):
@@ -204,6 +220,41 @@ def _malformed(af, sieve) -> dict:
         "support_json_repeated_key": lambda: af.additive_reconstruct(af.PrimeSupport.from_json_obj(
             [{"p": 2, "k": 1, "value": "1"}, {"p": 2, "k": 1, "value": "5"}], 50, af.RATIONAL), sieve),
     }
+
+
+def _lookups(af, sieve) -> dict:
+    """label -> the outcomes of one key's lookups as text, on views and
+    constructor-built decompositions at the sieve's bound."""
+    n = sieve.bound
+    gaps = {(p, k): Fraction((p + k) % 3 - 1, k)  # zero, so a missing row, at a third of them
+            for p in sieve.primes for k in range(1, n.bit_length()) if p**k <= n}
+    sparse = af.additive_reconstruct(af.PrimeSupport(n, af.RATIONAL, gaps), sieve)
+    out = {}
+    for backend in (af.RATIONAL, af.COMPLEX):
+        prefix = "complex_" if backend is af.COMPLEX else ""
+        dec = af.bell_decompose_mult(af.make("phi", sieve, backend), sieve)
+        view = af.additive_decompose(sparse.to_backend(backend), sieve)
+        decs = {"view(phi)": dec, "built(phi)": af.BellDecomposition(n, backend, dec.series)}
+        supports = {"view(sparse)": view,
+                    "built(sparse)": af.PrimeSupport(n, backend, dict(view.items()))}
+        for key, p in LOOKUP_KEYS:
+            for name, d in decs.items():  # coeffs alone: a numpy key's repr varies with numpy
+                out[f"series_for\t{prefix}{name}\t{key}"] = repr(
+                    _attempt(lambda: d.series_for(p).coeffs))
+            for name, g in supports.items():
+                out[f"get\t{prefix}{name}\t{key}"] = repr(
+                    [_attempt(lambda: g.get(p, k)) for k in LOOKUP_EXPONENTS])
+                out[f"series_at\t{prefix}{name}\t{key}"] = repr(
+                    [_attempt(lambda: g.series_at(p, m)) for m in LOOKUP_LENGTHS])
+    return out
+
+
+def _attempt(run):
+    """run()'s value, or the type and message of what it raises."""
+    try:
+        return run()
+    except Exception as e:  # noqa: BLE001  (an error is an outcome)
+        return (type(e).__name__, str(e))
 
 
 def _complex_bits(values) -> bytes:
@@ -350,6 +401,9 @@ def main(argv) -> int:
     sieve = af.build_sieve(50)
     for name, run in _malformed(af, sieve).items():
         print(f"structure\t{name}\t50\t{_outcome(af, run, Exception)}", flush=True)
+    sieve = af.build_sieve(4099)
+    for label, text in _lookups(af, sieve).items():
+        print(f"lookup\t{label}\t4099\t{_digest(af, text)}", flush=True)
     u = af.ArithFn.ones(17)
     for k in POWERS:
         print(f"pow\t{k!r}\tu\t17\t{_outcome(af, lambda: u**k, ValueError)}", flush=True)

@@ -248,8 +248,11 @@ def verify_identities(sieve: SpfSieve, *, tol: float = DEFAULT_TOL) -> IdentityR
     sieve's bound, fold those values into a table (a product over the
     prime powers of n, or a sum for nu and Omega) and must match exactly;
     the von Mangoldt identity is checked in floats via (u * Lambda)(n) =
-    ln n together with Lambda = mu * u', each within ``tol``.
+    ln n together with Lambda = mu * u', each within ``tol``, which must be
+    positive.
     """
+    if not tol > 0:
+        raise ValueError(f"tolerance must be positive, got {tol!r}")
     n = sieve.bound
     p, k, pk = _prime_powers(sieve, n)
     entries = []

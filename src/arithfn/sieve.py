@@ -6,14 +6,14 @@ walk.  The catalogue's recurrence tables (totient, Mobius, Liouville, the
 nu/Omega counts) read f(k) off f(k / spf(k)), one dyadic block of k at a
 time.
 
-This module also owns the primes <= bound (:func:`_primes`) and the
+This module also owns the primes <= N (:attr:`SpfSieve.primes`) and the
 prime-power rows (p, k, p^k) <= bound (:func:`_prime_powers`): a
 multiplicative or additive function is fixed by its values on those
 rows, so the predicates, the decompositions, the Mangoldt table and the
 identity suite all read them from here.
 
-Memory is the only practical limit: the table is a single int64 numpy
-array, so N = 10**7 costs ~80 MB and builds in well under a second.
+Memory is the only practical limit: the table is one int32 numpy array,
+so N = 10**7 costs 40 MB and builds in well under a second.
 
 Besides the table, a sieve caches what the prime-power fold
 (``structure._prime_power_fold``) and its callers read, each built on
@@ -34,30 +34,35 @@ asked for (not to the sieve's own bound):
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 
 import numpy as np
 
 
 class SpfSieve:
-    """Immutable smallest-prime-factor table up to ``bound``.
+    """Smallest-prime-factor table up to ``bound``.
 
     Attributes:
         bound:  the sieve limit N (inclusive).
-        primes: ordered list of all primes <= N (p_1 = 2, p_2 = 3, ...).
+        primes: the primes <= N as one ascending list (p_1 = 2, p_2 = 3, ...).
 
     The fold index and the prime-power rows are cached on the sieve as it
     is read (see the module docstring).
     """
 
-    __slots__ = ("bound", "primes", "_spf", "_big", "_rest", "_rows")
+    __slots__ = ("bound", "_spf", "_prime_array", "_prime_list", "_big", "_rest", "_rows")
 
-    def __init__(self, bound: int, spf: np.ndarray, primes: list[int]):
+    def __init__(self, bound: int, spf: np.ndarray, primes: np.ndarray):
         self.bound = bound
-        self.primes = primes
         self._spf = spf
+        self._prime_array, self._prime_list = primes, None  # the list is made on first read
         self._big = self._rest = np.ones(2, dtype=np.int32)  # P(k), r(k) at k = 0, 1
         self._rows = None  # (p, k, p^k) of the largest bound asked for
+
+    @property
+    def primes(self) -> list[int]:
+        if self._prime_list is None:
+            self._prime_list = self._prime_array.tolist()
+        return self._prime_list
 
     def _fold_index(self, n: int) -> tuple[np.ndarray, np.ndarray]:
         """P(k) and r(k) on 0..n (1 at 0 and 1), read-only int32, for
@@ -127,25 +132,25 @@ class SpfSieve:
         return k
 
     def __repr__(self) -> str:
-        return f"SpfSieve(bound={self.bound}, primes={len(self.primes)})"
+        return f"SpfSieve(bound={self.bound}, primes={len(self._prime_array)})"
 
 
 def build_sieve(bound: int) -> SpfSieve:
     """Sieve smallest prime factors for 2..bound and collect the primes.
 
-    bound = 1 is legal and yields an empty prime list.
+    bound = 1 yields no primes; a bound past int32 is refused before any allocation.
     """
-    if bound < 1:
-        raise ValueError(f"sieve bound must be >= 1, got {bound}")
-    spf = np.zeros(bound + 1, dtype=np.int64)
+    if not 1 <= bound < 2**31:
+        raise ValueError(f"sieve bound must be in 1..{2**31 - 1}, got {bound}")
+    spf = np.zeros(bound + 1, dtype=np.int32)
     for p in range(2, math.isqrt(bound) + 1):
         if spf[p] == 0:
             block = spf[p * p :: p]
             block[block == 0] = p
     # untouched entries are prime (their smallest factor is themselves)
-    rest = np.nonzero(spf[2:] == 0)[0] + 2
-    spf[rest] = rest
-    primes = (np.nonzero(spf[2:] == np.arange(2, bound + 1))[0] + 2).tolist()
+    primes = np.flatnonzero(spf[2:] == 0) + 2
+    spf[primes] = primes
+    spf.flags.writeable = primes.flags.writeable = False
     return SpfSieve(bound, spf, primes)
 
 
@@ -153,11 +158,6 @@ def _check_bound(sieve: SpfSieve, bound: int) -> None:
     """A sieve is read only up to its own bound: reject a smaller one."""
     if sieve.bound < bound:
         raise ValueError(f"sieve bound {sieve.bound} < required {bound}")
-
-
-def _primes(sieve: SpfSieve, bound: int) -> list[int]:
-    """The primes <= bound, ascending."""
-    return sieve.primes[: bisect_right(sieve.primes, bound)]
 
 
 def _prime_powers(sieve: SpfSieve, bound: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -185,9 +185,8 @@ def _build_prime_powers(sieve: SpfSieve, bound: int) -> tuple[np.ndarray, np.nda
     with p, so the primes with a k-th power <= bound are a prefix of them:
     one vector step per k counts the largest exponent ``cap`` of each.
     """
-    primes = _primes(sieve, bound)
-    p = np.fromiter(primes, dtype=np.int64, count=len(primes))
-    root = bisect_right(primes, math.isqrt(bound))
+    p = sieve._prime_array[: np.searchsorted(sieve._prime_array, bound, side="right")]
+    root = np.searchsorted(p, math.isqrt(bound), side="right")
     cap, pk = np.ones(root, dtype=np.int64), p[:root]
     while len(pk):
         pk = pk * p[: len(pk)]  # at most bound**2: no int64 wrap

@@ -266,3 +266,10 @@ class TestIdentitySuite:
         # not be taken for a tolerance
         with pytest.raises(TypeError):
             af.verify_identities(sieve500, 500)
+
+    @pytest.mark.parametrize("tol", [float("nan"), 0.0, -1.0])
+    def test_tolerance_must_be_positive(self, sieve500, tol):
+        # a NaN tolerance compares false with every deviation, so it would pass every index
+        with pytest.raises(ValueError) as err:
+            af.verify_identities(sieve500, tol=tol)
+        assert str(err.value) == f"tolerance must be positive, got {tol!r}"

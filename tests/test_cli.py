@@ -205,8 +205,8 @@ class TestEvalExpr:
         assert exc.value.position == 4 and isinstance(exc.value.__cause__, OSError)
 
     def test_evaluation_keeps_no_reference_to_the_sieve(self):
-        # the evaluator refers to itself; unless eval_expr breaks that
-        # cycle, the sieve outlives the call until the cyclic collector runs
+        # evaluation keeps no reference to the sieve, so the CLI's
+        # ``del sieve`` frees it before the output step
         sieve = af.build_sieve(50)
         before = sys.getrefcount(sieve)
         gc.disable()
@@ -312,6 +312,12 @@ class TestCliGolden:
 
 
 class TestCliBehavior:
+    @pytest.mark.parametrize("tol", ["nan", "0", "-1"])
+    def test_verify_rejects_a_tolerance_that_is_not_positive(self, capsys, tol):
+        code, out, err = run_cli(capsys, "verify", "identities", "--n", "100", "--tol", tol)
+        assert code == 2 and out == ""
+        assert err == f"error: tolerance must be positive, got {float(tol)!r}\n"
+
     def test_eval_prints_single_value(self, capsys):
         code, out, _ = run_cli(capsys, "eval", "psi(u)", "4")
         assert code == 0 and out == "3/2\n"

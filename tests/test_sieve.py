@@ -1,12 +1,14 @@
 """Sieve and factorization against trial division."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 import arithfn as af
-from arithfn.sieve import _prime_powers, _primes
+from arithfn.sieve import _prime_powers
 from conftest import factorize_brute, nu_brute, omega_brute, primes_brute
 
 
@@ -26,6 +28,27 @@ class TestBuild:
     def test_invalid_bound(self):
         with pytest.raises(ValueError):
             af.build_sieve(0)
+
+    def test_bound_past_int32_is_refused_before_allocating(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError(f"np.zeros{args} was called")
+
+        monkeypatch.setattr(np, "zeros", refuse)
+        with pytest.raises(ValueError, match="sieve bound must be in 1..2147483647"):
+            af.build_sieve(2**31)
+
+    def test_spf_table_is_int32(self):
+        assert af.build_sieve(100)._spf.dtype == np.int32
+
+    def test_build_peak_memory(self):
+        # the table is 4 bytes per index (3.8 MiB at 10^6); an int64 one alone is 7.6 MiB
+        tracemalloc.start()
+        try:
+            af.build_sieve(10**6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
 
     def test_spf_is_prime_and_divides(self):
         s = af.build_sieve(500)
@@ -107,7 +130,7 @@ def test_prime_power_cap(sieve1000):
 
 @pytest.mark.parametrize("bound", [1, 2, 3, 4, 8, 9, 1023, 1024, 1025, 4099])
 def test_prime_powers_against_brute(sieve5000, bound):
-    assert _primes(sieve5000, bound) == primes_brute(bound)
+    assert [p for p in sieve5000.primes if p <= bound] == primes_brute(bound)
     factors = {n: factorize_brute(n) for n in range(2, bound + 1)}
     rows = sorted((*fac[0], n) for n, fac in factors.items() if len(fac) == 1)
     p, k, pk = _prime_powers(sieve5000, bound)
@@ -144,6 +167,18 @@ def test_fold_index_and_rows_against_trial_division(sieve5000, bound):
     assert len(fresh._big) == max(bound + 1, 2)  # built to the bound asked, no further
 
 
+@pytest.mark.parametrize("bound", FOLD_BOUNDS)
+def test_primes_is_one_list_of_the_primes(bound):
+    sieve = af.build_sieve(bound)
+    primes = sieve.primes
+    assert type(primes) is list and primes == primes_brute(bound)
+    assert all(type(p) is int for p in primes)
+    assert sieve.primes is primes  # made once, so indexing it in a loop stays linear
+    assert repr(sieve) == f"SpfSieve(bound={bound}, primes={len(primes)})"
+    with pytest.raises(AttributeError):
+        sieve.primes = []
+
+
 def test_sieve_caches_grow_to_the_largest_bound_asked():
     fresh = af.build_sieve(4099)
     want_index = fresh._fold_index(4099)
@@ -164,7 +199,7 @@ def test_sieve_caches_grow_to_the_largest_bound_asked():
 def test_cached_arrays_are_read_only():
     sieve = af.build_sieve(100)
     arrays = [*sieve._fold_index(100), *_prime_powers(sieve, 100)]
-    arrays += [sieve._big, sieve._rest, *sieve._rows[1:]]
+    arrays += [sieve._big, sieve._rest, *sieve._rows[1:], sieve._spf, sieve._prime_array]
     for arr in arrays:
         assert not arr.flags.writeable
         with pytest.raises(ValueError):

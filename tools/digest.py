@@ -41,6 +41,10 @@ and on the same ones rebuilt by the public constructors.  A key reads
 as a dict key of ints does: equal to an int and hashing to it finds it,
 anything else misses, and an unhashable key raises TypeError.
 
+Sieves: one digest per bound in SIEVE_BOUNDS of ``repr(sieve)``, its
+primes, ``smallest_prime_factor`` and ``is_prime`` over 2..min(N, 4099),
+``factorize`` of N and N - 1 and ``prime_power_cap`` of 2, 3, 31 and 37.
+
 Powers: one digest of ``u ** k`` at N = 17 per k in POWERS, bools
 included (a bool is no exponent, so it raises).
 
@@ -58,7 +62,7 @@ with its parse, domain and non-finite probes, four file errors (a
 missing file and a directory given to ``import``, a missing
 ``file("...")``, and a ``transform --out`` into a missing directory),
 ``transform --out`` to a ``.JSON`` and to an unsuffixed path, each read
-back by ``import``,
+back by ``import``, ``verify`` with a NaN tolerance,
 log and psi of a table with a(1) = 2 rescaled in the DSL by ``1/2 .``
 in both backends, and one call per removed option (``--eps``,
 ``--normalize-unit``, ``transform --format``), a usage error (exit 2)
@@ -91,6 +95,7 @@ SIGMA_EXPONENTS = (0.5, 1.5, 2.5, 1 / 3, Fraction(1, 3), Fraction(5, 2), -0.5, 1
                    0, 2, 2.0, -3, 100, -64, -100, 1j, 0.5 + 1j,
                    float("nan"), float("inf"), float("-inf"), 1000)
 POWERS = (0, 1, 2, True, False)
+SIEVE_BOUNDS = (1, 2, 3, 4, 9, 1023, 1024, 1025, 4099, 10**5)
 # (label, key): labels, not reprs, so the lines do not depend on numpy's repr
 LOOKUP_KEYS = (("2", 2), ("2.0", 2.0), ("int64(2)", np.int64(2)), ("Fraction(2)", Fraction(2)),
                ("2+0j", 2 + 0j), ("True", True), ("'2'", "2"), ("2.5", 2.5), ("None", None),
@@ -249,6 +254,17 @@ def _lookups(af, sieve) -> dict:
     return out
 
 
+def _sieve_text(sieve) -> str:
+    """What the public reads of a sieve give, as text."""
+    n = sieve.bound
+    small = range(2, min(n, 4099) + 1)
+    return repr((repr(sieve), sieve.primes,
+                 [sieve.smallest_prime_factor(k) for k in small],
+                 [sieve.is_prime(k) for k in small],
+                 [_attempt(lambda: sieve.factorize(m)) for m in (n, n - 1)],  # factorize(0) raises
+                 [sieve.prime_power_cap(p) for p in (2, 3, 31, 37)]))
+
+
 def _attempt(run):
     """run()'s value, or the type and message of what it raises."""
     try:
@@ -311,6 +327,7 @@ def _cli_calls(wl) -> list:
     calls += [
         ["verify", "identities", "--n", CLI_N],
         ["verify", "identities", "--n", "100", "--tol", "1e-18"],
+        ["verify", "identities", "--n", "100", "--tol", "nan"],
         ["eval", "psi(u)", "4"],
         ["eval", "u", "11", "--n", "10"],
         ["table", "u", "--n", "0"],
@@ -398,6 +415,8 @@ def main(argv) -> int:
                 for op, run in _structure(af, b, sieve).items():
                     print(f"structure\t{op}\t{label}\t{n}\t{_outcome(af, run, ValueError)}",
                           flush=True)
+    for n in SIEVE_BOUNDS:
+        print(f"sieve\t{n}\t{_digest(af, _sieve_text(af.build_sieve(n)))}", flush=True)
     sieve = af.build_sieve(50)
     for name, run in _malformed(af, sieve).items():
         print(f"structure\t{name}\t50\t{_outcome(af, run, Exception)}", flush=True)

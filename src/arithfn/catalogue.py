@@ -268,12 +268,18 @@ def _lambda_entry(sieve: SpfSieve, n: int, tol: float) -> IdentityCheck:
     # (u * Lambda)(n) must be ln n: summing log p over the prime-power
     # divisors of n reassembles the full log.  Lambda = mu * u' recovers
     # the prime-power weights from the log-weighted derivative.
-    u = ArithFn.ones(n, COMPLEX)
-    logs = u.deriv()  # ln n on 1..N
+    # The entry is the identity suite's memory peak, so only the running
+    # modulus of the deviations is kept, u goes once it is convolved, and
+    # the logs are made after that product.
     lam = make("mangoldt", sieve, COMPLEX)
-    d1 = (u * lam)._v - logs._v
-    d2 = (make("mobius", sieve, COMPLEX) * logs)._v - lam._v
-    dev = np.maximum(_modulus(d1), _modulus(d2))[1:]
+    u = ArithFn.ones(n, COMPLEX)
+    u_lam = u * lam
+    logs = u.deriv()  # ln n on 1..N
+    del u
+    dev = _modulus(u_lam._v - logs._v)
+    del u_lam
+    diff = (make("mobius", sieve, COMPLEX) * logs)._v - lam._v
+    dev = np.maximum(dev, _modulus(diff), out=dev)[1:]
     fails = np.flatnonzero(dev > tol)
     first_fail = int(fails[0]) + 1 if len(fails) else None
     return IdentityCheck("Lambda", n, "complex", first_fail is None, first_fail, float(dev.max()))

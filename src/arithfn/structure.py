@@ -10,12 +10,20 @@ exactly mu * a.  That last identity also yields an alternative additivity
 test: a is additive iff (mu * a)(n) = 0 whenever n is not a prime power
 (including n = 1).
 
-The predicates scan every coprime pair (m, n), 2 <= m < n, m*n <= N, in
-ascending (m, n), over the storage the convolution kernel uses (exact
-numerators A = a den: A(mn) = A(m) + A(n), A(mn) den = A(m) A(n)).  The
-pairs come from one bit-packed index per bound (one bit per candidate n
-of each m, 0.76 MB at N = 10^6), cached for the last two bounds,
-and are read in vector steps of at most PAIR_CHUNK pairs, the first at
+The predicates read the storage the convolution kernel uses (exact
+numerators A = a den: A(mn) = A(m) + A(n), A(mn) den = A(m) A(n)).  An
+exact table is decided by the characterization law: a is multiplicative
+iff a(1) = 1 and a(k) = a(r(k)) a(k / r(k)) for every k = 2..N, r(k) the
+fold index below (additive: a(1) = 0 and a sum), one vector step over an
+index of r(k) and k / r(k) cached per bound (:func:`_law_index`).  The
+pair scan runs only to name the witness of an exact table that fails,
+and on complex tables, where closeness within a tolerance is not
+transitive, so the law would be another test.
+
+The scan reads every coprime pair (m, n), 2 <= m < n, m*n <= N, in
+ascending (m, n), from one bit-packed index per bound (one bit per
+candidate n of each m, 0.76 MB at N = 10^6), cached for the last two
+bounds, in vector steps of at most PAIR_CHUNK pairs, the first at
 m = 2; the first failing pair of the first failing step is the
 lexicographically least witness.  Complex values compare within
 tol + 8 eps (|lhs| + |rhs|): the absolute tolerance plus a rounding
@@ -77,7 +85,7 @@ from .dirichlet import (
 )
 from .errors import NonFiniteError, StructureError
 from .numerics import COMPLEX, DEFAULT_TOL, _canonical_exact
-from .sieve import SpfSieve, _check_bound, _prime_powers
+from .sieve import SpfSieve, _check_bound, _prime_powers, build_sieve
 
 #: Rounding allowance of the complex comparisons: values match within
 #: tol + ROUNDING_ALLOWANCE * eps * (|lhs| + |rhs|).  The rounding error of
@@ -261,19 +269,66 @@ def _coprime_pairs(n: int):
         yield ms, counts, bits - np.repeat(edges[:-1] - ms - 1, counts)
 
 
+@functools.lru_cache(maxsize=2)
+def _law_index(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """r(k) and q(k) = k / r(k) for k = 2..n, read-only int32: r(k) is k
+    with the power of its largest prime removed (the ``rest`` of the
+    sieve's fold index), so q(k) is that prime power.
+
+    Read from a sieve built for the call, which is not kept: 8 bytes per
+    index, 0.8 MB at 10^5.  Cached for the last two bounds.
+    """
+    r = build_sieve(n)._fold_index(n)[1][2:]
+    q = np.arange(2, n + 1, dtype=np.int32) // r
+    r.flags.writeable = q.flags.writeable = False
+    return r, q
+
+
+def _law_holds(v: np.ndarray, den: int, n: int, product: bool) -> bool:
+    """A(k) den = A(r(k)) A(q(k)) (``product``), else A(k) = A(r(k)) +
+    A(q(k)), for every k = 2..n, on the exact numerators v = A over den.
+
+    Given a(1) = 1 (or 0), this holds iff every coprime pair does.  Each
+    k with r = r(k) > 1 is the coprime pair (r, q) (as (min, max)), both
+    >= 2; at r = 1 the law reads a(k) = a(1) a(k).  Conversely, by
+    induction on the number of distinct primes of k, r(k) having one
+    fewer, the law gives a(k) = the product (sum) of a(p^v) over the
+    exact prime powers p^v of k, and two coprime m, n share no prime, so
+    a(mn) = a(m) a(n).  v must pass the scan's int64 guard.
+    """
+    r, q = _law_index(n)
+    rhs = v[r]
+    if product:
+        rhs *= v[q]
+        lhs = v[2:] * den if den > 1 else v[2:]
+    else:
+        rhs += v[q]
+        lhs = v[2:]
+    return bool((lhs == rhs).all())
+
+
 @np.errstate(over="ignore", invalid="ignore")  # _first_mismatch reports it
 def _coprime_pair_scan(a: ArithFn, kind: str, product: bool, tol) -> CheckResult:
     """a(mk) = a(m) a(k) (``product``) or a(m) + a(k) on every coprime pair
     2 <= m < k, mk <= N, then a(1) = 1 (or 0).
 
-    One vector step per chunk of :func:`_coprime_pairs`, in ascending
-    (m, k); the first failing pair of the first failing chunk is the least
-    witness.  On numerators A = a den, a(1) = 1 is A(1) = den, and int64
-    storage needs max|A| max(max|A|, den) < 2**62 and falls back to object.
+    An exact table with the right a(1) is decided by :func:`_law_holds`
+    first, with no pair read; a table it fails, one with another a(1),
+    and every complex table (closeness within a tolerance is not
+    transitive, so the law would be another test) go to the scan.
+
+    The scan takes one vector step per chunk of :func:`_coprime_pairs`, in
+    ascending (m, k); the first failing pair of the first failing chunk is
+    the least witness.  On numerators A = a den, a(1) = 1 is A(1) = den,
+    and int64 storage needs max|A| max(max|A|, den) < 2**62 and falls back
+    to object.
     """
     v, den = a._v, a.den
     if v.dtype == np.int64 and _max_abs(v) * max(_max_abs(v), den) >= 2**62:
         v = v.astype(object)
+    if (v.dtype != np.complex128 and v[1] == (den if product else 0)
+            and _law_holds(v, den, a.bound, product)):
+        return CheckResult(True, kind)
     for ms, counts, k in _coprime_pairs(a.bound):
         m = np.repeat(ms, counts)
         lhs = v[m * k] * den if product and den > 1 else v[m * k]
@@ -289,10 +344,11 @@ def _coprime_pair_scan(a: ArithFn, kind: str, product: bool, tol) -> CheckResult
 
 
 def _prime_power_check(a: ArithFn, sieve: SpfSieve, kind: str, product: bool, tol) -> CheckResult:
-    """The pair scan, then a(p^k) = a(p)**k (``product``) or k a(p) on every
-    prime power p^k <= N with k >= 2; the witness is the least failing
-    pair, else the least failing (p, k).  A complex a(p)**k beyond the
-    floats raises NonFiniteError."""
+    """:func:`_coprime_pair_scan` (the law on an exact table, the pairs to
+    name a witness or on a complex one), then a(p^k) = a(p)**k
+    (``product``) or k a(p) on every prime power p^k <= N with k >= 2; the
+    witness is the least failing pair, else the least failing (p, k).  A
+    complex a(p)**k beyond the floats raises NonFiniteError."""
     p, k, pk = _prime_powers(sieve, a.bound)
     base = _coprime_pair_scan(a, kind, product, tol)
     if not base:
@@ -317,7 +373,10 @@ def is_multiplicative(a: ArithFn, tol: float | None = None) -> CheckResult:
 
     The witness is the lexicographically least coprime pair violating the
     product law; if the law holds on every pair and only the unit value is
-    wrong, the conventional witness (1, 1) flags index 1.
+    wrong, the conventional witness (1, 1) flags index 1.  An exact table
+    is decided by a(k) = a(r(k)) a(k / r(k)), where r(k) is k without the
+    power of its largest prime; the pair scan names the witness, and
+    decides a complex table.
     """
     return _coprime_pair_scan(a, "multiplicative", True, tol)
 
@@ -327,6 +386,8 @@ def is_additive(a: ArithFn, tol: float | None = None) -> CheckResult:
 
     a(1) = 0 is forced by taking m = n = 1.  Witness convention as in
     :func:`is_multiplicative`: least failing sum-law pair, else (1, 1).
+    An exact table is decided by a(k) = a(r(k)) + a(k / r(k)); the pair
+    scan names the witness, and decides a complex table.
     """
     return _coprime_pair_scan(a, "additive", False, tol)
 

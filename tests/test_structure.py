@@ -839,6 +839,140 @@ class TestChunkedPairScan:
             assert got[0] == (n < 998)
 
 
+def _largest_prime_power(k: int) -> int:
+    """k / r(k): the power of the largest prime of k (1 at k = 1)."""
+    p, a = factorize_brute(k)[-1] if k > 1 else (1, 1)
+    return p**a
+
+
+def _law_tables(sieve, n, small=False):
+    """Exact tables that pass the product or the sum law: int64, over
+    den > 1, and past the int64 guard (object storage)."""
+    nu, omega = af.make("nu", sieve, bound=n), af.make("Omega", sieve, bound=n)
+    phi = af.make("phi", sieve, bound=n)
+    distinct = [0] + [len(factorize_brute(k)) for k in range(2, n + 1)]
+    tables = [
+        phi,
+        nu + omega,
+        af.ArithFn.from_values([Fraction(phi[k], 2 ** distinct[k - 1]) for k in range(1, n + 1)]),
+        nu.scale(Fraction(1, 3)) + omega.scale(Fraction(1, 2)),
+        af.ArithFn.from_values([k**7 for k in range(1, n + 1)]),  # object
+        omega.scale(2**62),  # object
+    ]
+    if small:
+        tables += [
+            af.make("mobius", sieve, bound=n),
+            af.make("liouville", sieve, bound=n),
+            af.ArithFn.from_values([k**6 for k in range(1, n + 1)]),  # int64 past the guard
+            nu,
+        ]
+    return tables
+
+
+def _structure_outcomes(a, sieve, kinds) -> dict:
+    """Each predicate's outcome, and each decomposition's values or the
+    witness of its StructureError."""
+    out = {kind: _outcome(PREDICATES[kind](a, sieve, None)) for kind in kinds}
+    for name, decompose, view in (("bell", af.bell_decompose_mult, lambda d: d.series),
+                                  ("support", af.additive_decompose, lambda g: g.items())):
+        try:
+            out[name] = view(decompose(a, sieve))
+        except StructureError as e:
+            out[name] = ("error", e.witness)
+    return out
+
+
+def _oracle_outcomes(a, kinds) -> dict:
+    out = {kind: predicate_oracle(a, kind) for kind in kinds}
+    for name, kind in (("bell", "multiplicative"), ("support", "additive")):
+        ok, witness = predicate_oracle(a, kind)[:2]
+        if not ok:
+            out[name] = ("error", witness)
+        elif name == "bell":
+            out[name] = tuple(af.BellSeries(p, c) for p, c in bell_decompose_oracle(a))
+        else:
+            out[name] = [(key, v) for key, v in sorted(additive_decompose_oracle(a).items()) if v]
+    return out
+
+
+class TestCharacterizationLaw:
+    """Exact tables are decided by a(k) = a(r(k)) a(k / r(k)) (or a sum);
+    verdicts and witnesses equal the pair scan's and the per-pair loop's."""
+
+    @staticmethod
+    def _check(monkeypatch, sieve, a, kinds):
+        got = _structure_outcomes(a, sieve, kinds)
+        with monkeypatch.context() as m:  # the scan alone, as before the law
+            m.setattr(structure, "_law_holds", lambda *args: False)
+            assert got == _structure_outcomes(a, sieve, kinds)
+        assert got == _oracle_outcomes(a, kinds)
+
+    @pytest.mark.parametrize("n", (1, 2, 3, 4, 6, 12, 30, 63, 64))
+    def test_a_violation_at_every_index(self, monkeypatch, n):
+        sieve = af.build_sieve(n)
+        for base in _law_tables(sieve, n, small=True):
+            self._check(monkeypatch, sieve, base, PREDICATES)
+            for i in range(1, n + 1):
+                self._check(monkeypatch, sieve, _plant(base, i, 1 if i % 2 else Fraction(1, 3)),
+                            PREDICATES)
+
+    @pytest.mark.parametrize("n", (1023, 1024, 1025, 4099))
+    def test_violations_at_sampled_indices(self, monkeypatch, n):
+        sieve = af.build_sieve(n)
+        spots = random.Random(n).sample(range(1, n + 1), 60)
+        kinds = [kind for kind in PREDICATES if kind != "additive-mobius"]  # the law is not read
+        for j, base in enumerate(_law_tables(sieve, n)):
+            self._check(monkeypatch, sieve, base, kinds)
+            for i in spots[j::2]:  # each table half the spots, each spot in three tables
+                self._check(monkeypatch, sieve, _plant(base, i, 1), kinds)
+
+    def test_a_wrong_unit_alone_reads_no_law(self, monkeypatch, sieve100):
+        def refuse(n):
+            raise AssertionError("the law index was built")
+
+        monkeypatch.setattr(structure, "_law_index", refuse)
+        for base in _law_tables(sieve100, 100, small=True):
+            a = _plant(base, 1, 1)
+            kind = "multiplicative" if base[1] == 1 else "additive"
+            got = _outcome(PREDICATES[kind](a, sieve100, None))
+            assert got == predicate_oracle(a, kind) == (False, (1, 1), "pair", None)
+
+    def test_a_passing_exact_check_reads_no_pair(self, monkeypatch, sieve1000):
+        def refuse(n):
+            raise AssertionError("the pairs were read")
+
+        monkeypatch.setattr(structure, "_coprime_pairs", refuse)
+        for a in _law_tables(sieve1000, 1000, small=True):
+            kind = "multiplicative" if a[1] == 1 else "additive"
+            assert PREDICATES[kind](a, sieve1000, None).ok
+            if kind == "multiplicative":
+                af.bell_decompose_mult(a, sieve1000)
+            else:
+                af.additive_decompose(a, sieve1000)
+        liouville, omega = af.make("liouville", sieve1000), af.make("Omega", sieve1000)
+        assert af.is_completely_multiplicative(liouville, sieve1000).ok
+        assert af.is_completely_additive(omega, sieve1000).ok
+
+    def test_a_complex_check_scans_the_pairs(self, monkeypatch, sieve1000):
+        reads = []
+        pairs = structure._coprime_pairs
+        monkeypatch.setattr(structure, "_coprime_pairs", lambda n: reads.append(n) or pairs(n))
+        phi = af.make("phi", sieve1000, af.COMPLEX)
+        assert af.is_multiplicative(phi).ok
+        assert reads == [1000]
+
+    def test_law_index_is_read_only_and_cached_per_bound(self):
+        for n in (1, 2, 17, 1000):
+            r, q = structure._law_index(n)
+            assert all(x is y for x, y in zip(structure._law_index(n), (r, q)))
+            assert r.dtype == q.dtype == np.int32
+            assert not r.flags.writeable and not q.flags.writeable
+            with pytest.raises(ValueError):
+                r[...] = 1
+            assert q.tolist() == [_largest_prime_power(k) for k in range(2, n + 1)]
+            assert (r * q).tolist() == list(range(2, n + 1))
+
+
 class TestSeriesHelpers:
     def test_log_of_geometric_series(self):
         # log(1/(1-x)) = sum x^k / k

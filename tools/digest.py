@@ -15,8 +15,11 @@ the input divided by a(1); dexp and psi_inv get it with a(1) set to 0.
 Inputs: the catalogue, 2 . u, u + I, seeded tables shaped like the
 rational-series benchmark operands, 1/n, sigma_6, and complex phi and mu.
 
-Structure calls, on the same inputs and on each exact one converted to
-the complex backend: the five predicates (ok, kind, witness,
+Structure calls, on the same inputs, on phi and on nu + Omega each with
++1 planted at the largest k <= N that is not a prime power (so the
+product and sum laws fail there, and a multiplicativity or additivity
+check must name the least failing pair), and on each exact one
+converted to the complex backend: the five predicates (ok, kind, witness,
 witness_kind and constants), ``bell_decompose_mult`` and
 ``additive_decompose`` (every series or entry) and the reconstruction
 of each decomposition, all given the sieve explicitly.  Complex values
@@ -131,6 +134,20 @@ def _inputs(af, sieve) -> dict:
     for seed, first in ((1, 1), (2, Fraction(-5, 3)), (3, Fraction(1, 6)), (4, 0)):
         tables[f"series_{seed}"] = _series_table(af, seed, n, first)
     return tables
+
+
+def _planted(af, sieve) -> dict:
+    """phi and nu + Omega with +1 at the largest k <= N that is not a
+    prime power (k = 1 at N <= 2)."""
+    n = sieve.bound
+    k = next(k for k in range(n, 0, -1) if len(sieve.factorize(k)) != 1)
+    out = {}
+    for name, a in (("phi", af.make("phi", sieve)),
+                    ("nu+Omega", af.make("nu", sieve) + af.make("Omega", sieve))):
+        vals = list(a.values())
+        vals[k - 1] += 1
+        out[f"planted_{name}"] = af.ArithFn.from_values(vals)
+    return out
 
 
 def _ops(af, a, partner):
@@ -408,7 +425,7 @@ def main(argv) -> int:
         for name, a in tables.items():
             for op, run in _ops(af, a, partners[a.backend]).items():
                 print(f"{op}\t{name}\t{n}\t{_outcome(af, run, af.ArithfnError)}", flush=True)
-        for name, a in tables.items():
+        for name, a in {**tables, **_planted(af, sieve)}.items():
             both = [(name, a)] if a.backend is af.COMPLEX else [
                 (name, a), (f"complex({name})", a.to_backend(af.COMPLEX))]
             for label, b in both:

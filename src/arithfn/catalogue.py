@@ -39,7 +39,7 @@ from .dirichlet import ArithFn, _conv, _modulus
 from .errors import NonFiniteError, UnsupportedBackendError
 from .numerics import COMPLEX, DEFAULT_TOL, RATIONAL
 from .sieve import SpfSieve, _prime_powers
-from .structure import _prime_power_fold
+from .structure import _prime_power_fold, _tag
 
 #: Canonical constructor names (CLI aliases included).
 NAMES = ("I", "u", "mobius", "phi", "mangoldt", "liouville", "d", "sigma", "N", "nu", "Omega")
@@ -66,12 +66,24 @@ def make(name: str, sieve: SpfSieve, backend=RATIONAL, c=None, bound: int | None
     backend accepts integer c >= 0, the complex backend any int, float,
     complex or Fraction c (never a bool).  The von Mangoldt function
     carries log-of-prime weights and exists only in the complex backend.
+    An exact I, u, mu, phi, liouville, d, N or sigma_c is tagged with its
+    values at the prime powers, so ``*`` and ``**`` of such tables run per
+    prime (see :mod:`arithfn.dirichlet`).
     """
     name = canonical_name(name)
     n = sieve.bound if bound is None else bound
     if not 1 <= n <= sieve.bound:
         raise ValueError(f"bound {n} outside 1..{sieve.bound}")
+    fn = _table(name, sieve, n, backend, c)
+    return _tag(fn, sieve) if backend is RATIONAL and name in _MULTIPLICATIVE else fn
 
+
+#: The names whose exact tables are multiplicative by construction: make
+#: tags them with their Bell rows (see ``structure._tag``).
+_MULTIPLICATIVE = frozenset(("I", "u", "mobius", "phi", "liouville", "d", "N", "sigma"))
+
+
+def _table(name: str, sieve: SpfSieve, n: int, backend, c) -> ArithFn:
     if name == "I":
         return ArithFn.identity(n, backend)
     if name == "u":

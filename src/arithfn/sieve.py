@@ -55,7 +55,9 @@ class SpfSieve:
         self.bound = bound
         self._spf = spf
         self._prime_array, self._prime_list = primes, None  # the list is made on first read
-        self._big = self._rest = np.ones(2, dtype=np.int32)  # P(k), r(k) at k = 0, 1
+        seed = np.ones(2, dtype=np.int32)  # P(k), r(k) at k = 0, 1
+        seed.flags.writeable = False
+        self._big = self._rest = seed
         self._rows = None  # (p, k, p^k) of the largest bound asked for
 
     @property

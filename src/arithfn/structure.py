@@ -126,13 +126,14 @@ def _require(check: CheckResult) -> None:
 
 
 @np.errstate(over="ignore", invalid="ignore")  # _store reports it
-def _prime_power_fold(sieve, n, pks, stored, den, backend, product) -> ArithFn:
+def _prime_power_fold(sieve, n, pks, stored, den, backend, product, unit=1) -> ArithFn:
     """f on 1..n with f(1) = 1 and f(k) = at[p1^a1] x at[p2^a2] x ...
     (``product``), or f(1) = 0 and f(k) = at[p1] + ... + at[p1^a1] +
     at[p2] + ... over the primes of k ascending, where at[pks[i]] =
     stored[i] / den, else 0; ``stored`` and ``den`` are as :func:`_store`
     gives them, or numerators over a multiple of the lcm of their
-    denominators.
+    denominators.  An exact product is then multiplied by the integer
+    ``unit`` in place.
 
     With P(k) the largest prime factor of k and r(k) = k / P(k)^v (the
     sieve's fold index), f(k) = f(r(k)) x at[k / r(k)] or f(k / P(k)) +
@@ -140,30 +141,41 @@ def _prime_power_fold(sieve, n, pks, stored, den, backend, product) -> ArithFn:
     vector op.  int64 runs while max|left| x max|at| (or +) < 2**63; a
     block that fails moves to object.  The sum runs on the numerators
     over their den; a product over den > 1 would need den**omega(k), so it
-    runs on the boxed values.
+    runs on the boxed values.  An exact product keeps ``at`` in the table
+    it fills: f(p^k) = 1 x at[p^k], and a block reads at[k / r(k)] at prime
+    powers folded already or at its own k, before it writes them, so one
+    N-sized array serves both (in complex, 1 x z can flip a signed zero).
     """
     _check_bound(sieve, n)
     if product and den > 1:
         stored, den = _objects(_box(stored, den)), 1
-    at = np.zeros(n + 1, dtype=stored.dtype)
-    at[pks] = stored
-    out = np.zeros(n + 1, dtype=at.dtype)
-    out[1] = int(product)  # the unit of the fold; a product runs with den = 1
     big, rest = sieve._fold_index(n)
+    out = np.zeros(n + 1, dtype=stored.dtype)
+    at = out if product and out.dtype != np.complex128 else np.zeros(n + 1, dtype=out.dtype)
+    at[pks] = stored
+    out[1] = int(product)  # f(1); a product runs with den = 1
     lo = 2
     while lo <= n:
         hi = min(2 * lo, n + 1)
         k = np.arange(lo, hi)
         r = rest[lo:hi]
         left = out[r] if product else out[k // big[lo:hi]]
-        right = at[k // r]
+        k //= r  # the prime power k / r(k)
+        right = at[k]
         if out.dtype == np.int64:
             x, y = _max_abs(left), _max_abs(right)
             if (x * y if product else x + y) >= 2**63:
                 out, at = out.astype(object), at.astype(object)
                 left, right = left.astype(object), right.astype(object)
-        out[lo:hi] = _scaled(left, right) if product else left + right
+        if out.dtype == np.complex128:
+            out[lo:hi] = _scaled(left, right) if product else left + right
+        else:
+            (np.multiply if product else np.add)(left, right, out=out[lo:hi])
         lo = hi
+    if unit != 1:
+        if out.dtype == np.int64 and not abs(unit) * _max_abs(out) < 2**63:
+            out = out.astype(object)
+        out *= unit
     return ArithFn._wrap(n, backend, out, den)
 
 
@@ -280,7 +292,7 @@ def _law_index(n: int) -> tuple[np.ndarray, np.ndarray]:
     """
     r = build_sieve(n)._fold_index(n)[1][2:]
     q = np.arange(2, n + 1, dtype=np.int32) // r
-    r.flags.writeable = q.flags.writeable = False
+    q.flags.writeable = False
     return r, q
 
 
@@ -469,6 +481,99 @@ class _Rows:
     def fold(self, sieve, n, backend, product) -> ArithFn:
         """:func:`_prime_power_fold` of the rows on 1..n."""
         return _prime_power_fold(sieve, n, self.p**self.k, self.vals, self.den, backend, product)
+
+
+# ---------------------------------------------------------------------------
+# the Dirichlet ring on Bell rows
+#
+# A tagged table (see dirichlet.py) is an integer table t M, where M is
+# multiplicative, M(1) = 1, and t = a(1).  The tag keeps M at the rows
+# (p, k) of ``sieve._prime_powers`` at the table's bound, and the sieve.
+# Under *, M is the product over p of its Bell series
+# f_p = 1 + M(p) x + M(p^2) x^2 + ... (Apostol 2.16), so a product or
+# power of tagged tables is one series op per prime p <= sqrt N, one
+# vector op on the k = 1 rows of the primes above (whose series is
+# 1 + M(p) x: a(p) + b(p) or k a(p)), and one fold of the new rows,
+# multiplied by the product of the scalars.  The result is tagged with
+# those rows; _store keeps every table in one storage, so it is the table
+# the convolution kernel gives.
+# ---------------------------------------------------------------------------
+
+
+class _MultTag(NamedTuple):
+    """M at the rows (p, k) of ``sieve._prime_powers(sieve, n)``, n the
+    tagged table's bound, as int64 (else object) integers; read-only."""
+
+    rows: np.ndarray
+    sieve: SpfSieve
+
+
+def _tag(a: ArithFn, sieve: SpfSieve) -> ArithFn:
+    """``a``, tagged: an integer table with a(1) = 1 that its construction
+    proves multiplicative, read at the rows of a sieve up to its bound."""
+    rows = a._v[_prime_powers(sieve, a.bound)[2]]
+    rows.flags.writeable = False
+    a._mult = _MultTag(rows, sieve)
+    return a
+
+
+def _peak(x: np.ndarray) -> int:
+    """max |x| as a Python int, 0 for no values."""
+    return _max_abs(x) if len(x) else 0
+
+
+def _widened(x: np.ndarray, limit: int) -> np.ndarray:
+    """x, in object storage if ``limit``, a bound on what int64 must hold, reaches 2**63."""
+    return x.astype(object) if x.dtype == np.int64 and limit >= 2**63 else x
+
+
+def _series_pow(f: list, k: int, length: int) -> list:
+    """f**k for k >= 0, truncated to ``length``, by binary exponentiation."""
+    out = [1] + [0] * (length - 1)
+    while k:
+        if k & 1:
+            out = series_mul(out, f, length)
+        k >>= 1
+        if k:
+            f = series_mul(f, f, length)
+    return out
+
+
+def _bell_route(a: ArithFn, unit: int, series, tail, *rows) -> ArithFn:
+    """unit M, tagged, where M is multiplicative with the series
+    series(f_1, ..., length) at each prime p <= sqrt n, f_i the operands'
+    series at p, and the value tail(x_1, ...) at a prime p > sqrt n, x_i
+    the operands' values at p (``rows`` are the operands' tag rows)."""
+    sieve, n = a._mult.sieve, a.bound
+    p, k, pk = _prime_powers(sieve, n)
+    head = int(np.searchsorted(p, math.isqrt(n), side="right"))  # the rows of p <= sqrt n
+    starts = np.flatnonzero(k[:head] == 1).tolist()
+    cols = [r[:head].tolist() for r in rows]
+    vals = []
+    for lo, hi in zip(starts, [*starts[1:], head]):
+        vals += series(*([1, *col[lo:hi]] for col in cols), hi - lo + 1)[1:]
+    try:
+        top = np.array(vals, dtype=np.int64)
+    except OverflowError:
+        top = _objects(vals)
+    m = np.concatenate((top, tail(*(r[head:] for r in rows))))
+    m.flags.writeable = False
+    out = _prime_power_fold(sieve, n, pk, m, 1, a.backend, True, unit)
+    out._mult = _MultTag(m, sieve)
+    return out
+
+
+def _bell_mul(a: ArithFn, b: ArithFn) -> ArithFn:
+    """a * b of two tagged tables: the series product."""
+    return _bell_route(a, a._v.item(1) * b._v.item(1), series_mul,
+                       lambda x, y: _widened(x, _peak(x) + _peak(y)) + y,
+                       a._mult.rows, b._mult.rows)
+
+
+def _bell_pow(a: ArithFn, k: int) -> ArithFn:
+    """a ** k of a tagged table, k >= 0: the series power."""
+    return _bell_route(a, a._v.item(1) ** k, lambda f, length: _series_pow(f, k, length),
+                       lambda x: k * _widened(x, k * _peak(x)), a._mult.rows)
 
 
 class BellSeries(NamedTuple):

@@ -204,3 +204,13 @@ def test_cached_arrays_are_read_only():
         assert not arr.flags.writeable
         with pytest.raises(ValueError):
             arr[1] = 0
+
+
+@pytest.mark.parametrize("bound", [1, 2, 100])
+def test_fold_index_below_two_is_read_only(bound):
+    sieve = af.build_sieve(bound)
+    for n in (0, 1):
+        for arr in sieve._fold_index(n):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0] = 0

@@ -51,6 +51,11 @@ primes, ``smallest_prime_factor`` and ``is_prime`` over 2..min(N, 4099),
 Powers: one digest of ``u ** k`` at N = 17 per k in POWERS, bools
 included (a bool is no exponent, so it raises).
 
+Routed ops: one digest per product, power or inverse in ``_routed`` of
+catalogue tables under int scalars, and chains of them, at each bound in
+ROUTE_BOUNDS; a tree may run the products and powers per prime.  Their
+rows reach past int64 (``N ** 3``, ``sigma_6 ** 3``, ``sigma_5 ** 8``).
+
 Complex sigma: one digest of ``make("sigma", sieve, COMPLEX, c=c)`` per
 exponent c in SIGMA_EXPONENTS (one or more per route: libm's pow,
 CPython's repeated squaring, a complex c, and the non-finite cases, which
@@ -98,6 +103,7 @@ SIGMA_EXPONENTS = (0.5, 1.5, 2.5, 1 / 3, Fraction(1, 3), Fraction(5, 2), -0.5, 1
                    0, 2, 2.0, -3, 100, -64, -100, 1j, 0.5 + 1j,
                    float("nan"), float("inf"), float("-inf"), 1000)
 POWERS = (0, 1, 2, True, False)
+ROUTE_BOUNDS = (1024, 1025, 4099)
 SIEVE_BOUNDS = (1, 2, 3, 4, 9, 1023, 1024, 1025, 4099, 10**5)
 # (label, key): labels, not reprs, so the lines do not depend on numpy's repr
 LOOKUP_KEYS = (("2", 2), ("2.0", 2.0), ("int64(2)", np.int64(2)), ("Fraction(2)", Fraction(2)),
@@ -269,6 +275,33 @@ def _lookups(af, sieve) -> dict:
                 out[f"series_at\t{prefix}{name}\t{key}"] = repr(
                     [_attempt(lambda: g.series_at(p, m)) for m in LOOKUP_LENGTHS])
     return out
+
+
+def _routed(af, sieve) -> dict:
+    """Products, powers and inverses of catalogue tables scaled by ints."""
+    u, mu, phi, lam, d, N, one = (af.make(name, sieve) for name in
+                                   ("u", "mobius", "phi", "liouville", "d", "N", "I"))
+    sigma_1, sigma_5, sigma_6 = (af.make("sigma", sieve, c=c) for c in (1, 5, 6))
+    return {
+        "u * phi": lambda: u * phi,
+        "3 . phi * -7 . d": lambda: phi.scale(3) * d.scale(-7),
+        "inv(-u)": lambda: (-u).inv(),
+        "inv(phi)": lambda: phi.inv(),
+        "inv(3 . phi)": lambda: phi.scale(3).inv(),
+        "phi ** 0": lambda: phi**0,
+        "phi ** 1": lambda: phi**1,
+        "phi ** 2": lambda: phi**2,
+        "d ** 3": lambda: d**3,
+        "N ** 3": lambda: N**3,
+        "sigma_6 ** 3": lambda: sigma_6**3,
+        "sigma_5 ** 8": lambda: sigma_5**8,
+        "-mu * sigma_1 ** 2": lambda: -mu * sigma_1**2,
+        "lambda * lambda * I": lambda: lam * lam * one,
+        "2**70 . u * -9 . N": lambda: u.scale(2**70) * N.scale(-9),
+        "(phi * d) ** 3": lambda: (phi * d) ** 3,
+        "inv(phi ** 2) * N": lambda: (phi**2).inv() * N,
+        "inv(u) * inv(u)": lambda: u.inv() * u.inv(),
+    }
 
 
 def _sieve_text(sieve) -> str:
@@ -443,6 +476,9 @@ def main(argv) -> int:
     u = af.ArithFn.ones(17)
     for k in POWERS:
         print(f"pow\t{k!r}\tu\t17\t{_outcome(af, lambda: u**k, ValueError)}", flush=True)
+    for n in ROUTE_BOUNDS:
+        for label, run in _routed(af, af.build_sieve(n)).items():
+            print(f"route\t{label}\t{n}\t{_outcome(af, run, af.ArithfnError)}", flush=True)
     sieve = af.build_sieve(max(SIGMA_BOUNDS))
     for n in SIGMA_BOUNDS:
         for c in SIGMA_EXPONENTS:

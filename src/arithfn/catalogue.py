@@ -38,7 +38,7 @@ import numpy as np
 from .dirichlet import ArithFn, _conv, _modulus
 from .errors import NonFiniteError, UnsupportedBackendError
 from .numerics import COMPLEX, DEFAULT_TOL, RATIONAL
-from .sieve import SpfSieve, _prime_powers
+from .sieve import STEP, SpfSieve, _prime_powers
 from .structure import _prime_power_fold, _tag
 
 #: Canonical constructor names (CLI aliases included).
@@ -122,13 +122,14 @@ def _spf_recurrence(sieve: SpfSieve, n: int, first: int, step) -> np.ndarray:
     f(k) = step(f(m), p, p | m) for k >= 2, where p = spf(k) and m = k / p.
 
     Every k in a dyadic block [lo, 2 lo) has m <= k / 2 < lo, so the values
-    a block reads are final and the block is one vector op.
+    a block reads are final and each step of at most STEP indices inside it
+    is one vector op.
     """
     out = np.zeros(n + 1, dtype=np.int64)
     out[1] = first
     lo = 2
     while lo <= n:
-        hi = min(2 * lo, n + 1)
+        hi = min(2 * lo, lo + STEP, n + 1)
         p = sieve._spf[lo:hi]
         m = np.arange(lo, hi) // p
         out[lo:hi] = step(out[m], p, m % p == 0)

@@ -43,18 +43,19 @@ result with a NaN or infinite value raises :class:`NonFiniteError`.
 
 Tagged tables.  ``catalogue.make`` tags an exact I, u, mu, phi,
 liouville, d, N and sigma_c, each multiplicative by its construction,
-with its values at the prime powers (the slot ``_mult``; see
-``structure._MultTag``).  A scale by a nonzero int and unary minus keep
-the tag.  ``*`` of two tagged tables and ``**`` of one run on those rows,
-a short power series per prime p <= sqrt(N), one vector op for the
-primes above and one prime-power fold, and tag their result; the result
-is the table the kernels give.  ``inv`` always runs :func:`_inv` and
-leaves its result untagged: routed, an inverse at N = 10^6 keeps the
-sieve's fold index to 10^6 resident, and a process mixing it with
-products at 10^5 peaked about 12 % higher.  Every other table is
-untagged: ``from_values``, files, ``+``, ``-``, a Fraction scale,
-``truncate`` and ``to_backend``.  The structure predicates never read a
-tag.
+with its values at the prime powers (the slot ``_mult``, an array; see
+``structure._tag``), and keeps no sieve.  A scale by a nonzero int and
+unary minus keep the tag.  ``*`` of two tagged tables and ``**`` of one
+run on those rows, a short power series per prime p <= sqrt(N), one
+vector op for the primes above and one prime-power fold on the smallest
+live sieve that reaches N (``sieve._sieve_for``), and tag their result;
+the result is the table the kernels give.  ``inv`` always runs
+:func:`_inv` and leaves its result untagged: routed, an inverse at
+N = 10^6 keeps the sieve's fold index to 10^6 resident, and a process
+mixing it with products at 10^5 peaked about 12 % higher.  Every other
+table is untagged: ``from_values``, files, ``+``, ``-``, a Fraction
+scale, ``truncate`` and ``to_backend``.  The structure predicates never
+read a tag.
 """
 
 from __future__ import annotations
@@ -276,7 +277,7 @@ class ArithFn:
     def __mul__(self, other):
         if isinstance(other, ArithFn):
             self._check_compatible(other)
-            if self._mult and other._mult:
+            if self._mult is not None and other._mult is not None:
                 from .structure import _bell_mul  # structure builds on this module
 
                 return _bell_mul(self, other)
@@ -312,7 +313,7 @@ class ArithFn:
         """k-fold convolution power by binary exponentiation; a**0 = I."""
         if not isinstance(k, int) or isinstance(k, bool) or k < 0:
             raise ValueError(f"convolution power needs an integer k >= 0, got {k!r}")
-        if self._mult:
+        if self._mult is not None:
             from .structure import _bell_pow
 
             return _bell_pow(self, k)

@@ -3,8 +3,7 @@
 The sieve stores spf[n] = smallest prime factor of n for 2 <= n <= N,
 which makes the factorization of any n <= N an O(number of prime factors)
 walk.  The catalogue's recurrence tables (totient, Mobius, Liouville, the
-nu/Omega counts) read f(k) off f(k / spf(k)), one dyadic block of k at a
-time.
+nu/Omega counts) read f(k) off f(k / spf(k)), one step of k at a time.
 
 This module also owns the primes <= N (:attr:`SpfSieve.primes`) and the
 prime-power rows (p, k, p^k) <= bound (:func:`_prime_powers`): a
@@ -15,27 +14,34 @@ identity suite all read them from here.
 Memory is the only practical limit: the table is one int32 numpy array,
 so N = 10**7 costs 40 MB and builds in well under a second.
 
-Besides the table, a sieve caches what the prime-power fold
-(``structure._prime_power_fold``) and its callers read, each built on
-first use, never at build time, and only as far as the largest bound
-asked for (not to the sieve's own bound):
-
-- the fold index (:meth:`SpfSieve._fold_index`): the largest prime
-  factor P(k) and the cofactor r(k) = k / P(k)^v, where P(k)^v exactly
-  divides k, as two read-only int32 arrays over 0..n, 8 bytes per index
-  (0.8 MB at n = 10^5); a smaller n reads a slice, a larger one extends
-  them;
-- the prime-power rows of the largest bound asked for (three int64
-  arrays, 24 bytes per row, about 9.7k rows at 10^5 and 78.7k at
-  10^6); a smaller bound filters them by p^k <= bound, which keeps
-  their (p, k) order.
+Anything derived for a bound n lives on the sieve that serves n, for
+that sieve's life, built on first use and only for n: the fold index
+(:meth:`SpfSieve._fold_index`: the largest prime factor P(k) and the
+cofactor r(k) = k / P(k)^v, P(k)^v exactly dividing k, as two read-only
+int32 arrays over 0..n, 8 bytes per index; a smaller n reads a slice, a
+larger one extends them), and one entry per builder and bound
+(:meth:`SpfSieve._for_bound`): the prime-power rows, 24 bytes per row
+(9.7k rows at 10^5, 78.7k at 10^6), and the coprime-pair index of the
+structure checks.  The sieve that serves n is the caller's where one is
+at hand; a caller with none (a check, a product of tagged tables) takes
+the smallest live sieve with bound >= n from a weak registry that
+:func:`build_sieve` fills (:func:`_sieve_for`), else a new one that it
+does not keep.  The package holds no module-level cache.
 """
 
 from __future__ import annotations
 
 import math
+import weakref
 
 import numpy as np
+
+#: Indices per vector step of the loops over 2..n that read or extend the
+#: fold index: each step's temporaries stay near 1 MB whatever n is.
+STEP = 1 << 14
+
+#: Every sieve :func:`build_sieve` made that something still holds.
+_LIVE = weakref.WeakSet()
 
 
 class SpfSieve:
@@ -45,11 +51,11 @@ class SpfSieve:
         bound:  the sieve limit N (inclusive).
         primes: the primes <= N as one ascending list (p_1 = 2, p_2 = 3, ...).
 
-    The fold index and the prime-power rows are cached on the sieve as it
-    is read (see the module docstring).
+    What is derived for a bound is kept on the sieve (see the module docstring).
     """
 
-    __slots__ = ("bound", "_spf", "_prime_array", "_prime_list", "_big", "_rest", "_rows")
+    __slots__ = ("bound", "_spf", "_prime_array", "_prime_list", "_big", "_rest", "_per_bound",
+                 "__weakref__")
 
     def __init__(self, bound: int, spf: np.ndarray, primes: np.ndarray):
         self.bound = bound
@@ -58,7 +64,7 @@ class SpfSieve:
         seed = np.ones(2, dtype=np.int32)  # P(k), r(k) at k = 0, 1
         seed.flags.writeable = False
         self._big = self._rest = seed
-        self._rows = None  # (p, k, p^k) of the largest bound asked for
+        self._per_bound = {}  # (build, n) -> build(self, n)
 
     @property
     def primes(self) -> list[int]:
@@ -71,8 +77,8 @@ class SpfSieve:
         n <= bound.
 
         With p = spf(k) and m = k / p, P(k) = max(p, P(m)) and r(k) is 1
-        if P(m) <= p, else p r(m): m <= k / 2, so each dyadic block of k
-        is one vector step on the blocks below it.
+        if P(m) <= p, else p r(m): m <= k / 2, so each step of at most STEP
+        indices inside a dyadic block reads only below its start.
         """
         have = len(self._big)
         if have <= n:
@@ -81,7 +87,7 @@ class SpfSieve:
             big[:have], rest[:have] = self._big, self._rest
             lo = max(have, 2)
             while lo <= n:
-                hi = min(2 * lo, n + 1)
+                hi = min(2 * lo, lo + STEP, n + 1)
                 p = self._spf[lo:hi]
                 m = np.arange(lo, hi) // p
                 big_m = big[m]
@@ -91,6 +97,13 @@ class SpfSieve:
             big.flags.writeable = rest.flags.writeable = False
             self._big, self._rest = big, rest
         return self._big[: n + 1], self._rest[: n + 1]
+
+    def _for_bound(self, build, n: int):
+        """build(self, n), made on first use and kept for the sieve's life."""
+        key = build, n
+        if key not in self._per_bound:
+            self._per_bound[key] = build(self, n)
+        return self._per_bound[key]
 
     def _check_range(self, n: int, lo: int = 1) -> None:
         if not lo <= n <= self.bound:
@@ -153,7 +166,16 @@ def build_sieve(bound: int) -> SpfSieve:
     primes = np.flatnonzero(spf[2:] == 0) + 2
     spf[primes] = primes
     spf.flags.writeable = primes.flags.writeable = False
-    return SpfSieve(bound, spf, primes)
+    sieve = SpfSieve(bound, spf, primes)
+    _LIVE.add(sieve)
+    return sieve
+
+
+def _sieve_for(n: int) -> SpfSieve:
+    """The sieve that serves bound n for a caller that has none: the
+    smallest live one with bound >= n, else a new one, not kept."""
+    live = [sieve for sieve in _LIVE if sieve.bound >= n]
+    return min(live, key=lambda sieve: sieve.bound) if live else build_sieve(n)
 
 
 def _check_bound(sieve: SpfSieve, bound: int) -> None:
@@ -164,20 +186,10 @@ def _check_bound(sieve: SpfSieve, bound: int) -> None:
 
 def _prime_powers(sieve: SpfSieve, bound: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """int64 arrays (p, k, p**k) over every prime power p**k <= bound,
-    sorted by (p, k).
-
-    The sieve keeps the rows of the largest bound asked for, read-only;
-    a smaller bound gets a copy of those with p**k <= bound, in the same
-    order.
+    sorted by (p, k), read-only and kept on the sieve per bound.
     """
     _check_bound(sieve, bound)
-    if sieve._rows is None or sieve._rows[0] < bound:
-        sieve._rows = (bound, *_build_prime_powers(sieve, bound))
-    top, p, k, pk = sieve._rows
-    if top == bound:
-        return p, k, pk
-    keep = np.flatnonzero(pk[: np.searchsorted(p, bound, side="right")] <= bound)
-    return p[keep], k[keep], pk[keep]
+    return sieve._for_bound(_build_prime_powers, bound)
 
 
 def _build_prime_powers(sieve: SpfSieve, bound: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -14,21 +14,21 @@ The predicates read the storage the convolution kernel uses (exact
 numerators A = a den: A(mn) = A(m) + A(n), A(mn) den = A(m) A(n)).  An
 exact table is decided by the characterization law: a is multiplicative
 iff a(1) = 1 and a(k) = a(r(k)) a(k / r(k)) for every k = 2..N, r(k) the
-fold index below (additive: a(1) = 0 and a sum), one vector step over an
-index of r(k) and k / r(k) cached per bound (:func:`_law_index`).  The
-pair scan runs only to name the witness of an exact table that fails,
-and on complex tables, where closeness within a tolerance is not
+fold index below (additive: a(1) = 0 and a sum), read off the sieve's
+fold index in steps of at most ``sieve.STEP`` indices (:func:`_law_holds`).
+The pair scan runs only to name the witness of an exact table that
+fails, and on complex tables, where closeness within a tolerance is not
 transitive, so the law would be another test.
 
 The scan reads every coprime pair (m, n), 2 <= m < n, m*n <= N, in
 ascending (m, n), from one bit-packed index per bound (one bit per
-candidate n of each m, 0.76 MB at N = 10^6), cached for the last two
-bounds, in vector steps of at most PAIR_CHUNK pairs, the first at
-m = 2; the first failing pair of the first failing step is the
-lexicographically least witness.  Complex values compare within
-tol + 8 eps (|lhs| + |rhs|): the absolute tolerance plus a rounding
-allowance that grows with the magnitudes, as in PEP 485's ``isclose``;
-an equal finite pair passes without it.
+candidate n of each m, 0.76 MB at N = 10^6), kept on the sieve, in
+vector steps of at most PAIR_CHUNK pairs, the first at m = 2; the first
+failing pair of the first failing step is the lexicographically least
+witness.  Complex values compare within tol + 8 eps (|lhs| + |rhs|): the
+absolute tolerance plus a rounding allowance that grows with the
+magnitudes, as in PEP 485's ``isclose``; an equal finite pair passes
+without it.
 Both reconstructions are one fold over the exact prime powers of each
 index, under x or +, one vector op per dyadic block: a(k) is
 a(k / P^v) c_P[v] or a(k / P) + g(P, v), P^v the exact power of the
@@ -40,7 +40,9 @@ are bit-identical to that loop.
 Every entry point that reads prime powers takes the caller's sieve,
 which must reach the table's bound: the two readers of the sieve,
 ``sieve._prime_powers`` and :func:`_prime_power_fold`, raise ValueError
-on a smaller one before they read it.  The checks, decompositions and
+on a smaller one before they read it.  :func:`is_multiplicative`,
+:func:`is_additive` and the products of tagged tables take no sieve and
+read the one ``sieve._sieve_for`` finds.  The checks, decompositions and
 reconstructions walk the prime-power rows (p, k, p^k) of
 ``sieve._prime_powers``.  The identity suite
 (``catalogue.verify_identities``) folds its closed-form values on those
@@ -64,7 +66,6 @@ the sorted rows (:meth:`_Rows.span`) and boxes only the rows it finds.
 
 from __future__ import annotations
 
-import functools
 import math
 import operator
 from dataclasses import dataclass
@@ -85,7 +86,7 @@ from .dirichlet import (
 )
 from .errors import NonFiniteError, StructureError
 from .numerics import COMPLEX, DEFAULT_TOL, _canonical_exact
-from .sieve import SpfSieve, _check_bound, _prime_powers, build_sieve
+from .sieve import STEP, SpfSieve, _check_bound, _prime_powers, _sieve_for
 
 #: Rounding allowance of the complex comparisons: values match within
 #: tol + ROUNDING_ALLOWANCE * eps * (|lhs| + |rhs|).  The rounding error of
@@ -223,44 +224,36 @@ def _first_mismatch(lhs: np.ndarray, rhs: np.ndarray, tol: float | None) -> int 
 PAIR_CHUNK = 1 << 14
 
 
-def _coprime_mask(m: int, top: int) -> np.ndarray:
+def _coprime_mask(sieve: SpfSieve, m: int, top: int) -> np.ndarray:
     """keep[i] is true iff k = m + 1 + i, m < k <= top, is coprime to m:
     each prime p | m strikes out k = m + p, m + 2p, ... (cheaper than np.gcd
     per k)."""
     keep = np.ones(top - m, dtype=bool)
-    rest, p = m, 2
-    while rest > 1:
-        if p * p > rest:
-            p = rest
-        if rest % p == 0:
-            keep[p - 1 :: p] = False
-            while rest % p == 0:
-                rest //= p
-        p += 1
+    for p, _ in sieve.factorize(m):
+        keep[p - 1 :: p] = False
     return keep
 
 
-@functools.lru_cache(maxsize=2)
-def _pair_index(n: int) -> tuple[np.ndarray, np.ndarray]:
+def _pair_index(sieve: SpfSieve, n: int) -> tuple[np.ndarray, np.ndarray]:
     """The coprime pairs 2 <= m < k, m k <= n, as one bit-packed mask.
 
     m = 2, 3, ... while n // m > m owns the bytes starts[m - 2] to
     starts[m - 1] of ``mask``; bit j of them is set iff k = m + 1 + j is
     coprime to m (bits past n // m are clear).  About (ln(n) / 2 - 1) n
     bits, with ``starts``: 63 KB at 10^5, 0.76 MB at 10^6, 8.9 MB at 10^7.
-    Cached for the last two bounds.
+    Kept on the sieve per bound.
     """
     ms = np.arange(2, math.isqrt(n) + 1)
     ms = ms[n // ms > ms]
     starts = np.concatenate(([0], np.cumsum((n // ms - ms + 7) // 8)))
     mask = np.empty(starts[-1], dtype=np.uint8)
     for m, lo, hi in zip(ms.tolist(), starts.tolist(), starts[1:].tolist()):
-        mask[lo:hi] = np.packbits(_coprime_mask(m, n // m))
+        mask[lo:hi] = np.packbits(_coprime_mask(sieve, m, n // m))
     mask.flags.writeable = starts.flags.writeable = False
     return mask, starts
 
 
-def _coprime_pairs(n: int):
+def _coprime_pairs(sieve: SpfSieve, n: int):
     """Yield the coprime pairs 2 <= m < k, m k <= n, in ascending (m, k),
     at most PAIR_CHUNK at a time, the first from m = 2: arrays ms, counts
     and k, where m = np.repeat(ms, counts) pairs with k.
@@ -268,7 +261,7 @@ def _coprime_pairs(n: int):
     One chunk is PAIR_CHUNK bits of :func:`_pair_index`: its set bits, and
     per m the count of them, give k = bit - (first bit of m) + m + 1.
     """
-    mask, starts = _pair_index(n)
+    mask, starts = sieve._for_bound(_pair_index, n)
     step = PAIR_CHUNK // 8
     for lo in range(0, len(mask), step):
         hi = min(lo + step, len(mask))
@@ -281,24 +274,11 @@ def _coprime_pairs(n: int):
         yield ms, counts, bits - np.repeat(edges[:-1] - ms - 1, counts)
 
 
-@functools.lru_cache(maxsize=2)
-def _law_index(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """r(k) and q(k) = k / r(k) for k = 2..n, read-only int32: r(k) is k
-    with the power of its largest prime removed (the ``rest`` of the
-    sieve's fold index), so q(k) is that prime power.
-
-    Read from a sieve built for the call, which is not kept: 8 bytes per
-    index, 0.8 MB at 10^5.  Cached for the last two bounds.
-    """
-    r = build_sieve(n)._fold_index(n)[1][2:]
-    q = np.arange(2, n + 1, dtype=np.int32) // r
-    q.flags.writeable = False
-    return r, q
-
-
-def _law_holds(v: np.ndarray, den: int, n: int, product: bool) -> bool:
+def _law_holds(v: np.ndarray, den: int, n: int, product: bool, sieve: SpfSieve) -> bool:
     """A(k) den = A(r(k)) A(q(k)) (``product``), else A(k) = A(r(k)) +
-    A(q(k)), for every k = 2..n, on the exact numerators v = A over den.
+    A(q(k)), for every k = 2..n, on the exact numerators v = A over den:
+    r(k) is k with the power of its largest prime removed (the ``rest`` of
+    the sieve's fold index), so q(k) = k / r(k) is that prime power.
 
     Given a(1) = 1 (or 0), this holds iff every coprime pair does.  Each
     k with r = r(k) > 1 is the coprime pair (r, q) (as (min, max)), both
@@ -306,21 +286,27 @@ def _law_holds(v: np.ndarray, den: int, n: int, product: bool) -> bool:
     induction on the number of distinct primes of k, r(k) having one
     fewer, the law gives a(k) = the product (sum) of a(p^v) over the
     exact prime powers p^v of k, and two coprime m, n share no prime, so
-    a(mn) = a(m) a(n).  v must pass the scan's int64 guard.
+    a(mn) = a(m) a(n).  v must pass the scan's int64 guard.  One vector
+    step per STEP indices, each gathering with intp indices.
     """
-    r, q = _law_index(n)
-    rhs = v[r]
-    if product:
-        rhs *= v[q]
-        lhs = v[2:] * den if den > 1 else v[2:]
-    else:
-        rhs += v[q]
-        lhs = v[2:]
-    return bool((lhs == rhs).all())
+    rest = sieve._fold_index(n)[1]
+    for lo in range(2, n + 1, STEP):
+        hi = min(lo + STEP, n + 1)
+        r = rest[lo:hi].astype(np.intp)
+        q = np.arange(lo, hi) // r
+        rhs, lhs = v[r], v[lo:hi]
+        if product:
+            rhs *= v[q]
+            lhs = lhs * den if den > 1 else lhs
+        else:
+            rhs += v[q]
+        if not (lhs == rhs).all():
+            return False
+    return True
 
 
 @np.errstate(over="ignore", invalid="ignore")  # _first_mismatch reports it
-def _coprime_pair_scan(a: ArithFn, kind: str, product: bool, tol) -> CheckResult:
+def _coprime_pair_scan(a: ArithFn, kind: str, product: bool, tol, sieve: SpfSieve) -> CheckResult:
     """a(mk) = a(m) a(k) (``product``) or a(m) + a(k) on every coprime pair
     2 <= m < k, mk <= N, then a(1) = 1 (or 0).
 
@@ -339,9 +325,9 @@ def _coprime_pair_scan(a: ArithFn, kind: str, product: bool, tol) -> CheckResult
     if v.dtype == np.int64 and _max_abs(v) * max(_max_abs(v), den) >= 2**62:
         v = v.astype(object)
     if (v.dtype != np.complex128 and v[1] == (den if product else 0)
-            and _law_holds(v, den, a.bound, product)):
+            and _law_holds(v, den, a.bound, product, sieve)):
         return CheckResult(True, kind)
-    for ms, counts, k in _coprime_pairs(a.bound):
+    for ms, counts, k in _coprime_pairs(sieve, a.bound):
         m = np.repeat(ms, counts)
         lhs = v[m * k] * den if product and den > 1 else v[m * k]
         vm = np.repeat(v[ms], counts)  # cheaper than v[m]
@@ -362,7 +348,7 @@ def _prime_power_check(a: ArithFn, sieve: SpfSieve, kind: str, product: bool, to
     witness is the least failing pair, else the least failing (p, k).  A
     complex a(p)**k beyond the floats raises NonFiniteError."""
     p, k, pk = _prime_powers(sieve, a.bound)
-    base = _coprime_pair_scan(a, kind, product, tol)
+    base = _coprime_pair_scan(a, kind, product, tol, sieve)
     if not base:
         return base
     higher = k >= 2
@@ -390,7 +376,7 @@ def is_multiplicative(a: ArithFn, tol: float | None = None) -> CheckResult:
     power of its largest prime; the pair scan names the witness, and
     decides a complex table.
     """
-    return _coprime_pair_scan(a, "multiplicative", True, tol)
+    return _coprime_pair_scan(a, "multiplicative", True, tol, _sieve_for(a.bound))
 
 
 def is_additive(a: ArithFn, tol: float | None = None) -> CheckResult:
@@ -401,7 +387,7 @@ def is_additive(a: ArithFn, tol: float | None = None) -> CheckResult:
     An exact table is decided by a(k) = a(r(k)) + a(k / r(k)); the pair
     scan names the witness, and decides a complex table.
     """
-    return _coprime_pair_scan(a, "additive", False, tol)
+    return _coprime_pair_scan(a, "additive", False, tol, _sieve_for(a.bound))
 
 
 def is_completely_multiplicative(a: ArithFn, sieve: SpfSieve, tol: float | None = None) -> CheckResult:
@@ -488,7 +474,7 @@ class _Rows:
 #
 # A tagged table (see dirichlet.py) is an integer table t M, where M is
 # multiplicative, M(1) = 1, and t = a(1).  The tag keeps M at the rows
-# (p, k) of ``sieve._prime_powers`` at the table's bound, and the sieve.
+# (p, k) of ``sieve._prime_powers`` at the table's bound.
 # Under *, M is the product over p of its Bell series
 # f_p = 1 + M(p) x + M(p^2) x^2 + ... (Apostol 2.16), so a product or
 # power of tagged tables is one series op per prime p <= sqrt N, one
@@ -500,20 +486,15 @@ class _Rows:
 # ---------------------------------------------------------------------------
 
 
-class _MultTag(NamedTuple):
-    """M at the rows (p, k) of ``sieve._prime_powers(sieve, n)``, n the
-    tagged table's bound, as int64 (else object) integers; read-only."""
-
-    rows: np.ndarray
-    sieve: SpfSieve
-
-
 def _tag(a: ArithFn, sieve: SpfSieve) -> ArithFn:
     """``a``, tagged: an integer table with a(1) = 1 that its construction
-    proves multiplicative, read at the rows of a sieve up to its bound."""
+    proves multiplicative.  The tag ``a._mult`` is M at the rows (p, k) of
+    ``sieve._prime_powers`` at a's bound, as int64 (else object) integers,
+    read-only; it keeps no sieve, as the rows at a bound are the same
+    whatever sieve made them."""
     rows = a._v[_prime_powers(sieve, a.bound)[2]]
     rows.flags.writeable = False
-    a._mult = _MultTag(rows, sieve)
+    a._mult = rows
     return a
 
 
@@ -544,7 +525,8 @@ def _bell_route(a: ArithFn, unit: int, series, tail, *rows) -> ArithFn:
     series(f_1, ..., length) at each prime p <= sqrt n, f_i the operands'
     series at p, and the value tail(x_1, ...) at a prime p > sqrt n, x_i
     the operands' values at p (``rows`` are the operands' tag rows)."""
-    sieve, n = a._mult.sieve, a.bound
+    n = a.bound
+    sieve = _sieve_for(n)
     p, k, pk = _prime_powers(sieve, n)
     head = int(np.searchsorted(p, math.isqrt(n), side="right"))  # the rows of p <= sqrt n
     starts = np.flatnonzero(k[:head] == 1).tolist()
@@ -559,7 +541,7 @@ def _bell_route(a: ArithFn, unit: int, series, tail, *rows) -> ArithFn:
     m = np.concatenate((top, tail(*(r[head:] for r in rows))))
     m.flags.writeable = False
     out = _prime_power_fold(sieve, n, pk, m, 1, a.backend, True, unit)
-    out._mult = _MultTag(m, sieve)
+    out._mult = m
     return out
 
 
@@ -567,13 +549,13 @@ def _bell_mul(a: ArithFn, b: ArithFn) -> ArithFn:
     """a * b of two tagged tables: the series product."""
     return _bell_route(a, a._v.item(1) * b._v.item(1), series_mul,
                        lambda x, y: _widened(x, _peak(x) + _peak(y)) + y,
-                       a._mult.rows, b._mult.rows)
+                       a._mult, b._mult)
 
 
 def _bell_pow(a: ArithFn, k: int) -> ArithFn:
     """a ** k of a tagged table, k >= 0: the series power."""
     return _bell_route(a, a._v.item(1) ** k, lambda f, length: _series_pow(f, k, length),
-                       lambda x: k * _widened(x, k * _peak(x)), a._mult.rows)
+                       lambda x: k * _widened(x, k * _peak(x)), a._mult)
 
 
 class BellSeries(NamedTuple):
@@ -670,7 +652,7 @@ def bell_decompose_mult(a: ArithFn, sieve: SpfSieve) -> BellDecomposition:
     storage at the prime-power rows.
     """
     p, k, pk = _prime_powers(sieve, a.bound)
-    _require(is_multiplicative(a))
+    _require(_coprime_pair_scan(a, "multiplicative", True, None, sieve))
     return BellDecomposition._view(a.bound, a.backend, _Rows(p, k, a._v[pk], a.den))
 
 
@@ -820,7 +802,7 @@ def additive_decompose(a: ArithFn, sieve: SpfSieve) -> PrimeSupport:
     g(p, k) = a(p^k) - a(p^(k-1)); g equals mu * a on prime powers.  One
     vector difference of a's numerators at the prime-power rows."""
     p, k, pk = _prime_powers(sieve, a.bound)
-    _require(is_additive(a))
+    _require(_coprime_pair_scan(a, "additive", False, None, sieve))
     v = a._v
     # a(p^k) - a(p^(k-1)), a(p) - a(1) at k = 1; object if int64 could wrap
     high = v[pk].astype(object) if v.dtype == np.int64 and _max_abs(v) >= 2**62 else v[pk]

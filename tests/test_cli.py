@@ -206,16 +206,19 @@ class TestEvalExpr:
 
     def test_evaluation_keeps_no_reference_to_the_sieve(self):
         # evaluation keeps no reference to the sieve, so the CLI's
-        # ``del sieve`` frees it before the output step
+        # ``del sieve`` frees it before the output step, also when the
+        # result is a product of tagged tables
         sieve = af.build_sieve(50)
         before = sys.getrefcount(sieve)
         gc.disable()
         try:
             eval_expr(parse_expr("psi(u) + mu * u"), sieve)
+            routed = eval_expr(parse_expr("phi * d"), sieve)
             after = sys.getrefcount(sieve)
         finally:
             gc.enable()
         assert after == before
+        assert routed._mult is not None
 
     def test_methods_are_looked_up_when_called(self, monkeypatch):
         # inv and deriv run the ArithFn method the class holds at call time,

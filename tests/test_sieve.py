@@ -8,6 +8,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import arithfn as af
+from arithfn import sieve as sieve_module
+from arithfn import structure
 from arithfn.sieve import _prime_powers
 from conftest import factorize_brute, nu_brute, omega_brute, primes_brute
 
@@ -153,12 +155,16 @@ FOLD_BOUNDS = [1, 2, 3, 4, 8, 9, 1023, 1024, 1025, 4099]
 
 
 @pytest.mark.parametrize("bound", FOLD_BOUNDS)
-def test_fold_index_and_rows_against_trial_division(sieve5000, bound):
+def test_fold_index_and_rows_against_trial_division(sieve5000, bound, monkeypatch):
     big, rest = _fold_index_brute(bound)
     factors = {n: factorize_brute(n) for n in range(2, bound + 1)}
     rows = sorted((*fac[0], n) for n, fac in factors.items() if len(fac) == 1)
     fresh = af.build_sieve(bound)
-    for sieve in (fresh, sieve5000):  # the rows of this bound, and a filter of larger ones
+    with monkeypatch.context() as m:
+        m.setattr(sieve_module, "STEP", 8)  # the fold index in many steps per dyadic block
+        stepped = af.build_sieve(bound)
+        stepped._fold_index(bound)
+    for sieve in (fresh, stepped, sieve5000):  # a sieve of this bound, and of a larger one
         got_big, got_rest = sieve._fold_index(bound)
         assert got_big.dtype == got_rest.dtype == np.int32
         assert got_big.tolist() == big and got_rest.tolist() == rest
@@ -196,10 +202,21 @@ def test_sieve_caches_grow_to_the_largest_bound_asked():
             assert np.array_equal(got, want)
 
 
+def test_prime_power_rows_are_kept_per_bound():
+    sieve = af.build_sieve(10**6)
+    first = _prime_powers(sieve, 10**5)
+    _prime_powers(sieve, 10**6)
+    assert all(x is y for x, y in zip(_prime_powers(sieve, 10**5), first))
+    for got, want in zip(first, _prime_powers(af.build_sieve(10**5), 10**5)):
+        assert np.array_equal(got, want)
+
+
 def test_cached_arrays_are_read_only():
     sieve = af.build_sieve(100)
     arrays = [*sieve._fold_index(100), *_prime_powers(sieve, 100)]
-    arrays += [sieve._big, sieve._rest, *sieve._rows[1:], sieve._spf, sieve._prime_array]
+    next(structure._coprime_pairs(sieve, 100))  # the pair index
+    arrays += [arr for kept in sieve._per_bound.values() for arr in kept]
+    arrays += [sieve._big, sieve._rest, sieve._spf, sieve._prime_array]
     for arr in arrays:
         assert not arr.flags.writeable
         with pytest.raises(ValueError):

@@ -3,12 +3,14 @@
 import math
 import random
 import tracemalloc
+import weakref
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 import arithfn as af
+from arithfn import sieve as sieve_module
 from arithfn import structure
 from arithfn.errors import NonFiniteError, StructureError, UnsupportedBackendError
 from conftest import (
@@ -743,11 +745,11 @@ def _plant(a, n, delta):
 def _chunk_pairs(n):
     """The chunks of the pair scan at bound n as lists of (m, k)."""
     return [list(zip(np.repeat(ms, counts).tolist(), k.tolist()))
-            for ms, counts, k in structure._coprime_pairs(n)]
+            for ms, counts, k in structure._coprime_pairs(af.build_sieve(n), n)]
 
 
 class TestChunkedPairScan:
-    """The pair scan reads the cached index of its bound in chunks of at most
+    """The pair scan reads the sieve's index of its bound in chunks of at most
     PAIR_CHUNK pairs; verdicts and witnesses match the per-pair loop."""
 
     # (PAIR_CHUNK, bound): many small chunks, and a few of the real size
@@ -918,6 +920,8 @@ class TestCharacterizationLaw:
 
     @pytest.mark.parametrize("n", (1023, 1024, 1025, 4099))
     def test_violations_at_sampled_indices(self, monkeypatch, n):
+        for module in (sieve_module, structure):  # the fold index and the law in many steps
+            monkeypatch.setattr(module, "STEP", 64)
         sieve = af.build_sieve(n)
         spots = random.Random(n).sample(range(1, n + 1), 60)
         kinds = [kind for kind in PREDICATES if kind != "additive-mobius"]  # the law is not read
@@ -927,10 +931,10 @@ class TestCharacterizationLaw:
                 self._check(monkeypatch, sieve, _plant(base, i, 1), kinds)
 
     def test_a_wrong_unit_alone_reads_no_law(self, monkeypatch, sieve100):
-        def refuse(n):
-            raise AssertionError("the law index was built")
+        def refuse(*args):
+            raise AssertionError("the law was read")
 
-        monkeypatch.setattr(structure, "_law_index", refuse)
+        monkeypatch.setattr(structure, "_law_holds", refuse)
         for base in _law_tables(sieve100, 100, small=True):
             a = _plant(base, 1, 1)
             kind = "multiplicative" if base[1] == 1 else "additive"
@@ -938,7 +942,7 @@ class TestCharacterizationLaw:
             assert got == predicate_oracle(a, kind) == (False, (1, 1), "pair", None)
 
     def test_a_passing_exact_check_reads_no_pair(self, monkeypatch, sieve1000):
-        def refuse(n):
+        def refuse(*args):
             raise AssertionError("the pairs were read")
 
         monkeypatch.setattr(structure, "_coprime_pairs", refuse)
@@ -956,21 +960,86 @@ class TestCharacterizationLaw:
     def test_a_complex_check_scans_the_pairs(self, monkeypatch, sieve1000):
         reads = []
         pairs = structure._coprime_pairs
-        monkeypatch.setattr(structure, "_coprime_pairs", lambda n: reads.append(n) or pairs(n))
+        monkeypatch.setattr(structure, "_coprime_pairs",
+                            lambda sieve, n: reads.append(n) or pairs(sieve, n))
         phi = af.make("phi", sieve1000, af.COMPLEX)
         assert af.is_multiplicative(phi).ok
         assert reads == [1000]
 
-    def test_law_index_is_read_only_and_cached_per_bound(self):
-        for n in (1, 2, 17, 1000):
-            r, q = structure._law_index(n)
-            assert all(x is y for x, y in zip(structure._law_index(n), (r, q)))
-            assert r.dtype == q.dtype == np.int32
-            assert not r.flags.writeable and not q.flags.writeable
-            with pytest.raises(ValueError):
-                r[...] = 1
-            assert q.tolist() == [_largest_prime_power(k) for k in range(2, n + 1)]
-            assert (r * q).tolist() == list(range(2, n + 1))
+
+
+def _refuse_builds(bound):
+    raise AssertionError(f"a sieve was built for bound {bound}")
+
+
+def _sieve_free_outcomes(tables, tagged) -> list:
+    """What the calls that take no sieve give: both checks of every table,
+    and routed products and powers of tagged ones, with their tags."""
+    out = [(_outcome(af.is_multiplicative(a)), _outcome(af.is_additive(a))) for a in tables]
+    phi, d, mu = tagged
+    for got in (phi * d, d**3, phi.scale(3) * mu.scale(-7)):
+        out.append((got.values(), got._v.dtype, got.den, got._mult.tolist()))
+    return out
+
+
+class TestTheSieveThatServesABound:
+    """What is derived for a bound lives on the sieve that serves it: the
+    caller's, else the smallest live one that reaches it, else a new one
+    that is not kept.  No result depends on which."""
+
+    N = 1025
+
+    @pytest.fixture(autouse=True)
+    def no_live_sieve(self, monkeypatch):
+        monkeypatch.setattr(sieve_module, "_LIVE", weakref.WeakSet())
+
+    def _inputs(self):
+        """Exact tables that pass and fail each law, complex ones, and
+        tagged phi, d and mu; the sieve that made them is not kept."""
+        n, sieve = self.N, af.build_sieve(self.N)
+        tables = _law_tables(sieve, n)
+        tables += [_plant(a, i, 1) for a, i in zip(tables, (6, 1, 1024, 35, 1025, 12))]
+        phi = af.make("phi", sieve, af.COMPLEX)
+        tables += [phi, _plant(phi, 77, 1)]
+        return tables, tuple(af.make(name, sieve) for name in ("phi", "d", "mobius"))
+
+    def test_a_live_sieve_is_never_rebuilt(self, monkeypatch):
+        tables, tagged = self._inputs()
+        short, sieve, large = (af.build_sieve(b) for b in (self.N // 2, self.N, 2 * self.N + 1))
+        monkeypatch.setattr(sieve_module, "build_sieve", _refuse_builds)
+        _sieve_free_outcomes(tables, tagged)
+        for a in tables:
+            _structure_outcomes(a, sieve, PREDICATES)
+        # the smallest live sieve that reaches N served every call
+        assert len(short._big) == len(large._big) == 2 and not short._per_bound | large._per_bound
+
+    def test_results_do_not_depend_on_the_sieve(self):
+        tables, tagged = self._inputs()
+        assert not sieve_module._LIVE
+        alone = _sieve_free_outcomes(tables, tagged)
+        assert not sieve_module._LIVE  # the sieves built for the calls were not kept
+        outcomes = []
+        for bound in (self.N, 2 * self.N + 1):
+            sieve = af.build_sieve(bound)
+            assert list(sieve_module._LIVE) == [sieve]
+            outcomes.append((_sieve_free_outcomes(tables, tagged),
+                             [_structure_outcomes(a, sieve, PREDICATES) for a in tables]))
+            del sieve
+        assert outcomes[0] == outcomes[1]
+        assert alone == outcomes[0][0]
+
+    def test_a_passing_law_allocates_one_step_at_a_time(self):
+        n = 10**6
+        sieve = af.build_sieve(n)
+        phi = af.make("phi", sieve)
+        sieve._fold_index(n)
+        tracemalloc.start()
+        try:
+            ok = af.is_multiplicative(phi).ok
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert ok and peak < 2 * 2**20, peak
 
 
 class TestSeriesHelpers:

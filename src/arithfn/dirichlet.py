@@ -45,17 +45,16 @@ Tagged tables.  ``catalogue.make`` tags an exact I, u, mu, phi,
 liouville, d, N and sigma_c, each multiplicative by its construction,
 with its values at the prime powers (the slot ``_mult``, an array; see
 ``structure._tag``), and keeps no sieve.  A scale by a nonzero int and
-unary minus keep the tag.  ``*`` of two tagged tables and ``**`` of one
-run on those rows, a short power series per prime p <= sqrt(N), one
-vector op for the primes above and one prime-power fold on the smallest
-live sieve that reaches N (``sieve._sieve_for``), and tag their result;
-the result is the table the kernels give.  ``inv`` always runs
-:func:`_inv` and leaves its result untagged: routed, an inverse at
-N = 10^6 keeps the sieve's fold index to 10^6 resident, and a process
-mixing it with products at 10^5 peaked about 12 % higher.  Every other
-table is untagged: ``from_values``, files, ``+``, ``-``, a Fraction
-scale, ``truncate`` and ``to_backend``.  The structure predicates never
-read a tag.
+unary minus keep the tag.  ``*`` of two tagged tables, ``**`` of one and
+``inv`` of one with a(1) = +-1 run on those rows, a short power series
+per prime p <= sqrt(N) (a product, a power or a reciprocal), one vector
+op for the primes above and one prime-power fold on the smallest live
+sieve that reaches N (``sieve._sieve_for``), and tag their result; the
+result is the table the kernels give.  Every other inverse, of a tagged
+table with |a(1)| > 1 too, runs :func:`_inv`, the general path, and is
+untagged.  So is every other table: ``from_values``, files, ``+``,
+``-``, a Fraction scale, ``truncate`` and ``to_backend``.  The structure
+predicates never read a tag.
 """
 
 from __future__ import annotations
@@ -305,6 +304,10 @@ class ArithFn:
                 )
         elif a1 == 0:
             raise NotInvertibleError("a(1) = 0; no Dirichlet inverse")
+        if self._mult is not None and abs(a1) == 1:
+            from .structure import _bell_inv
+
+            return _bell_inv(self)
         b, den = _inv(self._v, self.bound)  # (A / den)**-1 = den A**-1
         b = b.astype(object) * self.den if self.den > 1 else b  # den b may leave int64
         return ArithFn._wrap(self.bound, self.backend, b, den)

@@ -15,18 +15,19 @@ Memory is the only practical limit: the table is one int32 numpy array,
 so N = 10**7 costs 40 MB and builds in well under a second.
 
 Anything derived for a bound n lives on the sieve that serves n, for
-that sieve's life, built on first use and only for n: the fold index
-(:meth:`SpfSieve._fold_index`: the largest prime factor P(k) and the
-cofactor r(k) = k / P(k)^v, P(k)^v exactly dividing k, as two read-only
-int32 arrays over 0..n, 8 bytes per index; a smaller n reads a slice, a
-larger one extends them), and one entry per builder and bound
+that sieve's life, built on first use: the fold index
+(:meth:`SpfSieve._fold_index`: the cofactor r(k) = k / P(k)^v, P(k) the
+largest prime factor of k and P(k)^v exactly dividing k, as one
+read-only int32 array, 4 bytes per index, built once to the sieve's own
+bound, so every n reads a slice of it and nothing is regrown; P(k) is
+spf(k // r(k))), and one entry per builder and bound
 (:meth:`SpfSieve._for_bound`): the prime-power rows, 24 bytes per row
 (9.7k rows at 10^5, 78.7k at 10^6), and the coprime-pair index of the
 structure checks.  The sieve that serves n is the caller's where one is
-at hand; a caller with none (a check, a product of tagged tables) takes
-the smallest live sieve with bound >= n from a weak registry that
-:func:`build_sieve` fills (:func:`_sieve_for`), else a new one that it
-does not keep.  The package holds no module-level cache.
+at hand; a caller with none (a check, a product, power or inverse of
+tagged tables) takes the smallest live sieve with bound >= n from a weak
+registry that :func:`build_sieve` fills (:func:`_sieve_for`), else a new
+one that it does not keep.  The package holds no module-level cache.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ import weakref
 
 import numpy as np
 
-#: Indices per vector step of the loops over 2..n that read or extend the
+#: Indices per vector step of the loops over 2..n that build or read the
 #: fold index: each step's temporaries stay near 1 MB whatever n is.
 STEP = 1 << 14
 
@@ -54,16 +55,14 @@ class SpfSieve:
     What is derived for a bound is kept on the sieve (see the module docstring).
     """
 
-    __slots__ = ("bound", "_spf", "_prime_array", "_prime_list", "_big", "_rest", "_per_bound",
+    __slots__ = ("bound", "_spf", "_prime_array", "_prime_list", "_rest", "_per_bound",
                  "__weakref__")
 
     def __init__(self, bound: int, spf: np.ndarray, primes: np.ndarray):
         self.bound = bound
         self._spf = spf
         self._prime_array, self._prime_list = primes, None  # the list is made on first read
-        seed = np.ones(2, dtype=np.int32)  # P(k), r(k) at k = 0, 1
-        seed.flags.writeable = False
-        self._big = self._rest = seed
+        self._rest = None  # the fold index, built on first use
         self._per_bound = {}  # (build, n) -> build(self, n)
 
     @property
@@ -72,31 +71,30 @@ class SpfSieve:
             self._prime_list = self._prime_array.tolist()
         return self._prime_list
 
-    def _fold_index(self, n: int) -> tuple[np.ndarray, np.ndarray]:
-        """P(k) and r(k) on 0..n (1 at 0 and 1), read-only int32, for
-        n <= bound.
+    def _fold_index(self, n: int) -> np.ndarray:
+        """r(k) = k / P(k)^v on 0..n (1 at 0 and 1), P(k) the largest prime
+        factor of k and P(k)^v the power of it that exactly divides k, as
+        read-only int32, for n <= bound: a slice of one array, built on first
+        use to the sieve's bound.  P(k) is spf(k // r(k)).
 
-        With p = spf(k) and m = k / p, P(k) = max(p, P(m)) and r(k) is 1
-        if P(m) <= p, else p r(m): m <= k / 2, so each step of at most STEP
+        With p = spf(k) and m = k / p, r(k) is 1 if P(m) = spf(m // r(m)) <= p
+        (spf(1) is 0), else p r(m): m <= k / 2, so each step of at most STEP
         indices inside a dyadic block reads only below its start.
         """
-        have = len(self._big)
-        if have <= n:
-            big = np.ones(n + 1, dtype=np.int32)
-            rest = np.ones(n + 1, dtype=np.int32)
-            big[:have], rest[:have] = self._big, self._rest
-            lo = max(have, 2)
-            while lo <= n:
-                hi = min(2 * lo, lo + STEP, n + 1)
-                p = self._spf[lo:hi]
+        if self._rest is None:
+            spf, top = self._spf, self.bound
+            rest = np.ones(top + 1, dtype=np.int32)
+            lo = 2
+            while lo <= top:
+                hi = min(2 * lo, lo + STEP, top + 1)
+                p = spf[lo:hi]
                 m = np.arange(lo, hi) // p
-                big_m = big[m]
-                big[lo:hi] = np.maximum(p, big_m)
-                rest[lo:hi] = np.where(big_m <= p, 1, p * rest[m])
+                rest_m = rest[m]
+                rest[lo:hi] = np.where(spf[m // rest_m] <= p, 1, p * rest_m)
                 lo = hi
-            big.flags.writeable = rest.flags.writeable = False
-            self._big, self._rest = big, rest
-        return self._big[: n + 1], self._rest[: n + 1]
+            rest.flags.writeable = False
+            self._rest = rest
+        return self._rest[: n + 1]
 
     def _for_bound(self, build, n: int):
         """build(self, n), made on first use and kept for the sieve's life."""

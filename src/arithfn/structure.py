@@ -30,21 +30,21 @@ absolute tolerance plus a rounding allowance that grows with the
 magnitudes, as in PEP 485's ``isclose``; an equal finite pair passes
 without it.
 Both reconstructions are one fold over the exact prime powers of each
-index, under x or +, one vector op per dyadic block: a(k) is
-a(k / P^v) c_P[v] or a(k / P) + g(P, v), P^v the exact power of the
-largest prime factor of k, read off the sieve's cached fold index.  So
-every value is formed in ascending primes (sums in ascending (p, k)), as
-a per-index loop over the factorization forms it, and complex results
-are bit-identical to that loop.
+index, under x or +, one vector op per step of at most ``sieve.STEP``
+indices: a(k) is a(k / P^v) c_P[v] or a(k / P) + g(P, v), P^v the exact
+power of the largest prime factor of k, read off the sieve's fold index
+(P itself is spf(P^v)).  So every value is formed in ascending primes
+(sums in ascending (p, k)), as a per-index loop over the factorization
+forms it, and complex results are bit-identical to that loop.
 
 Every entry point that reads prime powers takes the caller's sieve,
 which must reach the table's bound: the two readers of the sieve,
 ``sieve._prime_powers`` and :func:`_prime_power_fold`, raise ValueError
 on a smaller one before they read it.  :func:`is_multiplicative`,
-:func:`is_additive` and the products of tagged tables take no sieve and
-read the one ``sieve._sieve_for`` finds.  The checks, decompositions and
-reconstructions walk the prime-power rows (p, k, p^k) of
-``sieve._prime_powers``.  The identity suite
+:func:`is_additive` and the products, powers and inverses of tagged
+tables take no sieve and read the one ``sieve._sieve_for`` finds.  The
+checks, decompositions and reconstructions walk the prime-power rows
+(p, k, p^k) of ``sieve._prime_powers``.  The identity suite
 (``catalogue.verify_identities``) folds its closed-form values on those
 rows with :func:`_prime_power_fold` directly, with no decomposition
 object in between.
@@ -136,33 +136,35 @@ def _prime_power_fold(sieve, n, pks, stored, den, backend, product, unit=1) -> A
     denominators.  An exact product is then multiplied by the integer
     ``unit`` in place.
 
-    With P(k) the largest prime factor of k and r(k) = k / P(k)^v (the
-    sieve's fold index), f(k) = f(r(k)) x at[k / r(k)] or f(k / P(k)) +
-    at[k / r(k)] reads only below k / 2, so each dyadic block is one
-    vector op.  int64 runs while max|left| x max|at| (or +) < 2**63; a
-    block that fails moves to object.  The sum runs on the numerators
-    over their den; a product over den > 1 would need den**omega(k), so it
-    runs on the boxed values.  An exact product keeps ``at`` in the table
-    it fills: f(p^k) = 1 x at[p^k], and a block reads at[k / r(k)] at prime
-    powers folded already or at its own k, before it writes them, so one
-    N-sized array serves both (in complex, 1 x z can flip a signed zero).
+    With r(k) = k / P(k)^v (the sieve's fold index), P(k) the largest prime
+    factor of k, and q = k / r(k) that prime power, f(k) = f(r(k)) x at[q]
+    or f(k / P(k)) + at[q], where P(k) = spf(q).  Both read only below
+    k / 2, so each step of at most STEP indices inside a dyadic block is
+    one vector op on intp gathers, and the temporaries stay near 1 MB at
+    any n.  int64 runs while max|left| x max|at| (or +) < 2**63; a step
+    that fails moves to object.  The sum runs on the numerators over their
+    den; a product over den > 1 would need den**omega(k), so it runs on the
+    boxed values.  An exact product keeps ``at`` in the table it fills:
+    f(p^k) = 1 x at[p^k], and a step reads at[q] at prime powers folded in
+    an earlier step or at its own k, before it writes them, so one N-sized
+    array serves both (in complex, 1 x z can flip a signed zero).
     """
     _check_bound(sieve, n)
     if product and den > 1:
         stored, den = _objects(_box(stored, den)), 1
-    big, rest = sieve._fold_index(n)
+    rest, spf = sieve._fold_index(n), sieve._spf
     out = np.zeros(n + 1, dtype=stored.dtype)
     at = out if product and out.dtype != np.complex128 else np.zeros(n + 1, dtype=out.dtype)
     at[pks] = stored
     out[1] = int(product)  # f(1); a product runs with den = 1
     lo = 2
     while lo <= n:
-        hi = min(2 * lo, n + 1)
+        hi = min(2 * lo, lo + STEP, n + 1)
         k = np.arange(lo, hi)
-        r = rest[lo:hi]
-        left = out[r] if product else out[k // big[lo:hi]]
-        k //= r  # the prime power k / r(k)
-        right = at[k]
+        r = rest[lo:hi].astype(np.intp)
+        q = k // r  # the prime power k / r(k)
+        left = out[r] if product else out[k // spf[q]]
+        right = at[q]
         if out.dtype == np.int64:
             x, y = _max_abs(left), _max_abs(right)
             if (x * y if product else x + y) >= 2**63:
@@ -277,8 +279,8 @@ def _coprime_pairs(sieve: SpfSieve, n: int):
 def _law_holds(v: np.ndarray, den: int, n: int, product: bool, sieve: SpfSieve) -> bool:
     """A(k) den = A(r(k)) A(q(k)) (``product``), else A(k) = A(r(k)) +
     A(q(k)), for every k = 2..n, on the exact numerators v = A over den:
-    r(k) is k with the power of its largest prime removed (the ``rest`` of
-    the sieve's fold index), so q(k) = k / r(k) is that prime power.
+    r(k) is k with the power of its largest prime removed (the sieve's
+    fold index), so q(k) = k / r(k) is that prime power.
 
     Given a(1) = 1 (or 0), this holds iff every coprime pair does.  Each
     k with r = r(k) > 1 is the coprime pair (r, q) (as (min, max)), both
@@ -289,7 +291,7 @@ def _law_holds(v: np.ndarray, den: int, n: int, product: bool, sieve: SpfSieve) 
     a(mn) = a(m) a(n).  v must pass the scan's int64 guard.  One vector
     step per STEP indices, each gathering with intp indices.
     """
-    rest = sieve._fold_index(n)[1]
+    rest = sieve._fold_index(n)
     for lo in range(2, n + 1, STEP):
         hi = min(lo + STEP, n + 1)
         r = rest[lo:hi].astype(np.intp)
@@ -476,13 +478,17 @@ class _Rows:
 # multiplicative, M(1) = 1, and t = a(1).  The tag keeps M at the rows
 # (p, k) of ``sieve._prime_powers`` at the table's bound.
 # Under *, M is the product over p of its Bell series
-# f_p = 1 + M(p) x + M(p^2) x^2 + ... (Apostol 2.16), so a product or
-# power of tagged tables is one series op per prime p <= sqrt N, one
-# vector op on the k = 1 rows of the primes above (whose series is
-# 1 + M(p) x: a(p) + b(p) or k a(p)), and one fold of the new rows,
-# multiplied by the product of the scalars.  The result is tagged with
-# those rows; _store keeps every table in one storage, so it is the table
-# the convolution kernel gives.
+# f_p = 1 + M(p) x + M(p^2) x^2 + ... (Apostol 2.16), and the
+# multiplicative functions form a group in which the inverse acts prime by
+# prime: the Bell series of M^-1 at p is 1 / f_p.  So a product, power or
+# inverse of tagged tables is one series op per prime p <= sqrt N
+# (series_mul, its powers, or the reciprocal g_0 = 1,
+# g_k = -(f_1 g_(k-1) + ... + f_k g_0)), one vector op on the k = 1 rows
+# of the primes above (whose series is 1 + M(p) x: a(p) + b(p), k a(p) or
+# -a(p)), and one fold of the new rows, multiplied by the product of the
+# scalars (for an inverse t^-1, so only t = +-1 takes this route).  The
+# result is tagged with those rows; _store keeps every table in one
+# storage, so it is the table the convolution and inverse kernels give.
 # ---------------------------------------------------------------------------
 
 
@@ -556,6 +562,21 @@ def _bell_pow(a: ArithFn, k: int) -> ArithFn:
     """a ** k of a tagged table, k >= 0: the series power."""
     return _bell_route(a, a._v.item(1) ** k, lambda f, length: _series_pow(f, k, length),
                        lambda x: k * _widened(x, k * _peak(x)), a._mult)
+
+
+def _series_inv(f: list, length: int) -> list:
+    """1 / f for f with constant term 1, truncated to ``length``:
+    g_0 = 1 and g_k = -(f_1 g_(k-1) + ... + f_k g_0)."""
+    g = [1]
+    for k in range(1, length):
+        g.append(-sum(f[j] * g[k - j] for j in range(1, k + 1)))
+    return g
+
+
+def _bell_inv(a: ArithFn) -> ArithFn:
+    """a^-1 of a tagged table with a(1) = t = +-1: t times the series
+    reciprocal, as t^-1 = t."""
+    return _bell_route(a, a._v.item(1), _series_inv, lambda x: -_widened(x, _peak(x)), a._mult)
 
 
 class BellSeries(NamedTuple):

@@ -1,15 +1,19 @@
-"""Products and powers of catalogue-made multiplicative tables per prime.
+"""Products, powers and inverses of catalogue-made multiplicative tables
+per prime.
 
 ``catalogue.make`` tags an exact I, u, mu, phi, liouville, d, N and
 sigma_c with the table's values at the prime powers.  ``*`` of two
-tagged tables and ``**`` of one run on those rows and one fold; ``inv``
-runs the inverse kernel and leaves its result untagged.  Every result
-here must equal the same op on untagged ``ArithFn.from_values`` copies,
-which run the convolution and inverse kernels, with the same storage
-dtype and den.
+tagged tables, ``**`` of one and ``inv`` of one with a(1) = +-1 run on
+those rows and one fold, and tag their result; the inverse of a tagged
+table with |a(1)| > 1 runs the inverse kernel and is untagged.  Every
+result here must equal the same op on untagged ``ArithFn.from_values``
+copies, which run the convolution and inverse kernels, with the same
+storage dtype and den.
 """
 
 from fractions import Fraction
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -84,7 +88,7 @@ def test_products_powers_and_inverses_equal_the_table_route(tables, t):
             assert got._mult is not None
         got = a.inv()
         assert_same(got, pa.inv())
-        assert got._mult is None
+        assert (got._mult is not None) == (abs(t) == 1)  # only a(1) = +-1 routes
 
 
 def test_chains_equal_the_table_route(tables):
@@ -116,6 +120,55 @@ def test_routed_ops_run_no_convolution(tables, monkeypatch):
         assert_same(got, w)
 
 
+def _refuse(kernel):
+    def refuse(*args):
+        raise AssertionError(f"a routed op ran {kernel}")
+
+    return refuse
+
+
+@pytest.mark.parametrize("t", (1, -1))
+def test_inverses_under_a_unit_run_no_inverse_kernel(tables, t, monkeypatch):
+    want = {label: plain(scaled(a, t)).inv() for label, a in tables.items()}
+    monkeypatch.setattr(dirichlet, "_inv", _refuse("the inverse kernel"))
+    for label, a in tables.items():
+        got = scaled(a, t).inv()
+        assert_same(got, want[label])
+        assert got._mult is not None
+
+
+def test_inverse_chains_route_end_to_end(tables, monkeypatch):
+    u, phi, d, N, mu = (tables[x] for x in ("u", "phi", "d", "N", "mu"))
+    pu, pphi, pd, pN, pmu = map(plain, (u, phi, d, N, mu))
+    want = [pu.inv() * pu.inv(), (pphi**2).inv() * pN, (pmu * pd).inv() * pphi,
+            (-pu).inv().inv(), (pphi * pd).inv() ** 3]
+    monkeypatch.setattr(dirichlet, "_conv", _refuse("the convolution kernel"))
+    monkeypatch.setattr(dirichlet, "_inv", _refuse("the inverse kernel"))
+    got = [u.inv() * u.inv(), (phi**2).inv() * N, (mu * d).inv() * phi,
+           (-u).inv().inv(), (phi * d).inv() ** 3]
+    for g, w in zip(got, want):
+        assert_same(g, w)
+        assert g._mult is not None
+
+
+def test_a_routed_inverse_allocates_one_step_at_a_time():
+    """Once the sieve holds its fold index, (-u)^-1 at 10^6 allocates the
+    8 MB result, its rows and one step of the fold's temporaries; the
+    inverse kernel peaks near 23 MB."""
+    n = 10**6
+    sieve = af.build_sieve(n)
+    neg = -af.make("u", sieve)
+    sieve._fold_index(n)
+    tracemalloc.start()
+    try:
+        got = neg.inv()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got._mult is not None and peak < 10 * 2**20, peak
+    assert np.array_equal(got._v, -af.make("mobius", sieve)._v)
+
+
 def test_rows_past_int64_take_object_storage():
     sieve = af.build_sieve(4099)
     N, sigma_6, sigma_5 = af.make("N", sieve), af.make("sigma", sieve, c=6), af.make("sigma", sieve, c=5)
@@ -128,6 +181,10 @@ def test_rows_past_int64_take_object_storage():
         (sigma_5**4 * sigma_5**4, plain(sigma_5) ** 8),
         (sigma_6.scale(-7) * N.scale(3), plain(sigma_6).scale(-7) * plain(N).scale(3)),
         (u.scale(2**70) * N, plain(u).scale(2**70) * plain(N)),  # a scalar past int64
+        (sigma_6.inv(), plain(sigma_6).inv()),
+        ((-sigma_6).inv(), plain(-sigma_6).inv()),
+        ((sigma_5**8).inv(), (plain(sigma_5) ** 8).inv()),
+        ((-(sigma_5**8)).inv() * sigma_5, (-plain(sigma_5) ** 8).inv() * plain(sigma_5)),
     ]
     for got, want in cases:
         assert_same(got, want)
@@ -144,6 +201,12 @@ def test_large_prime_rows_leave_int64_alone():
     for got, want in ((f * f, plain(f) * plain(f)), (f**2, plain(f) ** 2), (f**3, plain(f) ** 3)):
         assert_same(got, want)
         assert got._mult.dtype == object
+    # -f(p) leaves int64 where f(p) = -2**63
+    g = _tag(af.ArithFn.from_values([-(2**63) if v > 1 else v for v in vals]), sieve)
+    assert g._v.dtype == np.int64 and g._mult.dtype == np.int64
+    for got, want in ((g.inv(), plain(g).inv()), ((-g).inv(), plain(-g).inv())):
+        assert_same(got, want)
+        assert got._mult.dtype == object
 
 
 def test_untagged_tables(tables, tmp_path):
@@ -157,7 +220,8 @@ def test_untagged_tables(tables, tmp_path):
         phi - u,
         phi.scale(Fraction(1, 2)),
         phi.scale(0),
-        phi.inv(),
+        phi.scale(3).inv(),
+        tables["mu"].scale(-7).inv(),
         phi.to_backend(af.COMPLEX),
         fnio.read_function(path),
         phi * plain(u),
@@ -167,6 +231,7 @@ def test_untagged_tables(tables, tmp_path):
         untagged.append(phi.truncate(phi.bound - 1))
     for a in untagged:
         assert a._mult is None
+    assert phi.inv()._mult is not None
 
 
 def test_predicates_never_read_the_tag(tables):

@@ -165,12 +165,14 @@ def test_fold_index_and_rows_against_trial_division(sieve5000, bound, monkeypatc
         stepped = af.build_sieve(bound)
         stepped._fold_index(bound)
     for sieve in (fresh, stepped, sieve5000):  # a sieve of this bound, and of a larger one
-        got_big, got_rest = sieve._fold_index(bound)
-        assert got_big.dtype == got_rest.dtype == np.int32
-        assert got_big.tolist() == big and got_rest.tolist() == rest
+        got_rest = sieve._fold_index(bound)
+        assert got_rest.dtype == np.int32
+        assert got_rest.tolist() == rest
+        k = np.arange(2, bound + 1)  # P(k) is spf(k // r(k))
+        assert [1, 1, *sieve._spf[k // got_rest[2:]].tolist()][: bound + 1] == big
         p, k, pk = _prime_powers(sieve, bound)
         assert list(zip(p.tolist(), k.tolist(), pk.tolist())) == rows
-    assert len(fresh._big) == max(bound + 1, 2)  # built to the bound asked, no further
+        assert len(sieve._rest) == sieve.bound + 1  # built to the sieve's bound
 
 
 @pytest.mark.parametrize("bound", FOLD_BOUNDS)
@@ -187,19 +189,37 @@ def test_primes_is_one_list_of_the_primes(bound):
 
 def test_sieve_caches_grow_to_the_largest_bound_asked():
     fresh = af.build_sieve(4099)
-    want_index = fresh._fold_index(4099)
+    want_index = (fresh._fold_index(4099),)
     want_rows = _prime_powers(fresh, 4099)
     for first in (1, 2, 9, 1023, 1024):
         sieve = af.build_sieve(4099)
-        small_index, small_rows = sieve._fold_index(first), _prime_powers(sieve, first)
-        assert len(sieve._big) == max(first + 1, 2)  # built to n, not to the sieve's bound
-        grown_index, grown_rows = sieve._fold_index(4099), _prime_powers(sieve, 4099)
+        small_index, small_rows = (sieve._fold_index(first),), _prime_powers(sieve, first)
+        assert len(sieve._rest) == 4100  # the fold index is built to the sieve's bound at once
+        grown_index, grown_rows = (sieve._fold_index(4099),), _prime_powers(sieve, 4099)
         for got, want in zip(grown_index + grown_rows, want_index + want_rows):
             assert np.array_equal(got, want)
         # a smaller bound still reads what it read before the sieve grew
-        for got, want in zip(sieve._fold_index(first) + _prime_powers(sieve, first),
+        for got, want in zip((sieve._fold_index(first),) + _prime_powers(sieve, first),
                              small_index + small_rows):
             assert np.array_equal(got, want)
+
+
+def test_fold_index_is_built_once_to_the_sieve_bound():
+    sieve = af.build_sieve(10**5)
+    assert sieve._rest is None  # a sieve that served no fold holds its seed alone
+    first = sieve._fold_index(10)
+    index = sieve._rest
+    assert len(index) == 10**5 + 1 and first.base is index
+    tracemalloc.start()
+    try:
+        views = [sieve._fold_index(n) for n in (0, 1, 2, 1023, 4099, 10**5, 10**5 // 2)]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**12, peak  # slices of the one array, nothing copied or regrown
+    assert sieve._rest is index
+    for view in views:
+        assert view.base is index and np.array_equal(view, index[: len(view)])
 
 
 def test_prime_power_rows_are_kept_per_bound():
@@ -213,10 +233,10 @@ def test_prime_power_rows_are_kept_per_bound():
 
 def test_cached_arrays_are_read_only():
     sieve = af.build_sieve(100)
-    arrays = [*sieve._fold_index(100), *_prime_powers(sieve, 100)]
+    arrays = [sieve._fold_index(100), *_prime_powers(sieve, 100)]
     next(structure._coprime_pairs(sieve, 100))  # the pair index
     arrays += [arr for kept in sieve._per_bound.values() for arr in kept]
-    arrays += [sieve._big, sieve._rest, sieve._spf, sieve._prime_array]
+    arrays += [sieve._rest, sieve._spf, sieve._prime_array]
     for arr in arrays:
         assert not arr.flags.writeable
         with pytest.raises(ValueError):
@@ -227,7 +247,7 @@ def test_cached_arrays_are_read_only():
 def test_fold_index_below_two_is_read_only(bound):
     sieve = af.build_sieve(bound)
     for n in (0, 1):
-        for arr in sieve._fold_index(n):
-            assert not arr.flags.writeable
-            with pytest.raises(ValueError):
-                arr[0] = 0
+        arr = sieve._fold_index(n)
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[0] = 0

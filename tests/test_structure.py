@@ -664,6 +664,12 @@ class TestAgainstScalarLoops:
                     n, backend, additive_decompose_oracle(got_add)
                 )
 
+    @pytest.mark.parametrize("n", (1025, 4099))
+    def test_folds_in_small_steps_match_scalar_loops(self, n, monkeypatch):
+        monkeypatch.setattr(structure, "STEP", 8)  # many fold steps per dyadic block
+        self.test_reconstructions_match_scalar_loops(n)
+        self.test_fold_int64_guard_edges(n)
+
     def test_smallest_prime_order_fails_bit_test(self):
         # the bit comparison above can tell the fold's association order
         n = 1000
@@ -974,10 +980,10 @@ def _refuse_builds(bound):
 
 def _sieve_free_outcomes(tables, tagged) -> list:
     """What the calls that take no sieve give: both checks of every table,
-    and routed products and powers of tagged ones, with their tags."""
+    and routed products, powers and inverses of tagged ones, with their tags."""
     out = [(_outcome(af.is_multiplicative(a)), _outcome(af.is_additive(a))) for a in tables]
     phi, d, mu = tagged
-    for got in (phi * d, d**3, phi.scale(3) * mu.scale(-7)):
+    for got in (phi * d, d**3, phi.scale(3) * mu.scale(-7), phi.inv(), (-d).inv()):
         out.append((got.values(), got._v.dtype, got.den, got._mult.tolist()))
     return out
 
@@ -1011,7 +1017,7 @@ class TestTheSieveThatServesABound:
         for a in tables:
             _structure_outcomes(a, sieve, PREDICATES)
         # the smallest live sieve that reaches N served every call
-        assert len(short._big) == len(large._big) == 2 and not short._per_bound | large._per_bound
+        assert short._rest is large._rest is None and not short._per_bound | large._per_bound
 
     def test_results_do_not_depend_on_the_sieve(self):
         tables, tagged = self._inputs()

@@ -53,8 +53,9 @@ included (a bool is no exponent, so it raises).
 
 Routed ops: one digest per product, power or inverse in ``_routed`` of
 catalogue tables under int scalars, and chains of them, at each bound in
-ROUTE_BOUNDS; a tree may run the products and powers per prime.  Their
-rows reach past int64 (``N ** 3``, ``sigma_6 ** 3``, ``sigma_5 ** 8``).
+ROUTE_BOUNDS; a tree may run the products, the powers and the inverses
+under a(1) = +-1 per prime.  Their rows reach past int64 (``N ** 3``,
+``sigma_6 ** 3``, ``sigma_5 ** 8``).
 
 Complex sigma: one digest of ``make("sigma", sieve, COMPLEX, c=c)`` per
 exponent c in SIGMA_EXPONENTS (one or more per route: libm's pow,
@@ -301,6 +302,11 @@ def _routed(af, sieve) -> dict:
         "(phi * d) ** 3": lambda: (phi * d) ** 3,
         "inv(phi ** 2) * N": lambda: (phi**2).inv() * N,
         "inv(u) * inv(u)": lambda: u.inv() * u.inv(),
+        "inv(d)": lambda: d.inv(),
+        "inv(N)": lambda: N.inv(),
+        "inv(mu)": lambda: mu.inv(),
+        "inv(-lambda)": lambda: (-lam).inv(),
+        "inv(sigma_1)": lambda: sigma_1.inv(),
     }
 
 

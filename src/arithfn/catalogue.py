@@ -3,8 +3,9 @@
 Every constructor computes from an elementary definition:
 
 - mu, phi, liouville, nu and Omega by their smallest-prime-factor
-  recurrence f(k) = F(f(k / p), p, [p | k / p]) with p = spf(k)
-  (Apostol, Introduction to Analytic Number Theory, ch. 2);
+  recurrence f(k) = F(f(m), p, m) with p = spf(k) and m = k / p, read
+  off [p | m] (Apostol, Introduction to Analytic Number Theory, ch. 2):
+  one ``sieve._spf_recurrence``, the walk over 2..N the sieve owns;
 - sigma_c by its divisor sum, the sum of d^c over the divisors d of n,
   and d as sigma_0: one convolution N^c * u, each output summed in
   ascending d.  A complex table rounds each power as CPython's
@@ -38,7 +39,7 @@ import numpy as np
 from .dirichlet import ArithFn, _conv, _modulus
 from .errors import NonFiniteError, UnsupportedBackendError
 from .numerics import COMPLEX, DEFAULT_TOL, RATIONAL
-from .sieve import STEP, SpfSieve, _prime_powers
+from .sieve import SpfSieve, _prime_powers, _spf_recurrence
 from .structure import _prime_power_fold, _tag
 
 #: Canonical constructor names (CLI aliases included).
@@ -104,37 +105,18 @@ def _table(name: str, sieve: SpfSieve, n: int, backend, c) -> ArithFn:
     if name == "d":
         return _make_sigma(sieve, n, RATIONAL, 0).to_backend(backend)
     first, step = _SPF_STEPS[name]
-    return ArithFn._wrap(n, RATIONAL, _spf_recurrence(sieve, n, first, step)).to_backend(backend)
+    table = _spf_recurrence(sieve, n, first, step, np.int64)
+    return ArithFn._wrap(n, RATIONAL, table).to_backend(backend)
 
 
-#: f(1) and the step f(k) = step(f(m), p, p | m) with p = spf(k), m = k / p
+#: f(1) and the step f(k) = step(f(m), p, m) with p = spf(k), m = k / p
 _SPF_STEPS = {
-    "mobius": (1, lambda f, p, div: np.where(div, 0, -f)),
-    "phi": (1, lambda f, p, div: f * (p - 1 + div)),
-    "liouville": (1, lambda f, p, div: -f),
-    "nu": (0, lambda f, p, div: f + ~div),
-    "Omega": (0, lambda f, p, div: f + 1),
+    "mobius": (1, lambda f, p, m: np.where(m % p == 0, 0, -f)),
+    "phi": (1, lambda f, p, m: f * (p - 1 + (m % p == 0))),
+    "liouville": (1, lambda f, p, m: -f),
+    "nu": (0, lambda f, p, m: f + (m % p != 0)),
+    "Omega": (0, lambda f, p, m: f + 1),
 }
-
-
-def _spf_recurrence(sieve: SpfSieve, n: int, first: int, step) -> np.ndarray:
-    """The int64 table f on 0..n with f(0) = 0, f(1) = ``first`` and
-    f(k) = step(f(m), p, p | m) for k >= 2, where p = spf(k) and m = k / p.
-
-    Every k in a dyadic block [lo, 2 lo) has m <= k / 2 < lo, so the values
-    a block reads are final and each step of at most STEP indices inside it
-    is one vector op.
-    """
-    out = np.zeros(n + 1, dtype=np.int64)
-    out[1] = first
-    lo = 2
-    while lo <= n:
-        hi = min(2 * lo, lo + STEP, n + 1)
-        p = sieve._spf[lo:hi]
-        m = np.arange(lo, hi) // p
-        out[lo:hi] = step(out[m], p, m % p == 0)
-        lo = hi
-    return out
 
 
 def _make_sigma(sieve: SpfSieve, n: int, backend, c) -> ArithFn:

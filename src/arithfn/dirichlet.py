@@ -72,6 +72,7 @@ from .errors import (
     UnsupportedBackendError,
 )
 from .numerics import COMPLEX, DEFAULT_EPS, RATIONAL, rational
+from .sieve import _sieve_for
 
 
 class ArithFn:
@@ -334,14 +335,16 @@ class ArithFn:
 
     @np.errstate(over="ignore", invalid="ignore")  # _store reports it
     def deriv(self) -> "ArithFn":
-        """Log-weighted derivative a'(n) = a(n) ln n (float backend only)."""
+        """Log-weighted derivative a'(n) = a(n) ln n (float backend only);
+        ln n is kept per bound on the sieve that serves it (``sieve._sieve_for``)."""
         if self.backend is not COMPLEX:
             raise UnsupportedBackendError(
                 "derivative multiplies by ln n, which is irrational for n >= 2; "
                 "use the complex backend"
             )
         n = self.bound
-        out = _scaled(_logs(n), self._v)  # rounds as a(n) * math.log(n) does
+        logs = _sieve_for(n)._for_bound(_logs, n)
+        out = _scaled(logs, self._v)  # rounds as a(n) * math.log(n) does
         out[1] = 0
         return ArithFn._wrap(n, COMPLEX, out)
 
@@ -496,22 +499,14 @@ def _check_finite(arr: np.ndarray) -> None:
         raise NonFiniteError(f"non-finite complex value {complex(arr[n])!r} at n = {n}")
 
 
-_LOGS = np.zeros(2, dtype=np.complex128)
-
-
-def _logs(n: int) -> np.ndarray:
-    """math.log(k) at k = 0..n (0 at 0 and 1) as read-only complex128: a
-    slice of one table, extended when a larger n asks for it.  math.log,
-    since np.log differs from it in the last bit on some k."""
-    global _LOGS
-    have = len(_LOGS)
-    if have <= n:
-        logs = np.zeros(n + 1, dtype=np.complex128)
-        logs[:have] = _LOGS
-        logs.real[have:] = [math.log(k) for k in range(have, n + 1)]
-        logs.flags.writeable = False
-        _LOGS = logs
-    return _LOGS[: n + 1]
+def _logs(sieve, n: int) -> np.ndarray:
+    """math.log(k) at k = 0..n (0 at 0 and 1) as read-only complex128, kept
+    on the sieve per bound (:meth:`ArithFn.deriv`).  math.log, since np.log
+    differs from it in the last bit on some k."""
+    logs = np.zeros(n + 1, dtype=np.complex128)
+    logs.real[2:] = [math.log(k) for k in range(2, n + 1)]
+    logs.flags.writeable = False
+    return logs
 
 
 def _scaled(w, x: np.ndarray) -> np.ndarray:

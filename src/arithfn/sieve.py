@@ -2,8 +2,11 @@
 
 The sieve stores spf[n] = smallest prime factor of n for 2 <= n <= N,
 which makes the factorization of any n <= N an O(number of prime factors)
-walk.  The catalogue's recurrence tables (totient, Mobius, Liouville, the
-nu/Omega counts) read f(k) off f(k / spf(k)), one step of k at a time.
+walk.  Every table derived for a bound is one walk over k = 2..n,
+written once here (:func:`_steps`): the catalogue's recurrence tables
+(totient, Mobius, Liouville, the nu/Omega counts) and the fold index read
+f(k) off f(k / spf(k)) (:func:`_spf_recurrence`), the prime-power fold of
+``structure`` off f(r(k)) and f(k / P(k)).
 
 This module also owns the primes <= N (:attr:`SpfSieve.primes`) and the
 prime-power rows (p, k, p^k) <= bound (:func:`_prime_powers`): a
@@ -27,7 +30,8 @@ structure checks.  The sieve that serves n is the caller's where one is
 at hand; a caller with none (a check, a product, power or inverse of
 tagged tables) takes the smallest live sieve with bound >= n from a weak
 registry that :func:`build_sieve` fills (:func:`_sieve_for`), else a new
-one that it does not keep.  The package holds no module-level cache.
+one that it does not keep.  ``_LIVE`` is weak and keeps no sieve alive,
+so the package holds no module-level cache.
 """
 
 from __future__ import annotations
@@ -37,8 +41,8 @@ import weakref
 
 import numpy as np
 
-#: Indices per vector step of the loops over 2..n that build or read the
-#: fold index: each step's temporaries stay near 1 MB whatever n is.
+#: Indices per vector step of the walks over 2..n (the pair scan reads
+#: STEP bits, so a multiple of 8): temporaries stay near 1 MB at any n.
 STEP = 1 << 14
 
 #: Every sieve :func:`build_sieve` made that something still holds.
@@ -77,21 +81,15 @@ class SpfSieve:
         read-only int32, for n <= bound: a slice of one array, built on first
         use to the sieve's bound.  P(k) is spf(k // r(k)).
 
-        With p = spf(k) and m = k / p, r(k) is 1 if P(m) = spf(m // r(m)) <= p
-        (spf(1) is 0), else p r(m): m <= k / 2, so each step of at most STEP
-        indices inside a dyadic block reads only below its start.
+        One :func:`_spf_recurrence`: with p = spf(k) and m = k / p, r(k) is 1
+        if P(m) = spf(m // r(m)) <= p (spf(1) is 0), else p r(m).
         """
         if self._rest is None:
-            spf, top = self._spf, self.bound
-            rest = np.ones(top + 1, dtype=np.int32)
-            lo = 2
-            while lo <= top:
-                hi = min(2 * lo, lo + STEP, top + 1)
-                p = spf[lo:hi]
-                m = np.arange(lo, hi) // p
-                rest_m = rest[m]
-                rest[lo:hi] = np.where(spf[m // rest_m] <= p, 1, p * rest_m)
-                lo = hi
+            spf = self._spf
+            rest = _spf_recurrence(
+                self, self.bound, 1, lambda f, p, m: np.where(spf[m // f] <= p, 1, p * f), np.int32
+            )
+            rest[0] = 1
             rest.flags.writeable = False
             self._rest = rest
         return self._rest[: n + 1]
@@ -167,6 +165,33 @@ def build_sieve(bound: int) -> SpfSieve:
     sieve = SpfSieve(bound, spf, primes)
     _LIVE.add(sieve)
     return sieve
+
+
+def _steps(n: int):
+    """Yield the steps (lo, hi) that cover 2..n in order: at most STEP
+    indices each, inside one dyadic block [2^j, 2^(j+1)).  Every k of a
+    step has k / 2 < lo, so a walk that reads f only at indices <= k / 2
+    reads values that earlier steps made final: each step is one vector op.
+    """
+    lo = 2
+    while lo <= n:
+        hi = min(2 * lo, lo + STEP, n + 1)
+        yield lo, hi
+        lo = hi
+
+
+def _spf_recurrence(sieve: SpfSieve, n: int, first: int, step, dtype) -> np.ndarray:
+    """The table f on 0..n of ``dtype`` with f(0) = 0, f(1) = ``first`` and
+    f(k) = step(f(m), p, m) for k >= 2, where p = spf(k) and m = k / p,
+    one vector step per :func:`_steps` (m <= k / 2).
+    """
+    out = np.zeros(n + 1, dtype=dtype)
+    out[1] = first
+    for lo, hi in _steps(n):
+        p = sieve._spf[lo:hi]
+        m = np.arange(lo, hi) // p
+        out[lo:hi] = step(out[m], p, m)
+    return out
 
 
 def _sieve_for(n: int) -> SpfSieve:

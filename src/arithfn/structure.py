@@ -23,19 +23,20 @@ transitive, so the law would be another test.
 The scan reads every coprime pair (m, n), 2 <= m < n, m*n <= N, in
 ascending (m, n), from one bit-packed index per bound (one bit per
 candidate n of each m, 0.76 MB at N = 10^6), kept on the sieve, in
-vector steps of at most PAIR_CHUNK pairs, the first at m = 2; the first
+vector steps of at most ``sieve.STEP`` pairs, the first at m = 2; the first
 failing pair of the first failing step is the lexicographically least
 witness.  Complex values compare within tol + 8 eps (|lhs| + |rhs|): the
 absolute tolerance plus a rounding allowance that grows with the
 magnitudes, as in PEP 485's ``isclose``; an equal finite pair passes
 without it.
 Both reconstructions are one fold over the exact prime powers of each
-index, under x or +, one vector op per step of at most ``sieve.STEP``
-indices: a(k) is a(k / P^v) c_P[v] or a(k / P) + g(P, v), P^v the exact
-power of the largest prime factor of k, read off the sieve's fold index
-(P itself is spf(P^v)).  So every value is formed in ascending primes
-(sums in ascending (p, k)), as a per-index loop over the factorization
-forms it, and complex results are bit-identical to that loop.
+index, under x or +, one vector op per step of the sieve's walk over
+2..N (``sieve._steps``): a(k) is a(k / P^v) c_P[v] or a(k / P) + g(P, v),
+P^v the exact power of the largest prime factor of k, read off the
+sieve's fold index (P itself is spf(P^v)).  So every value is formed in
+ascending primes (sums in ascending (p, k)), as a per-index loop over
+the factorization forms it, and complex results are bit-identical to
+that loop.
 
 Every entry point that reads prime powers takes the caller's sieve,
 which must reach the table's bound: the two readers of the sieve,
@@ -74,6 +75,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from . import sieve as _sieve_module
 from .dirichlet import (
     ArithFn,
     _box,
@@ -86,7 +88,7 @@ from .dirichlet import (
 )
 from .errors import NonFiniteError, StructureError
 from .numerics import COMPLEX, DEFAULT_TOL, _canonical_exact
-from .sieve import STEP, SpfSieve, _check_bound, _prime_powers, _sieve_for
+from .sieve import SpfSieve, _check_bound, _prime_powers, _sieve_for, _steps
 
 #: Rounding allowance of the complex comparisons: values match within
 #: tol + ROUNDING_ALLOWANCE * eps * (|lhs| + |rhs|).  The rounding error of
@@ -139,12 +141,12 @@ def _prime_power_fold(sieve, n, pks, stored, den, backend, product, unit=1) -> A
     With r(k) = k / P(k)^v (the sieve's fold index), P(k) the largest prime
     factor of k, and q = k / r(k) that prime power, f(k) = f(r(k)) x at[q]
     or f(k / P(k)) + at[q], where P(k) = spf(q).  Both read only below
-    k / 2, so each step of at most STEP indices inside a dyadic block is
-    one vector op on intp gathers, and the temporaries stay near 1 MB at
-    any n.  int64 runs while max|left| x max|at| (or +) < 2**63; a step
-    that fails moves to object.  The sum runs on the numerators over their
-    den; a product over den > 1 would need den**omega(k), so it runs on the
-    boxed values.  An exact product keeps ``at`` in the table it fills:
+    k / 2, so each step of ``sieve._steps`` is one vector op on intp
+    gathers, and the temporaries stay near 1 MB at any n.  int64 runs
+    while max|left| x max|at| (or +) < 2**63; a step that fails moves to
+    object.  The sum runs on the numerators over their den; a product over
+    den > 1 would need den**omega(k), so it runs on the boxed values.  An
+    exact product keeps ``at`` in the table it fills:
     f(p^k) = 1 x at[p^k], and a step reads at[q] at prime powers folded in
     an earlier step or at its own k, before it writes them, so one N-sized
     array serves both (in complex, 1 x z can flip a signed zero).
@@ -157,9 +159,7 @@ def _prime_power_fold(sieve, n, pks, stored, den, backend, product, unit=1) -> A
     at = out if product and out.dtype != np.complex128 else np.zeros(n + 1, dtype=out.dtype)
     at[pks] = stored
     out[1] = int(product)  # f(1); a product runs with den = 1
-    lo = 2
-    while lo <= n:
-        hi = min(2 * lo, lo + STEP, n + 1)
+    for lo, hi in _steps(n):
         k = np.arange(lo, hi)
         r = rest[lo:hi].astype(np.intp)
         q = k // r  # the prime power k / r(k)
@@ -174,7 +174,6 @@ def _prime_power_fold(sieve, n, pks, stored, den, backend, product, unit=1) -> A
             out[lo:hi] = _scaled(left, right) if product else left + right
         else:
             (np.multiply if product else np.add)(left, right, out=out[lo:hi])
-        lo = hi
     if unit != 1:
         if out.dtype == np.int64 and not abs(unit) * _max_abs(out) < 2**63:
             out = out.astype(object)
@@ -221,11 +220,6 @@ def _first_mismatch(lhs: np.ndarray, rhs: np.ndarray, tol: float | None) -> int 
 # ---------------------------------------------------------------------------
 
 
-#: Candidate slots per step of the pair scan, a multiple of 8: one step
-#: reads at most this many coprime pairs.
-PAIR_CHUNK = 1 << 14
-
-
 def _coprime_mask(sieve: SpfSieve, m: int, top: int) -> np.ndarray:
     """keep[i] is true iff k = m + 1 + i, m < k <= top, is coprime to m:
     each prime p | m strikes out k = m + p, m + 2p, ... (cheaper than np.gcd
@@ -257,14 +251,14 @@ def _pair_index(sieve: SpfSieve, n: int) -> tuple[np.ndarray, np.ndarray]:
 
 def _coprime_pairs(sieve: SpfSieve, n: int):
     """Yield the coprime pairs 2 <= m < k, m k <= n, in ascending (m, k),
-    at most PAIR_CHUNK at a time, the first from m = 2: arrays ms, counts
-    and k, where m = np.repeat(ms, counts) pairs with k.
+    at most ``sieve.STEP`` at a time, the first from m = 2: arrays ms,
+    counts and k, where m = np.repeat(ms, counts) pairs with k.
 
-    One chunk is PAIR_CHUNK bits of :func:`_pair_index`: its set bits, and
-    per m the count of them, give k = bit - (first bit of m) + m + 1.
+    One chunk is STEP bits of :func:`_pair_index`: its set bits, and per m
+    the count of them, give k = bit - (first bit of m) + m + 1.
     """
     mask, starts = sieve._for_bound(_pair_index, n)
-    step = PAIR_CHUNK // 8
+    step = _sieve_module.STEP // 8
     for lo in range(0, len(mask), step):
         hi = min(lo + step, len(mask))
         first = int(np.searchsorted(starts, lo, side="right")) - 1
@@ -289,11 +283,12 @@ def _law_holds(v: np.ndarray, den: int, n: int, product: bool, sieve: SpfSieve) 
     fewer, the law gives a(k) = the product (sum) of a(p^v) over the
     exact prime powers p^v of k, and two coprime m, n share no prime, so
     a(mn) = a(m) a(n).  v must pass the scan's int64 guard.  One vector
-    step per STEP indices, each gathering with intp indices.
+    step per ``sieve.STEP`` indices, each gathering with intp indices: the
+    law reads no value it writes, so its steps need no dyadic blocks.
     """
-    rest = sieve._fold_index(n)
-    for lo in range(2, n + 1, STEP):
-        hi = min(lo + STEP, n + 1)
+    rest, step = sieve._fold_index(n), _sieve_module.STEP
+    for lo in range(2, n + 1, step):
+        hi = min(lo + step, n + 1)
         r = rest[lo:hi].astype(np.intp)
         q = np.arange(lo, hi) // r
         rhs, lhs = v[r], v[lo:hi]

@@ -7,11 +7,13 @@ import numpy as np
 import pytest
 
 import arithfn as af
-from arithfn.catalogue import _complex_powers
+from arithfn import sieve as sieve_module
+from arithfn.catalogue import _SPF_STEPS, _complex_powers
 from arithfn.errors import NonFiniteError, UnsupportedBackendError
 from conftest import (
     complex_power_oracle,
     divisors_brute,
+    factorize_brute,
     is_prime_power_brute,
     mangoldt_loop_complex,
     mobius_brute,
@@ -35,6 +37,16 @@ EDGE_BOUNDS = (1, 2, 3, 4, 7, 8, 9, 1023, 1024, 1025, 4099)
 #: and a complex c
 SIGMA_EXPONENTS = (0.5, 1.5, 2.5, 1 / 3, Fraction(5, 2), -0.5, 101, -60.5,
                    0, 2, 2.0, -3, 100, -100, 1j, 0.5 + 1j)
+
+
+#: trial-division values of the tables the spf recurrence builds
+SPF_ORACLES = {
+    "mobius": mobius_brute,
+    "phi": lambda k: math.prod(p ** (v - 1) * (p - 1) for p, v in factorize_brute(k)),
+    "liouville": lambda k: (-1) ** omega_brute(k),
+    "nu": nu_brute,
+    "Omega": omega_brute,
+}
 
 
 def _int64_table(name, sieve, n, **kw):
@@ -74,6 +86,19 @@ class TestDefinitionalValues:
             assert nu.values() == tuple(nu_brute(k) for k in range(1, n + 1)), n
             assert om.values() == tuple(omega_brute(k) for k in range(1, n + 1)), n
             assert lam.values() == tuple((-1) ** omega_brute(k) for k in range(1, n + 1)), n
+
+    @pytest.mark.parametrize("n", (1, 2, 1023, 1024, 1025, 4099))
+    def test_recurrence_tables_in_small_steps(self, n, monkeypatch):
+        # sieve.STEP = 8 walks each dyadic block in many steps (the fold
+        # index in small steps: test_sieve's trial-division test)
+        assert SPF_ORACLES.keys() == _SPF_STEPS.keys()
+        sieve = af.build_sieve(n)
+        default = {name: af.make(name, sieve)._v for name in SPF_ORACLES}
+        monkeypatch.setattr(sieve_module, "STEP", 8)
+        for name, oracle in SPF_ORACLES.items():
+            got = af.make(name, sieve)._v
+            assert got.dtype == np.int64 and np.array_equal(got, default[name]), (name, n)
+            assert got[1:].tolist() == [oracle(k) for k in range(1, n + 1)], (name, n)
 
     def test_divisor_count_table(self, sieve5000):
         for n in EDGE_BOUNDS:

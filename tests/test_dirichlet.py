@@ -1,9 +1,11 @@
 """Ring operations: convolution, inverse, powers, derivative, truncation."""
 
+import gc
 import math
 import operator
 import random
 import json
+import weakref
 from fractions import Fraction
 
 import numpy as np
@@ -12,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import arithfn as af
+from arithfn import dirichlet
 from arithfn import io as fnio
 from arithfn.dirichlet import _SPLIT_CAP, _conv, _inv, _store
 from arithfn.errors import (
@@ -277,6 +280,25 @@ class TestDerivative:
         lhs = (a * b).deriv()
         rhs = a.deriv() * b + a * b.deriv()
         assert all(abs(lhs[k] - rhs[k]) < 1e-9 for k in range(1, n + 1))
+
+    def test_log_table_lives_and_dies_with_the_sieve(self):
+        # ln k is kept per bound on the sieve that serves the bound; no
+        # module-level table outlives it
+        n = 3331  # a bound no other live sieve has, so this sieve serves it
+        sieve = af.build_sieve(n)
+        a = af.make("phi", sieve, af.COMPLEX)
+        first = a.deriv()
+        key = dirichlet._logs, n
+        table = sieve._per_bound[key]
+        second = a.deriv()
+        assert sieve._per_bound[key] is table
+        assert np.array_equal(first._v.view(np.uint64), second._v.view(np.uint64))
+        assert table.real.tolist() == [0.0, 0.0] + [math.log(k) for k in range(2, n + 1)]
+        dead = weakref.ref(table)
+        del sieve, table
+        gc.collect()
+        assert dead() is None
+        assert not hasattr(dirichlet, "_LOGS")
 
 
 class TestValuationSupport:
@@ -862,7 +884,7 @@ class TestStorage:
             w = complex(r)
             assert same(a.scale(r), pointwise_loop(lambda x: w * x, pa))
         assert same(a.deriv(), deriv_loop_complex(pa))
-        af.ArithFn.ones(n + 50, af.COMPLEX).deriv()  # grows the shared log table past n
+        af.ArithFn.ones(n + 50, af.COMPLEX).deriv()  # reads a log table of another bound
         assert same(a.deriv(), deriv_loop_complex(pa))
         exact = [2**53 + 1, -(2**60) - 1, -(2**63), 2**70 + 1, Fraction(1, 3),
                  Fraction(-(10**30) - 1, 7), 0, 5][: n]

@@ -666,7 +666,7 @@ class TestAgainstScalarLoops:
 
     @pytest.mark.parametrize("n", (1025, 4099))
     def test_folds_in_small_steps_match_scalar_loops(self, n, monkeypatch):
-        monkeypatch.setattr(structure, "STEP", 8)  # many fold steps per dyadic block
+        monkeypatch.setattr(sieve_module, "STEP", 8)  # many fold steps per dyadic block
         self.test_reconstructions_match_scalar_loops(n)
         self.test_fold_int64_guard_edges(n)
 
@@ -756,14 +756,14 @@ def _chunk_pairs(n):
 
 class TestChunkedPairScan:
     """The pair scan reads the sieve's index of its bound in chunks of at most
-    PAIR_CHUNK pairs; verdicts and witnesses match the per-pair loop."""
+    sieve.STEP pairs; verdicts and witnesses match the per-pair loop."""
 
-    # (PAIR_CHUNK, bound): many small chunks, and a few of the real size
-    CHUNKINGS = ((64, 1000), (structure.PAIR_CHUNK, 12000))
+    # (sieve.STEP, bound): many small chunks, and a few of the real size
+    CHUNKINGS = ((64, 1000), (sieve_module.STEP, 12000))
 
     @pytest.mark.parametrize("chunk, n", CHUNKINGS + ((8, 17), (64, 5)))
     def test_chunks_list_the_coprime_pairs_in_order(self, monkeypatch, chunk, n):
-        monkeypatch.setattr(structure, "PAIR_CHUNK", chunk)
+        monkeypatch.setattr(sieve_module, "STEP", chunk)
         chunks = _chunk_pairs(n)
         assert all(0 < len(c) <= chunk for c in chunks)
         want = [(m, k) for m in range(2, math.isqrt(n) + 1)
@@ -802,7 +802,7 @@ class TestChunkedPairScan:
 
     @pytest.mark.parametrize("chunk, n", CHUNKINGS)
     def test_planted_violations_match_scalar_loop(self, monkeypatch, chunk, n):
-        monkeypatch.setattr(structure, "PAIR_CHUNK", chunk)
+        monkeypatch.setattr(sieve_module, "STEP", chunk)
         sieve = af.build_sieve(n)
         scan = {"multiplicative": af.is_multiplicative, "additive": af.is_additive}
         for base, kind in self._tables(sieve, n):
@@ -821,11 +821,11 @@ class TestChunkedPairScan:
                     if not ok or kind == "additive" or m * k > n // 2:
                         assert got[0] == ok
 
-    @pytest.mark.parametrize("chunk, n, p, q", ((64, 1000, 23, 37), (structure.PAIR_CHUNK, 12000, 83, 139)))
+    @pytest.mark.parametrize("chunk, n, p, q", ((64, 1000, 23, 37), (sieve_module.STEP, 12000, 83, 139)))
     def test_overflow_in_a_late_chunk_is_non_finite(self, monkeypatch, chunk, n, p, q):
         # 1e200 where one of p, q divides k, else 1: every pair before (p, q)
         # holds exactly, and a(p) a(q) overflows
-        monkeypatch.setattr(structure, "PAIR_CHUNK", chunk)
+        monkeypatch.setattr(sieve_module, "STEP", chunk)
         vals = [1e200 if (k % p == 0) != (k % q == 0) else 1.0 for k in range(1, n + 1)]
         a = af.ArithFn.from_values(vals, af.COMPLEX)
         assert (p, q) not in _chunk_pairs(n)[0] + _chunk_pairs(n)[1]
@@ -837,7 +837,7 @@ class TestChunkedPairScan:
     def test_each_bound_reads_its_own_index(self, monkeypatch):
         # a violation at (2, 499) lies beyond bound 300; bound 1000's index
         # would read past the end of a table at 300
-        monkeypatch.setattr(structure, "PAIR_CHUNK", 64)
+        monkeypatch.setattr(sieve_module, "STEP", 64)
         sieve = af.build_sieve(1000)
         tables = {n: _plant(af.make("phi", sieve, bound=n), 998, 1) if n > 998 else
                   af.make("phi", sieve, bound=n) for n in (300, 600, 1000)}
@@ -926,8 +926,7 @@ class TestCharacterizationLaw:
 
     @pytest.mark.parametrize("n", (1023, 1024, 1025, 4099))
     def test_violations_at_sampled_indices(self, monkeypatch, n):
-        for module in (sieve_module, structure):  # the fold index and the law in many steps
-            monkeypatch.setattr(module, "STEP", 64)
+        monkeypatch.setattr(sieve_module, "STEP", 64)  # the fold index and the law in many steps
         sieve = af.build_sieve(n)
         spots = random.Random(n).sample(range(1, n + 1), 60)
         kinds = [kind for kind in PREDICATES if kind != "additive-mobius"]  # the law is not read

@@ -3,9 +3,10 @@
 Every constructor computes from an elementary definition:
 
 - mu, phi, liouville, nu and Omega by their smallest-prime-factor
-  recurrence f(k) = F(f(m), p, m) with p = spf(k) and m = k / p, read
-  off [p | m] (Apostol, Introduction to Analytic Number Theory, ch. 2):
-  one ``sieve._spf_recurrence``, the walk over 2..N the sieve owns;
+  recurrence f(k) = F(f(m), p, [p | m]) with p = spf(k) and m = k / p
+  (Apostol, Introduction to Analytic Number Theory, ch. 2), [p | m] read
+  off spf(m) = p, since m has no prime below p: one
+  ``sieve._spf_recurrence``, the walk over 2..N the sieve owns;
 - sigma_c by its divisor sum, the sum of d^c over the divisors d of n,
   and d as sigma_0: one convolution N^c * u, each output summed in
   ascending d.  A complex table rounds each power as CPython's
@@ -109,13 +110,14 @@ def _table(name: str, sieve: SpfSieve, n: int, backend, c) -> ArithFn:
     return ArithFn._wrap(n, RATIONAL, table).to_backend(backend)
 
 
-#: f(1) and the step f(k) = step(f(m), p, m) with p = spf(k), m = k / p
+#: f(1) and the step f(k) = step(f(m), p, s) with p = spf(k), m = k / p
+#: and s = spf(m) (0 at m = 1): p | m iff s == p
 _SPF_STEPS = {
-    "mobius": (1, lambda f, p, m: np.where(m % p == 0, 0, -f)),
-    "phi": (1, lambda f, p, m: f * (p - 1 + (m % p == 0))),
-    "liouville": (1, lambda f, p, m: -f),
-    "nu": (0, lambda f, p, m: f + (m % p != 0)),
-    "Omega": (0, lambda f, p, m: f + 1),
+    "mobius": (1, lambda f, p, s: np.where(s == p, 0, -f)),
+    "phi": (1, lambda f, p, s: f * (p - 1 + (s == p))),
+    "liouville": (1, lambda f, p, s: -f),
+    "nu": (0, lambda f, p, s: f + (s != p)),
+    "Omega": (0, lambda f, p, s: f + 1),
 }
 
 

@@ -504,7 +504,7 @@ def _logs(sieve, n: int) -> np.ndarray:
     on the sieve per bound (:meth:`ArithFn.deriv`).  math.log, since np.log
     differs from it in the last bit on some k."""
     logs = np.zeros(n + 1, dtype=np.complex128)
-    logs.real[2:] = [math.log(k) for k in range(2, n + 1)]
+    logs.real[2:] = np.fromiter(map(math.log, range(2, n + 1)), np.float64, n - 1)
     logs.flags.writeable = False
     return logs
 

@@ -6,7 +6,11 @@ walk.  Every table derived for a bound is one walk over k = 2..n,
 written once here (:func:`_steps`): the catalogue's recurrence tables
 (totient, Mobius, Liouville, the nu/Omega counts) and the fold index read
 f(k) off f(k / spf(k)) (:func:`_spf_recurrence`), the prime-power fold of
-``structure`` off f(r(k)) and f(k / P(k)).
+``structure`` off f(r(k)) and f(k / P(k)).  No walk divides or reduces
+modulo in int64: every divisor divides exactly, so an index k / d is one
+exact float quotient (:func:`_quotient`), values and spf are read by
+``take`` gathers straight from the int32 index slices, and p | m is
+read off spf(m) = p.
 
 This module also owns the primes <= N (:attr:`SpfSieve.primes`) and the
 prime-power rows (p, k, p^k) <= bound (:func:`_prime_powers`): a
@@ -23,7 +27,7 @@ that sieve's life, built on first use: the fold index
 largest prime factor of k and P(k)^v exactly dividing k, as one
 read-only int32 array, 4 bytes per index, built once to the sieve's own
 bound, so every n reads a slice of it and nothing is regrown; P(k) is
-spf(k // r(k))), and one entry per builder and bound
+spf(k / r(k))), and one entry per builder and bound
 (:meth:`SpfSieve._for_bound`): the prime-power rows, 24 bytes per row
 (9.7k rows at 10^5, 78.7k at 10^6), and the coprime-pair index of the
 structure checks.  The sieve that serves n is the caller's where one is
@@ -79,15 +83,16 @@ class SpfSieve:
         """r(k) = k / P(k)^v on 0..n (1 at 0 and 1), P(k) the largest prime
         factor of k and P(k)^v the power of it that exactly divides k, as
         read-only int32, for n <= bound: a slice of one array, built on first
-        use to the sieve's bound.  P(k) is spf(k // r(k)).
+        use to the sieve's bound.  P(k) is spf(k / r(k)).
 
         One :func:`_spf_recurrence`: with p = spf(k) and m = k / p, r(k) is 1
-        if P(m) = spf(m // r(m)) <= p (spf(1) is 0), else p r(m).
+        if m is 1 or a power of p, that is r(m) = 1 and spf(m) <= p (spf(1)
+        is 0, and every prime of m is >= p), else p r(m).
         """
         if self._rest is None:
-            spf = self._spf
             rest = _spf_recurrence(
-                self, self.bound, 1, lambda f, p, m: np.where(spf[m // f] <= p, 1, p * f), np.int32
+                self, self.bound, 1, lambda f, p, s: np.where((f == 1) & (s <= p), 1, p * f),
+                np.int32,
             )
             rest[0] = 1
             rest.flags.writeable = False
@@ -182,16 +187,31 @@ def _steps(n: int):
 
 def _spf_recurrence(sieve: SpfSieve, n: int, first: int, step, dtype) -> np.ndarray:
     """The table f on 0..n of ``dtype`` with f(0) = 0, f(1) = ``first`` and
-    f(k) = step(f(m), p, m) for k >= 2, where p = spf(k) and m = k / p,
-    one vector step per :func:`_steps` (m <= k / 2).
+    f(k) = step(f(m), p, spf(m)) for k >= 2, where p = spf(k), m = k / p
+    and spf(1) = 0, one vector step per :func:`_steps` (m <= k / 2).  m has
+    no prime below p, so p | m iff spf(m) = p: a step reads divisibility
+    off one comparison.  m is an exact float quotient (:func:`_quotient`),
+    and f(m) and spf(m) are ``take`` gathers.
     """
     out = np.zeros(n + 1, dtype=dtype)
     out[1] = first
+    spf = sieve._spf
     for lo, hi in _steps(n):
-        p = sieve._spf[lo:hi]
-        m = np.arange(lo, hi) // p
-        out[lo:hi] = step(out[m], p, m)
+        p = spf[lo:hi]
+        m = _quotient(np.arange(lo, hi), p)
+        out[lo:hi] = step(out.take(m), p, spf.take(m))
     return out
+
+
+def _quotient(k, d) -> np.ndarray:
+    """k / d as intp, for d dividing k and 0 <= k < 2**31 elementwise.
+
+    Every walk over 2..n has n < 2**31 (:func:`build_sieve` refuses a
+    larger bound), so k and d are exact doubles and their quotient is an
+    integer that is one too: float64 division, correctly rounded, returns
+    it exactly, with no int64 division.
+    """
+    return (k / d).astype(np.intp)
 
 
 def _sieve_for(n: int) -> SpfSieve:

@@ -33,7 +33,8 @@ Both reconstructions are one fold over the exact prime powers of each
 index, under x or +, one vector op per step of the sieve's walk over
 2..N (``sieve._steps``): a(k) is a(k / P^v) c_P[v] or a(k / P) + g(P, v),
 P^v the exact power of the largest prime factor of k, read off the
-sieve's fold index (P itself is spf(P^v)).  So every value is formed in
+sieve's fold index (P itself is spf(P^v)) by exact float quotients
+(``sieve._quotient``) and ``take`` gathers.  So every value is formed in
 ascending primes (sums in ascending (p, k)), as a per-index loop over
 the factorization forms it, and complex results are bit-identical to
 that loop.
@@ -88,7 +89,7 @@ from .dirichlet import (
 )
 from .errors import NonFiniteError, StructureError
 from .numerics import COMPLEX, DEFAULT_TOL, _canonical_exact
-from .sieve import SpfSieve, _check_bound, _prime_powers, _sieve_for, _steps
+from .sieve import SpfSieve, _check_bound, _prime_powers, _quotient, _sieve_for, _steps
 
 #: Rounding allowance of the complex comparisons: values match within
 #: tol + ROUNDING_ALLOWANCE * eps * (|lhs| + |rhs|).  The rounding error of
@@ -141,10 +142,14 @@ def _prime_power_fold(sieve, n, pks, stored, den, backend, product, unit=1) -> A
     With r(k) = k / P(k)^v (the sieve's fold index), P(k) the largest prime
     factor of k, and q = k / r(k) that prime power, f(k) = f(r(k)) x at[q]
     or f(k / P(k)) + at[q], where P(k) = spf(q).  Both read only below
-    k / 2, so each step of ``sieve._steps`` is one vector op on intp
-    gathers, and the temporaries stay near 1 MB at any n.  int64 runs
-    while max|left| x max|at| (or +) < 2**63; a step that fails moves to
-    object.  The sum runs on the numerators over their den; a product over
+    k / 2, so each step of ``sieve._steps`` is one vector op on exact float
+    quotients (``sieve._quotient``) and ``take`` gathers, and the
+    temporaries stay near 1 MB at any n.  int64 runs while a step's
+    max|left| x max|right| (or +) < 2**63; a step that fails moves to
+    object.  left is read from the folded prefix, whose max|f| ``top`` is
+    kept from each written step, and right from the stored values, of
+    max ``peak``: only a step with top x peak (or +) >= 2**63 computes its
+    own maxima.  The sum runs on the numerators over their den; a product over
     den > 1 would need den**omega(k), so it runs on the boxed values.  An
     exact product keeps ``at`` in the table it fills:
     f(p^k) = 1 x at[p^k], and a step reads at[q] at prime powers folded in
@@ -158,24 +163,27 @@ def _prime_power_fold(sieve, n, pks, stored, den, backend, product, unit=1) -> A
     out = np.zeros(n + 1, dtype=stored.dtype)
     at = out if product and out.dtype != np.complex128 else np.zeros(n + 1, dtype=out.dtype)
     at[pks] = stored
-    out[1] = int(product)  # f(1); a product runs with den = 1
+    out[1] = top = int(product)  # f(1); a product runs with den = 1
+    peak = _max_abs(stored) if out.dtype == np.int64 and len(stored) else 0
+    combine = operator.mul if product else operator.add
     for lo, hi in _steps(n):
         k = np.arange(lo, hi)
-        r = rest[lo:hi].astype(np.intp)
-        q = k // r  # the prime power k / r(k)
-        left = out[r] if product else out[k // spf[q]]
-        right = at[q]
-        if out.dtype == np.int64:
-            x, y = _max_abs(left), _max_abs(right)
-            if (x * y if product else x + y) >= 2**63:
+        r = rest[lo:hi]
+        q = _quotient(k, r)  # the prime power k / r(k)
+        left = out.take(r) if product else out.take(_quotient(k, spf.take(q)))
+        right = at.take(q)
+        if out.dtype == np.int64 and combine(top, peak) >= 2**63:
+            if combine(_max_abs(left), _max_abs(right)) >= 2**63:
                 out, at = out.astype(object), at.astype(object)
                 left, right = left.astype(object), right.astype(object)
         if out.dtype == np.complex128:
             out[lo:hi] = _scaled(left, right) if product else left + right
         else:
             (np.multiply if product else np.add)(left, right, out=out[lo:hi])
+            if out.dtype == np.int64:
+                top = max(top, _max_abs(out[lo:hi]))
     if unit != 1:
-        if out.dtype == np.int64 and not abs(unit) * _max_abs(out) < 2**63:
+        if out.dtype == np.int64 and not abs(unit) * top < 2**63:
             out = out.astype(object)
         out *= unit
     return ArithFn._wrap(n, backend, out, den)
@@ -283,20 +291,21 @@ def _law_holds(v: np.ndarray, den: int, n: int, product: bool, sieve: SpfSieve) 
     fewer, the law gives a(k) = the product (sum) of a(p^v) over the
     exact prime powers p^v of k, and two coprime m, n share no prime, so
     a(mn) = a(m) a(n).  v must pass the scan's int64 guard.  One vector
-    step per ``sieve.STEP`` indices, each gathering with intp indices: the
-    law reads no value it writes, so its steps need no dyadic blocks.
+    step per ``sieve.STEP`` indices, on an exact float quotient
+    (``sieve._quotient``) and ``take`` gathers: the law reads no value it
+    writes, so its steps need no dyadic blocks.
     """
     rest, step = sieve._fold_index(n), _sieve_module.STEP
     for lo in range(2, n + 1, step):
         hi = min(lo + step, n + 1)
-        r = rest[lo:hi].astype(np.intp)
-        q = np.arange(lo, hi) // r
-        rhs, lhs = v[r], v[lo:hi]
+        r = rest[lo:hi]
+        q = _quotient(np.arange(lo, hi), r)
+        rhs, lhs = v.take(r), v[lo:hi]
         if product:
-            rhs *= v[q]
+            rhs *= v.take(q)
             lhs = lhs * den if den > 1 else lhs
         else:
-            rhs += v[q]
+            rhs += v.take(q)
         if not (lhs == rhs).all():
             return False
     return True
@@ -864,7 +873,7 @@ def series_mul(f, g, length: int) -> list:
         for j, gj in enumerate(g[: length - i]):
             if gj:
                 out[i + j] = out[i + j] + fi * gj
-    return [_canonical_exact(x) if isinstance(x, Fraction) else x for x in out]
+    return [_canonical_exact(x) if type(x) is Fraction else x for x in out]
 
 
 def series_log(f, length: int) -> list:
@@ -892,4 +901,4 @@ def _series_sum(f, length: int, acc: list, coeffs) -> list:
         for i in range(length):
             if pw[i]:
                 acc[i] = acc[i] + c * pw[i]
-    return [_canonical_exact(x) if isinstance(x, Fraction) else x for x in acc]
+    return [_canonical_exact(x) if type(x) is Fraction else x for x in acc]

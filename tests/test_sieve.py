@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 import arithfn as af
 from arithfn import sieve as sieve_module
 from arithfn import structure
-from arithfn.sieve import _prime_powers
+from arithfn.sieve import _prime_powers, _quotient
 from conftest import factorize_brute, nu_brute, omega_brute, primes_brute
 
 
@@ -154,6 +154,24 @@ def _fold_index_brute(n):
 FOLD_BOUNDS = [1, 2, 3, 4, 8, 9, 1023, 1024, 1025, 4099]
 
 
+def test_quotient_is_floor_division_on_the_walks_divisors(sieve5000):
+    # every walk's quotient: k / r(k), k / spf(k) and k / P(k) on 2..4099
+    big, rest = _fold_index_brute(4099)
+    k = np.arange(2, 4100)
+    for d in (np.array(rest[2:], dtype=np.int32), sieve5000._spf[2:4100], np.array(big[2:])):
+        got = _quotient(k, d)
+        assert got.dtype == np.intp and np.array_equal(got, k // d)
+    # exact multiples d m up to 2**31 - 1, the largest bound a sieve takes
+    for d in (2, 3, 46337, 65521, 2**30):
+        top = (2**31 - 1) // d
+        m = np.unique(np.concatenate((np.arange(1, min(top, 4096) + 1),
+                                      np.linspace(1, top, 4096, dtype=np.int64))))
+        for divisor in (d, np.full(len(m), d, dtype=np.int32)):
+            got = _quotient(d * m, divisor)
+            assert got.dtype == np.intp and np.array_equal(got, m), d
+        assert d * int(m[-1]) <= 2**31 - 1 < d * (int(m[-1]) + 1)
+
+
 @pytest.mark.parametrize("bound", FOLD_BOUNDS)
 def test_fold_index_and_rows_against_trial_division(sieve5000, bound, monkeypatch):
     big, rest = _fold_index_brute(bound)
@@ -168,8 +186,8 @@ def test_fold_index_and_rows_against_trial_division(sieve5000, bound, monkeypatc
         got_rest = sieve._fold_index(bound)
         assert got_rest.dtype == np.int32
         assert got_rest.tolist() == rest
-        k = np.arange(2, bound + 1)  # P(k) is spf(k // r(k))
-        assert [1, 1, *sieve._spf[k // got_rest[2:]].tolist()][: bound + 1] == big
+        k = np.arange(2, bound + 1)  # P(k) is spf(k / r(k))
+        assert [1, 1, *sieve._spf[_quotient(k, got_rest[2:])].tolist()][: bound + 1] == big
         p, k, pk = _prime_powers(sieve, bound)
         assert list(zip(p.tolist(), k.tolist(), pk.tolist())) == rows
         assert len(sieve._rest) == sieve.bound + 1  # built to the sieve's bound

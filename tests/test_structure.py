@@ -1,6 +1,7 @@
 """Predicates, Bell decompositions, prime supports, series helpers."""
 
 import math
+import operator
 import random
 import tracemalloc
 import weakref
@@ -10,6 +11,7 @@ import numpy as np
 import pytest
 
 import arithfn as af
+from arithfn import dirichlet
 from arithfn import sieve as sieve_module
 from arithfn import structure
 from arithfn.errors import NonFiniteError, StructureError, UnsupportedBackendError
@@ -615,6 +617,42 @@ GUARD_SUMS = [
 ]
 
 
+def _fold_guard_steps(n, at, f, product):
+    """The fold's int64 rule at bound n, run on the scalar loop's
+    numerators f (f[k] at k = 0..n) and the numerators at[q] at the prime
+    powers q (0 elsewhere), in the steps of ``sieve._steps(n)``: the index
+    of the first step whose max|left| x max|right| (a sum: +) reaches
+    2**63, else None, and the steps up to it whose bound top x peak
+    reaches it (top = max|f| over 1..lo - 1, peak = max|at|).  left is
+    f(r(k)) (a sum: f(k / P(k))) and right at[k / r(k)], with P(k) and
+    r(k) by trial division."""
+    combine = operator.mul if product else operator.add
+    peak = max(map(abs, at.values()))
+    loose = []
+    for i, (lo, hi) in enumerate(sieve_module._steps(n)):
+        lefts, rights = [], []
+        for k in range(lo, hi):
+            p, v = factorize_brute(k)[-1]
+            lefts.append(f[k // p**v] if product else f[k // p])
+            rights.append(at.get(p**v, 0))
+        if combine(max(map(abs, f[1:lo])), peak) >= 2**63:
+            loose.append(i)
+        if combine(max(map(abs, lefts)), max(map(abs, rights))) >= 2**63:
+            return i, loose
+    return None, loose
+
+
+def _law_oracle(a, product) -> bool:
+    """a(k) = a(r(k)) a(k / r(k)) (or +) at every k = 2..N, by trial division."""
+    vals = (None,) + a.values()
+    combine = operator.mul if product else operator.add
+    for k in range(2, a.bound + 1):
+        p, v = factorize_brute(k)[-1]
+        if vals[k] != combine(vals[k // p**v], vals[p**v]):
+            return False
+    return True
+
+
 class TestAgainstScalarLoops:
     """The vector scans and reconstructions against the per-pair and
     per-index loops they replaced (tests/conftest.py)."""
@@ -669,6 +707,53 @@ class TestAgainstScalarLoops:
         monkeypatch.setattr(sieve_module, "STEP", 8)  # many fold steps per dyadic block
         self.test_reconstructions_match_scalar_loops(n)
         self.test_fold_int64_guard_edges(n)
+        self.test_fold_guard_reads_step_maxima_past_its_bound(n, monkeypatch)
+
+    @pytest.mark.parametrize("n", (1025, 4099))
+    def test_fold_guard_reads_step_maxima_past_its_bound(self, n, monkeypatch):
+        """Where the fold's bound top x peak (or top + peak) reaches 2**63,
+        each step's own maxima decide: big values at a prime mid <= n / 2
+        and at the largest prime (no multiple of it folds) fail the bound
+        but not the step maxima, so int64 stays; 2**29 at 2 and 2**35 at
+        mid leave int64 at a late step; the sums run over den = 3.  The
+        table keeps int64 storage whenever its values fit, so the dtype the
+        fold hands to ``_store`` is read off a spy."""
+        folded, store = [], dirichlet._store
+
+        def spy(padded, backend, den=1):
+            folded.append(padded.dtype)
+            return store(padded, backend, den)
+
+        monkeypatch.setattr(dirichlet, "_store", spy)
+        sieve = af.build_sieve(n)
+        mid, big = max(primes_brute(n // 2)), max(primes_brute(n))
+        cases = [  # (product, entries, leaves int64)
+            (True, {(2, 1): 3, (3, 1): 5, (mid, 1): -(2**35), (big, 1): 2**35}, False),
+            (True, {(2, 1): 2**29, (3, 1): 5, (mid, 1): 2**35, (big, 1): 3}, True),
+            (False, {(2, 1): Fraction(1, 3), (3, 1): Fraction(2, 3),
+                     (mid, 1): Fraction(2**62, 3), (big, 1): Fraction(-(2**62), 3)}, False),
+            (False, {(2, 1): Fraction(2**62, 3), (3, 1): Fraction(1, 3),
+                     (mid, 1): Fraction(2**62, 3)}, True),
+        ]
+        steps = len(list(sieve_module._steps(n)))
+        for product, entries, leaves in cases:
+            if product:
+                src, fold = _fold_dec(n, af.RATIONAL, entries), af.bell_reconstruct_mult
+                want = bell_reconstruct_oracle(src)
+            else:
+                src, fold = af.PrimeSupport(n, af.RATIONAL, entries), af.additive_reconstruct
+                want = additive_reconstruct_oracle(src)
+            nums, den = _numerators(want[1:])
+            at = {p**k: entries.get((p, k), int(product)) * den for p, k in _prime_powers_upto(n)}
+            first, loose = _fold_guard_steps(n, at, [0] + nums, product)
+            assert (first is not None) == leaves, entries
+            assert loose and loose[0] < (steps if first is None else first), entries
+            folded.clear()
+            got = fold(src, sieve)
+            assert folded[-1] == (object if leaves else np.int64), entries
+            assert got.values() == tuple(want[1:]), entries
+            assert (got._v.dtype == np.int64) == (not leaves), entries
+            assert (got._v[1:].tolist(), got.den) == (nums, den), entries
 
     def test_smallest_prime_order_fails_bit_test(self):
         # the bit comparison above can tell the fold's association order
@@ -935,6 +1020,21 @@ class TestCharacterizationLaw:
             for i in spots[j::2]:  # each table half the spots, each spot in three tables
                 self._check(monkeypatch, sieve, _plant(base, i, 1), kinds)
 
+    @pytest.mark.parametrize("step", (None, 8))
+    def test_the_law_on_object_storage(self, monkeypatch, step):
+        # object numerators (as the scan's guard leaves them), with and
+        # without a violation, against the law by trial division
+        n = 1025
+        if step:
+            monkeypatch.setattr(sieve_module, "STEP", step)
+        sieve = af.build_sieve(n)
+        for base in _law_tables(sieve, n, small=True):
+            product = base[1] == 1
+            for a in (base, _plant(base, n, 1), _plant(base, 2 * 3 * 5 * 7, Fraction(1, 3)),
+                      _plant(base, 512, 1)):
+                got = structure._law_holds(a._v.astype(object), a.den, n, product, sieve)
+                assert got == _law_oracle(a, product), (a[1], a[2])
+
     def test_a_wrong_unit_alone_reads_no_law(self, monkeypatch, sieve100):
         def refuse(*args):
             raise AssertionError("the law was read")
@@ -1064,6 +1164,15 @@ class TestSeriesHelpers:
 
     def test_series_mul_truncates(self):
         assert af.series_mul([1, 1, 1], [1, 1, 1], 3) == [1, 2, 3]
+
+    def test_integral_fractions_come_back_as_ints(self):
+        # Fraction(4, 2) is 2 over 1: products, logs and exps return the int
+        two = Fraction(4, 2)
+        for got in (af.series_mul([1, two], [1, two], 3), af.series_log([1, two], 2),
+                    af.series_exp([0, two], 2)):
+            assert [type(x) for x in got] == [int] * len(got), got
+        assert af.series_mul([1, two], [1, two], 3) == [1, 4, 4]
+        assert af.series_mul([Fraction(1, 2)], [1], 1) == [Fraction(1, 2)]
 
     def test_helpers_accept_complex_vectors(self):
         f = [1, 0.5 + 0.25j, -0.125, 0.0625j]

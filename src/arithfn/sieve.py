@@ -6,7 +6,8 @@ walk.  Every table derived for a bound is one walk over k = 2..n,
 written once here (:func:`_steps`): the catalogue's recurrence tables
 (totient, Mobius, Liouville, the nu/Omega counts) and the fold index read
 f(k) off f(k / spf(k)) (:func:`_spf_recurrence`), the prime-power fold of
-``structure`` off f(r(k)) and f(k / P(k)).  No walk divides or reduces
+``structure`` off f(r(k)) (a complex sum off f(k / P(k)), to keep its order
+of addition).  No walk divides or reduces
 modulo in int64: every divisor divides exactly, so an index k / d is one
 exact float quotient (:func:`_quotient`), values and spf are read by
 ``take`` gathers straight from the int32 index slices, and p | m is

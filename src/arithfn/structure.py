@@ -8,14 +8,16 @@ An additive function is u-convolved from a sparse table supported on
 prime powers: a = u * g with g(p, k) = a(p^k) - a(p^(k-1)), and g is
 exactly mu * a.  That last identity also yields an alternative additivity
 test: a is additive iff (mu * a)(n) = 0 whenever n is not a prime power
-(including n = 1).
+(including n = 1).  On an exact table the least failing n is 1 if
+a(1) != 0, else the least failure of the law below, so only a complex
+table is convolved (:func:`mobius_additivity_test`).
 
 The predicates read the storage the convolution kernel uses (exact
 numerators A = a den: A(mn) = A(m) + A(n), A(mn) den = A(m) A(n)).  An
 exact table is decided by the characterization law: a is multiplicative
 iff a(1) = 1 and a(k) = a(r(k)) a(k / r(k)) for every k = 2..N, r(k) the
 fold index below (additive: a(1) = 0 and a sum), read off the sieve's
-fold index in steps of at most ``sieve.STEP`` indices (:func:`_law_holds`).
+fold index in steps of at most ``sieve.STEP`` indices (:func:`_law_failure`).
 The pair scan runs only to name the witness of an exact table that
 fails, and on complex tables, where closeness within a tolerance is not
 transitive, so the law would be another test.
@@ -31,13 +33,14 @@ magnitudes, as in PEP 485's ``isclose``; an equal finite pair passes
 without it.
 Both reconstructions are one fold over the exact prime powers of each
 index, under x or +, one vector op per step of the sieve's walk over
-2..N (``sieve._steps``): a(k) is a(k / P^v) c_P[v] or a(k / P) + g(P, v),
-P^v the exact power of the largest prime factor of k, read off the
-sieve's fold index (P itself is spf(P^v)) by exact float quotients
-(``sieve._quotient``) and ``take`` gathers.  So every value is formed in
-ascending primes (sums in ascending (p, k)), as a per-index loop over
-the factorization forms it, and complex results are bit-identical to
-that loop.
+2..N (``sieve._steps``): a(k) is a(k / P^v) c_P[v], or a(k / P^v) +
+A(P^v) with A(P^v) = g(P, 1) + ... + g(P, v) summed first, P^v the exact
+power of the largest prime factor of k, read off the sieve's fold index
+by exact float quotients (``sieve._quotient``) and ``take`` gathers.  So
+every value is formed in ascending primes, as a per-index loop over the
+factorization forms it.  A complex sum, whose rounding depends on the
+order of addition, runs a(k / P) + g(P, v) (P is spf(P^v)) in ascending
+(p, k), so complex results are bit-identical to that loop.
 
 Every entry point that reads prime powers takes the caller's sieve,
 which must reach the table's bound: the two readers of the sieve,
@@ -88,7 +91,7 @@ from .dirichlet import (
     _store,
 )
 from .errors import NonFiniteError, StructureError
-from .numerics import COMPLEX, DEFAULT_TOL, _canonical_exact
+from .numerics import DEFAULT_TOL, _canonical_exact
 from .sieve import SpfSieve, _check_bound, _prime_powers, _quotient, _sieve_for, _steps
 
 #: Rounding allowance of the complex comparisons: values match within
@@ -140,43 +143,61 @@ def _prime_power_fold(sieve, n, pks, stored, den, backend, product, unit=1) -> A
     ``unit`` in place.
 
     With r(k) = k / P(k)^v (the sieve's fold index), P(k) the largest prime
-    factor of k, and q = k / r(k) that prime power, f(k) = f(r(k)) x at[q]
-    or f(k / P(k)) + at[q], where P(k) = spf(q).  Both read only below
-    k / 2, so each step of ``sieve._steps`` is one vector op on exact float
+    factor of k, and q = k / r(k) that prime power, f(k) = f(r(k)) x at[q];
+    an exact sum first adds up each prime's increments, A(p^k) = at[p] +
+    ... + at[p^k] (one vector op per exponent, on Python ints over the
+    rows of the primes <= sqrt n), and runs f(k) = f(r(k)) + A(q).  A
+    complex sum keeps f(k / P(k)) + at[q], P(k) = spf(q), as its rounding
+    depends on the order of addition.  Every read is below k / 2 or at q,
+    so each step of ``sieve._steps`` is one vector op on exact float
     quotients (``sieve._quotient``) and ``take`` gathers, and the
     temporaries stay near 1 MB at any n.  int64 runs while a step's
     max|left| x max|right| (or +) < 2**63; a step that fails moves to
-    object.  left is read from the folded prefix, whose max|f| ``top`` is
-    kept from each written step, and right from the stored values, of
-    max ``peak``: only a step with top x peak (or +) >= 2**63 computes its
-    own maxima.  The sum runs on the numerators over their den; a product over
-    den > 1 would need den**omega(k), so it runs on the boxed values.  An
-    exact product keeps ``at`` in the table it fills:
-    f(p^k) = 1 x at[p^k], and a step reads at[q] at prime powers folded in
-    an earlier step or at its own k, before it writes them, so one N-sized
-    array serves both (in complex, 1 x z can flip a signed zero).
+    object, and so does a sum whose A leaves int64.  left is read from the
+    folded prefix, whose max|f| ``top`` is kept from each written step, and
+    right from the stored values (or A), of max ``peak``: only a step with
+    top x peak (or +) >= 2**63 computes its own maxima.  The sum runs on
+    the numerators over their den; a product over den > 1 would need
+    den**omega(k), so it runs on the boxed values.  An exact fold keeps
+    ``at`` in the table it fills: f(q) = 1 x at[q] or 0 + A(q) at a prime
+    power q, and a step reads at[q] at prime powers folded in an earlier
+    step or at its own k, before it writes them, so one N-sized array
+    serves both (in complex, 1 x z can flip a signed zero).
     """
     _check_bound(sieve, n)
     if product and den > 1:
         stored, den = _objects(_box(stored, den)), 1
-    rest, spf = sieve._fold_index(n), sieve._spf
+    rest = sieve._fold_index(n)
     out = np.zeros(n + 1, dtype=stored.dtype)
-    at = out if product and out.dtype != np.complex128 else np.zeros(n + 1, dtype=out.dtype)
+    exact = out.dtype != np.complex128
+    at = out if exact else np.zeros(n + 1, dtype=out.dtype)
     at[pks] = stored
     out[1] = top = int(product)  # f(1); a product runs with den = 1
     peak = _max_abs(stored) if out.dtype == np.int64 and len(stored) else 0
+    if exact and not product:
+        p, k, pk = _prime_powers(sieve, n)
+        head = int(np.searchsorted(p, math.isqrt(n), side="right"))  # every row with k >= 2
+        k, pk = k[:head], pk[:head]
+        sums = out[pk].astype(object)
+        for j in range(2, int(k.max(initial=1)) + 1):
+            rows = np.flatnonzero(k == j)
+            sums[rows] += sums[rows - 1]  # rows are sorted by (p, k): row - 1 is p^(j-1)
+        peak = max(peak, _peak(sums))
+        out = at = _widened(out, peak)
+        out[pk] = sums
+    chain = not exact and not product  # the complex sum's order of addition
     combine = operator.mul if product else operator.add
     for lo, hi in _steps(n):
         k = np.arange(lo, hi)
         r = rest[lo:hi]
         q = _quotient(k, r)  # the prime power k / r(k)
-        left = out.take(r) if product else out.take(_quotient(k, spf.take(q)))
+        left = out.take(_quotient(k, sieve._spf.take(q)) if chain else r)
         right = at.take(q)
         if out.dtype == np.int64 and combine(top, peak) >= 2**63:
             if combine(_max_abs(left), _max_abs(right)) >= 2**63:
-                out, at = out.astype(object), at.astype(object)
+                out = at = out.astype(object)
                 left, right = left.astype(object), right.astype(object)
-        if out.dtype == np.complex128:
+        if not exact:
             out[lo:hi] = _scaled(left, right) if product else left + right
         else:
             (np.multiply if product else np.add)(left, right, out=out[lo:hi])
@@ -278,22 +299,32 @@ def _coprime_pairs(sieve: SpfSieve, n: int):
         yield ms, counts, bits - np.repeat(edges[:-1] - ms - 1, counts)
 
 
-def _law_holds(v: np.ndarray, den: int, n: int, product: bool, sieve: SpfSieve) -> bool:
-    """A(k) den = A(r(k)) A(q(k)) (``product``), else A(k) = A(r(k)) +
-    A(q(k)), for every k = 2..n, on the exact numerators v = A over den:
+def _law_storage(v: np.ndarray, den: int, product: bool) -> np.ndarray:
+    """v, in object storage where int64 could wrap in the law or the pair
+    scan on it: A(m) A(n) and A(k) den need max|A| max(max|A|, den) < 2**62
+    (``product``), A(m) + A(n) needs 2 max|A| < 2**63."""
+    if v.dtype != np.int64:
+        return v
+    top = _max_abs(v)
+    return _widened(v, 2 * top * max(top, den) if product else 2 * top)
+
+
+def _law_failure(v: np.ndarray, den: int, n: int, product: bool, sieve: SpfSieve) -> int | None:
+    """The least k = 2..n with A(k) den != A(r(k)) A(q(k)) (``product``),
+    else A(k) != A(r(k)) + A(q(k)), on the exact numerators v = A over den
+    (stored as :func:`_law_storage` gives them), or None if there is none:
     r(k) is k with the power of its largest prime removed (the sieve's
     fold index), so q(k) = k / r(k) is that prime power.
 
-    Given a(1) = 1 (or 0), this holds iff every coprime pair does.  Each
+    Given a(1) = 1 (or 0), no k fails iff every coprime pair passes.  Each
     k with r = r(k) > 1 is the coprime pair (r, q) (as (min, max)), both
     >= 2; at r = 1 the law reads a(k) = a(1) a(k).  Conversely, by
     induction on the number of distinct primes of k, r(k) having one
     fewer, the law gives a(k) = the product (sum) of a(p^v) over the
     exact prime powers p^v of k, and two coprime m, n share no prime, so
-    a(mn) = a(m) a(n).  v must pass the scan's int64 guard.  One vector
-    step per ``sieve.STEP`` indices, on an exact float quotient
-    (``sieve._quotient``) and ``take`` gathers: the law reads no value it
-    writes, so its steps need no dyadic blocks.
+    a(mn) = a(m) a(n).  One vector step per ``sieve.STEP`` indices, on an
+    exact float quotient (``sieve._quotient``) and ``take`` gathers: the
+    law reads no value it writes, so its steps need no dyadic blocks.
     """
     rest, step = sieve._fold_index(n), _sieve_module.STEP
     for lo in range(2, n + 1, step):
@@ -306,9 +337,10 @@ def _law_holds(v: np.ndarray, den: int, n: int, product: bool, sieve: SpfSieve) 
             lhs = lhs * den if den > 1 else lhs
         else:
             rhs += v.take(q)
-        if not (lhs == rhs).all():
-            return False
-    return True
+        bad = lhs != rhs
+        if bad.any():
+            return lo + int(bad.argmax())
+    return None
 
 
 @np.errstate(over="ignore", invalid="ignore")  # _first_mismatch reports it
@@ -316,7 +348,7 @@ def _coprime_pair_scan(a: ArithFn, kind: str, product: bool, tol, sieve: SpfSiev
     """a(mk) = a(m) a(k) (``product``) or a(m) + a(k) on every coprime pair
     2 <= m < k, mk <= N, then a(1) = 1 (or 0).
 
-    An exact table with the right a(1) is decided by :func:`_law_holds`
+    An exact table with the right a(1) is decided by :func:`_law_failure`
     first, with no pair read; a table it fails, one with another a(1),
     and every complex table (closeness within a tolerance is not
     transitive, so the law would be another test) go to the scan.
@@ -324,14 +356,11 @@ def _coprime_pair_scan(a: ArithFn, kind: str, product: bool, tol, sieve: SpfSiev
     The scan takes one vector step per chunk of :func:`_coprime_pairs`, in
     ascending (m, k); the first failing pair of the first failing chunk is
     the least witness.  On numerators A = a den, a(1) = 1 is A(1) = den,
-    and int64 storage needs max|A| max(max|A|, den) < 2**62 and falls back
-    to object.
+    and int64 storage falls back to object by :func:`_law_storage`.
     """
-    v, den = a._v, a.den
-    if v.dtype == np.int64 and _max_abs(v) * max(_max_abs(v), den) >= 2**62:
-        v = v.astype(object)
+    v, den = _law_storage(a._v, a.den, product), a.den
     if (v.dtype != np.complex128 and v[1] == (den if product else 0)
-            and _law_holds(v, den, a.bound, product, sieve)):
+            and _law_failure(v, den, a.bound, product, sieve) is None):
         return CheckResult(True, kind)
     for ms, counts, k in _coprime_pairs(sieve, a.bound):
         m = np.repeat(ms, counts)
@@ -413,12 +442,28 @@ def is_completely_additive(a: ArithFn, sieve: SpfSieve, tol: float | None = None
 
 def mobius_additivity_test(a: ArithFn, sieve: SpfSieve, tol: float | None = None) -> CheckResult:
     """Additivity via convolution: mu * a must vanish at 1 and at every
-    n with two or more distinct prime factors.  Agrees with
+    n with two or more distinct prime factors (Apostol 2.7).  Agrees with
     :func:`is_additive` on every input; the witness is the least failing
-    index n.  mu is the fold of -1 at the primes and 0 at the higher
-    prime powers."""
+    index n.
+
+    An exact table fails at 1 if a(1) != 0, else at the least k where
+    a(k) = a(r(k)) + a(k / r(k)) fails (:func:`_law_failure`), with no
+    convolution: let k0 be that k and a' the additive function equal to a
+    below k0.  (mu * a)(n) reads a at the divisors of n only, so it is
+    (mu * a')(n) = 0 at every n < k0 that is no prime power, and
+    a(k0) - a'(k0) != 0 at k0, which is no prime power.  A complex table
+    is convolved with mu, the fold of -1 at the primes and 0 at the higher
+    prime powers, since closeness within a tolerance is not transitive.
+    """
+    _check_bound(sieve, a.bound)
+    if a._v.dtype != np.complex128:
+        v, den = a._v, a.den
+        k = 1 if v[1] != 0 else _law_failure(_law_storage(v, den, False), den, a.bound, False, sieve)
+        if k is None:
+            return CheckResult(True, "additive-mobius")
+        return CheckResult(False, "additive-mobius", k, "index")
     _, k, pk = _prime_powers(sieve, a.bound)
-    at = np.where(k == 1, -1, 0).astype(np.complex128 if a.backend is COMPLEX else np.int64)
+    at = np.where(k == 1, -1, 0).astype(np.complex128)
     mu = _prime_power_fold(sieve, a.bound, pk, at, 1, a.backend, True)
     g = (mu * a)._v
     prime_power = np.zeros(a.bound + 1, dtype=bool)

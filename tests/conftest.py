@@ -281,6 +281,17 @@ def predicate_oracle(a: af.ArithFn, kind: str, tol=None) -> tuple:
     return True, None, None, constants
 
 
+def mobius_loop_oracle(a: af.ArithFn) -> tuple:
+    """(ok, witness) of the Mobius additivity test on an exact table: the
+    least n, no prime power, with (mu * a)(n) != 0, else None; mu by trial
+    division, the convolution by the per-divisor loop."""
+    n = a.bound
+    mu = [0] + [mobius_brute(k) for k in range(1, n + 1)]
+    g = convolve_loop_exact(mu, padded(a), n)
+    bad = next((k for k in range(1, n + 1) if g[k] != 0 and not is_prime_power_brute(k)), None)
+    return bad is None, bad
+
+
 def bell_decompose_oracle(a: af.ArithFn) -> list:
     """[(p, (1, a(p), a(p^2), ...)), ...] for the primes p <= N."""
     out = []

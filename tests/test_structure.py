@@ -22,6 +22,7 @@ from conftest import (
     bell_reconstruct_oracle,
     factorize_brute,
     is_prime_power_brute,
+    mobius_loop_oracle,
     predicate_oracle,
     primes_brute,
     rand_additive,
@@ -127,6 +128,66 @@ class TestMobiusAdditivityTest:
         for _ in range(20):
             a = rand_exact_fn(rng, n)
             assert af.mobius_additivity_test(a, sieve1000).ok == af.is_additive(a).ok
+
+
+class TestMobiusByTheLaw:
+    """The exact Mobius test reads the sum law's least failure; verdicts and
+    witnesses against a loop convolution with mu (tests/conftest.py)."""
+
+    @staticmethod
+    def _tables(sieve, n, rng):
+        """Every exact catalogue table, sums of nu and Omega (over den > 1
+        too), tables near and past the int64 guard, each also with +1 or
+        1/3 planted at a random k >= 2 and with a(1) = 1."""
+        names = [name for name in af.catalogue.NAMES if name != "mangoldt"]
+        nu, omega = af.make("nu", sieve, bound=n), af.make("Omega", sieve, bound=n)
+        tables = [af.make(name, sieve, c=1 if name == "sigma" else None, bound=n) for name in names]
+        tables += [
+            nu + omega,
+            nu - omega.scale(2),
+            nu * omega,  # not additive: fails at 6
+            nu.scale(Fraction(1, 3)) + omega.scale(Fraction(1, 2)),
+            rand_additive(rng, sieve, n),
+            nu.scale(2**59),  # int64 under the guard
+            nu.scale(2**60),  # int64 past it from nu = 4: the law runs on object
+            omega.scale(2**61),  # object storage
+            omega.scale(2**62 - 1) - nu.scale(2**62),  # object, values near +-2**62
+        ]
+        planted = []
+        for a in tables:
+            if n >= 2:
+                planted.append(_plant(a, rng.randint(2, n), rng.choice((1, Fraction(1, 3)))))
+            planted.append(_plant(a, 1, 1))
+        return tables + planted
+
+    @pytest.mark.parametrize("step", (None, 8))
+    @pytest.mark.parametrize("n", (1, 2, 1023, 1024, 1025, 4099))
+    def test_matches_a_loop_convolution(self, monkeypatch, n, step):
+        if step:  # the least failure falls in a later step of the law
+            monkeypatch.setattr(sieve_module, "STEP", step)
+        sieve = af.build_sieve(n)
+        for a in self._tables(sieve, n, random.Random(n)):
+            res = af.mobius_additivity_test(a, sieve)
+            ok, witness = mobius_loop_oracle(a)
+            assert (res.ok, res.witness) == (ok, witness), (a[1], a[2], a.den)
+            assert res.witness_kind == (None if ok else "index")
+
+    def test_only_complex_tables_convolve(self, monkeypatch, sieve1000):
+        calls = []
+
+        def spy(name, f):
+            return lambda *args, **kwargs: calls.append(name) or f(*args, **kwargs)
+
+        monkeypatch.setattr(dirichlet, "_conv", spy("conv", dirichlet._conv))
+        monkeypatch.setattr(structure, "_prime_power_fold", spy("fold", structure._prime_power_fold))
+        nu = af.make("nu", sieve1000)
+        for a in (nu, _plant(nu, 30, 1), _plant(nu, 1, 1)):
+            af.mobius_additivity_test(a, sieve1000)
+        assert calls == []
+        for a in (nu, _plant(nu, 30, 1), _plant(nu, 1, 1)):
+            calls.clear()
+            af.mobius_additivity_test(a.to_backend(af.COMPLEX), sieve1000)
+            assert calls == ["fold", "conv"]
 
 
 class TestBellDecomposition:
@@ -614,6 +675,7 @@ GUARD_SUMS = [
     ({(2, 1): 2**63 - 1, (3, 1): -1}, 2**63 - 2),
     ({(2, 1): Fraction(1, 3), (3, 1): Fraction(2, 3)}, 1),
     ({(2, 1): 2**64, (3, 1): -(2**64)}, 0),
+    ({(2, 1): 2**62, (2, 2): 2**62, (3, 1): 1}, 2**62 + 1),  # A(4) = 2**63
 ]
 
 
@@ -623,17 +685,21 @@ def _fold_guard_steps(n, at, f, product):
     powers q (0 elsewhere), in the steps of ``sieve._steps(n)``: the index
     of the first step whose max|left| x max|right| (a sum: +) reaches
     2**63, else None, and the steps up to it whose bound top x peak
-    reaches it (top = max|f| over 1..lo - 1, peak = max|at|).  left is
-    f(r(k)) (a sum: f(k / P(k))) and right at[k / r(k)], with P(k) and
-    r(k) by trial division."""
+    reaches it (top = max|f| over 1..lo - 1, peak = max|right| over every
+    prime power).  left is f(r(k)), r(k) = k / P(k)^v with P(k)^v the
+    power of the largest prime of k, and right at[P(k)^v] (a sum: the
+    cumulative at[P] + ... + at[P^v]), by trial division."""
     combine = operator.mul if product else operator.add
+    if not product:
+        at = {q: sum(at[p**j] for j in range(1, v + 1))
+              for q in at for p, v in factorize_brute(q)}
     peak = max(map(abs, at.values()))
     loose = []
     for i, (lo, hi) in enumerate(sieve_module._steps(n)):
         lefts, rights = [], []
         for k in range(lo, hi):
             p, v = factorize_brute(k)[-1]
-            lefts.append(f[k // p**v] if product else f[k // p])
+            lefts.append(f[k // p**v])
             rights.append(at.get(p**v, 0))
         if combine(max(map(abs, f[1:lo])), peak) >= 2**63:
             loose.append(i)
@@ -642,15 +708,16 @@ def _fold_guard_steps(n, at, f, product):
     return None, loose
 
 
-def _law_oracle(a, product) -> bool:
-    """a(k) = a(r(k)) a(k / r(k)) (or +) at every k = 2..N, by trial division."""
+def _law_oracle(a, product) -> int | None:
+    """The least k = 2..N with a(k) != a(r(k)) a(k / r(k)) (or +), else
+    None, by trial division."""
     vals = (None,) + a.values()
     combine = operator.mul if product else operator.add
     for k in range(2, a.bound + 1):
         p, v = factorize_brute(k)[-1]
         if vals[k] != combine(vals[k // p**v], vals[p**v]):
-            return False
-    return True
+            return k
+    return None
 
 
 class TestAgainstScalarLoops:
@@ -715,9 +782,13 @@ class TestAgainstScalarLoops:
         each step's own maxima decide: big values at a prime mid <= n / 2
         and at the largest prime (no multiple of it folds) fail the bound
         but not the step maxima, so int64 stays; 2**29 at 2 and 2**35 at
-        mid leave int64 at a late step; the sums run over den = 3.  The
-        table keeps int64 storage whenever its values fit, so the dtype the
-        fold hands to ``_store`` is read off a spy."""
+        mid leave int64 at a late step; the sums run over den = 3, with
+        g(2, 2) = -g(2, 1), so that A(4) = A(8) = ... = 0 and no early step
+        pairs A(2^k) with f(2 m).  A sum decides on A itself, not on a bound
+        of it: A(4) = 2**62 + 2**62 leaves int64 though no increment does,
+        and 2**62 - 2**62 keeps it.  The table keeps int64 storage whenever
+        its values fit, so the dtype the fold hands to ``_store`` is read
+        off a spy."""
         folded, store = [], dirichlet._store
 
         def spy(padded, backend, den=1):
@@ -732,8 +803,10 @@ class TestAgainstScalarLoops:
             (True, {(2, 1): 2**29, (3, 1): 5, (mid, 1): 2**35, (big, 1): 3}, True),
             (False, {(2, 1): Fraction(1, 3), (3, 1): Fraction(2, 3),
                      (mid, 1): Fraction(2**62, 3), (big, 1): Fraction(-(2**62), 3)}, False),
-            (False, {(2, 1): Fraction(2**62, 3), (3, 1): Fraction(1, 3),
-                     (mid, 1): Fraction(2**62, 3)}, True),
+            (False, {(2, 1): Fraction(2**62, 3), (2, 2): Fraction(-(2**62), 3),
+                     (3, 1): Fraction(1, 3), (mid, 1): Fraction(2**62, 3)}, True),
+            (False, {(2, 1): 2**62, (2, 2): 2**62, (3, 1): 1}, True),
+            (False, {(2, 1): 2**62, (2, 2): -(2**62), (3, 1): 1}, False),
         ]
         steps = len(list(sieve_module._steps(n)))
         for product, entries, leaves in cases:
@@ -996,8 +1069,10 @@ class TestCharacterizationLaw:
     def _check(monkeypatch, sieve, a, kinds):
         got = _structure_outcomes(a, sieve, kinds)
         with monkeypatch.context() as m:  # the scan alone, as before the law
-            m.setattr(structure, "_law_holds", lambda *args: False)
-            assert got == _structure_outcomes(a, sieve, kinds)
+            m.setattr(structure, "_law_failure", lambda *args: 2)
+            # the exact Mobius test names the law's failure: the scan has no part in it
+            scanned = _structure_outcomes(a, sieve, [kind for kind in kinds if kind != "additive-mobius"])
+            assert scanned == {key: got[key] for key in scanned}
         assert got == _oracle_outcomes(a, kinds)
 
     @pytest.mark.parametrize("n", (1, 2, 3, 4, 6, 12, 30, 63, 64))
@@ -1014,7 +1089,9 @@ class TestCharacterizationLaw:
         monkeypatch.setattr(sieve_module, "STEP", 64)  # the fold index and the law in many steps
         sieve = af.build_sieve(n)
         spots = random.Random(n).sample(range(1, n + 1), 60)
-        kinds = [kind for kind in PREDICATES if kind != "additive-mobius"]  # the law is not read
+        # the Mobius oracle convolves by divisor scans, too slow at these
+        # bounds: TestMobiusByTheLaw checks it against a loop convolution
+        kinds = [kind for kind in PREDICATES if kind != "additive-mobius"]
         for j, base in enumerate(_law_tables(sieve, n)):
             self._check(monkeypatch, sieve, base, kinds)
             for i in spots[j::2]:  # each table half the spots, each spot in three tables
@@ -1032,19 +1109,22 @@ class TestCharacterizationLaw:
             product = base[1] == 1
             for a in (base, _plant(base, n, 1), _plant(base, 2 * 3 * 5 * 7, Fraction(1, 3)),
                       _plant(base, 512, 1)):
-                got = structure._law_holds(a._v.astype(object), a.den, n, product, sieve)
+                got = structure._law_failure(a._v.astype(object), a.den, n, product, sieve)
                 assert got == _law_oracle(a, product), (a[1], a[2])
 
     def test_a_wrong_unit_alone_reads_no_law(self, monkeypatch, sieve100):
         def refuse(*args):
             raise AssertionError("the law was read")
 
-        monkeypatch.setattr(structure, "_law_holds", refuse)
+        monkeypatch.setattr(structure, "_law_failure", refuse)
         for base in _law_tables(sieve100, 100, small=True):
             a = _plant(base, 1, 1)
             kind = "multiplicative" if base[1] == 1 else "additive"
             got = _outcome(PREDICATES[kind](a, sieve100, None))
             assert got == predicate_oracle(a, kind) == (False, (1, 1), "pair", None)
+            if kind == "additive":
+                got = _outcome(af.mobius_additivity_test(a, sieve100))
+                assert got == predicate_oracle(a, "additive-mobius") == (False, 1, "index", None)
 
     def test_a_passing_exact_check_reads_no_pair(self, monkeypatch, sieve1000):
         def refuse(*args):
